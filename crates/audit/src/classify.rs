@@ -62,12 +62,7 @@ pub fn classify(
         .map(|c| c.bind(table.schema()))
         .collect::<CfdResult<_>>()?;
 
-    let mut constrained: Vec<usize> = bound
-        .iter()
-        .flat_map(|b| b.lhs_cols.iter().copied().chain(std::iter::once(b.rhs_col)))
-        .collect();
-    constrained.sort_unstable();
-    constrained.dedup();
+    let constrained = constrained_columns(&bound);
 
     // Pass 1: which rows/cells are implicated, and on which side of the
     // majority they sit.
@@ -153,7 +148,18 @@ pub fn classify(
     })
 }
 
-fn grade(
+/// Columns mentioned by at least one CFD, ascending.
+pub(crate) fn constrained_columns(bound: &[BoundCfd]) -> Vec<usize> {
+    let mut constrained: Vec<usize> = bound
+        .iter()
+        .flat_map(|b| b.lhs_cols.iter().copied().chain(std::iter::once(b.rhs_col)))
+        .collect();
+    constrained.sort_unstable();
+    constrained.dedup();
+    constrained
+}
+
+pub(crate) fn grade(
     (in_single, in_multi_minority, in_multi_majority): (bool, bool, bool),
     verified: bool,
 ) -> CleanClass {

@@ -33,7 +33,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
-use audit::{quality_report, QualityReport};
+use audit::{quality_report_rows, QualityReport};
 use cfd::parse::parse_cfds;
 use cfd::{BoundCfd, Cfd, CfdError, CfdResult};
 use colstore::{cfd_partial_one, SnapshotCache, TableDelta};
@@ -665,23 +665,28 @@ impl ShardedQualityServer {
 
     /// Data auditor over the sharded relation: the Fig. 4 quality report,
     /// built on the merged scatter/gather detection report (runs a detect
-    /// first if no report is cached) over the materialized union of the
-    /// shards — `normalized()`-identical inputs to the single-node
-    /// auditor, so dirty fractions agree exactly.
+    /// first if no report is cached) over the shards' rows in place. Rows
+    /// keep their global ids, so this is the single-node audit of the
+    /// same data, field for field.
     pub fn audit(&mut self) -> CfdResult<QualityReport> {
-        let report = match &self.last_report {
-            Some(r) => r.clone(),
-            None => self.detect()?,
-        };
-        let merged = self.merged_table()?;
-        quality_report(&merged, &self.cfds, &report)
+        if self.last_report.is_none() {
+            self.detect()?;
+        }
+        let report = self.last_report.as_ref().expect("detect caches its report");
+        quality_report_rows(
+            &self.schema,
+            self.next_row as usize,
+            self.shards.iter().flat_map(|s| s.table.iter()),
+            &self.cfds,
+            report,
+        )
     }
 
     /// Materialize the union of the shards as one table, every row under
     /// its global id — exactly the table a single-node server over the
-    /// same data would hold. O(rows); used by the auditor and by
-    /// conformance checks, not by detection (which exchanges compact
-    /// per-group partials instead).
+    /// same data would hold. O(rows); used by conformance checks, not
+    /// by detection (which exchanges compact per-group partials) or the
+    /// auditor (which reads the shards' rows in place).
     pub fn merged_table(&self) -> CfdResult<Table> {
         let mut rows: Vec<(RowId, &[Value])> =
             self.shards.iter().flat_map(|s| s.table.iter()).collect();

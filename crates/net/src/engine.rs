@@ -27,7 +27,7 @@
 //! always exactly the epoch's detect answer.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use api::wire::{dispatch, AuditSummary, ReportSummary, Response};
@@ -59,9 +59,17 @@ pub struct EpochState {
     pub len: usize,
 }
 
+/// `net_capture_ns`: wall time of one [`capture`] (detect + audit +
+/// summaries), i.e. what eager publication adds to a write.
+fn capture_ns() -> &'static Arc<obs::Histogram> {
+    static H: OnceLock<Arc<obs::Histogram>> = OnceLock::new();
+    H.get_or_init(|| obs::histogram("net_capture_ns"))
+}
+
 /// Capture the current [`EpochState`] off the backend, mirroring exactly
 /// how [`api::wire::dispatch`] builds each response.
 fn capture<B: QualityBackend>(backend: &mut B, epoch: u64, writes_applied: u64) -> EpochState {
+    let _span = obs::SpanTimer::new(Arc::clone(capture_ns()));
     fn err(e: CfdError) -> Response {
         Response::Error {
             message: e.to_string(),

@@ -6,12 +6,17 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use semandaq::api::{dispatch, QualityBackend, Request, Response};
 use semandaq::cluster::{RoundRobinRouter, ShardedQualityServer};
 use semandaq::colstore::{
     detect_cached, detect_columnar, detect_on_snapshot_threads, Snapshot, SnapshotCache,
 };
-use semandaq::datagen::dirty_customers;
+use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
+use semandaq::durable::Durable;
+use semandaq::minidb::{RowId, Value};
+use semandaq::net::{ConcurrentEngine, EngineConfig};
 use semandaq::repair::{batch_repair, RepairConfig};
+use semandaq::system::{DataMonitor, MonitorMode, QualityServer};
 
 fn lock() -> MutexGuard<'static, ()> {
     static M: OnceLock<Mutex<()>> = OnceLock::new();
@@ -200,5 +205,89 @@ fn repair_round_and_change_counters_match_the_result() {
         changes.get() - c0,
         result.changes.len() as u64,
         "changes metric == change-list length"
+    );
+}
+
+#[test]
+fn one_audit_report_sample_per_audit_dispatch() {
+    let _g = lock();
+    let report_ns = semandaq::obs::histogram("audit_report_ns");
+
+    let d = dirty_customers(200, 0.05, 316);
+    let t = d.db.table("customer").unwrap();
+    let server = QualityServer::new(d.db.clone(), "customer").unwrap();
+    let monitor =
+        DataMonitor::new(d.db.clone(), "customer", vec![], MonitorMode::DetectOnly).unwrap();
+    let cluster =
+        ShardedQualityServer::partition(t, 3, Box::new(RoundRobinRouter::default())).unwrap();
+    let dir = std::env::temp_dir().join(format!("sdq_metrics_audit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable =
+        Durable::open(&dir, QualityServer::new(d.db.clone(), "customer").unwrap()).unwrap();
+    let backends: Vec<(&str, Box<dyn QualityBackend>)> = vec![
+        ("server", Box::new(server)),
+        ("monitor", Box::new(monitor)),
+        ("cluster", Box::new(cluster)),
+        ("durable", Box::new(durable)),
+    ];
+    for (name, mut backend) in backends {
+        let register = Request::RegisterCfds {
+            text: CANONICAL_CFDS.to_string(),
+        };
+        assert!(!matches!(
+            dispatch(backend.as_mut(), register),
+            Response::Error { .. }
+        ));
+        const AUDITS: u64 = 3;
+        let before = report_ns.count();
+        for _ in 0..AUDITS {
+            let r = dispatch(backend.as_mut(), Request::Audit);
+            assert!(matches!(r, Response::Audited(_)), "{name}: {r:?}");
+        }
+        assert_eq!(
+            report_ns.count() - before,
+            AUDITS,
+            "{name}: one audit_report_ns sample per Audit dispatch"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_capture_sample_per_published_epoch() {
+    let _g = lock();
+    let capture_ns = semandaq::obs::histogram("net_capture_ns");
+    let published = semandaq::obs::counter("net_epochs_published_total");
+
+    let d = dirty_customers(200, 0.05, 317);
+    let donor =
+        d.db.table("customer")
+            .unwrap()
+            .get(RowId(0))
+            .unwrap()
+            .to_vec();
+    let server = QualityServer::new(d.db.clone(), "customer").unwrap();
+    let engine = ConcurrentEngine::new(server, EngineConfig::default());
+    let (c0, p0) = (capture_ns.count(), published.get());
+    let handle = engine.handle().unwrap();
+    let register = Request::RegisterCfds {
+        text: CANONICAL_CFDS.to_string(),
+    };
+    assert!(!matches!(handle.request(register), Response::Error { .. }));
+    for i in 0..5 {
+        let mut row = donor.clone();
+        row[2] = Value::str(format!("City{i}"));
+        let r = handle.request(Request::Insert { row });
+        assert!(!matches!(r, Response::Error { .. }), "{r:?}");
+    }
+    drop(handle);
+    engine.shutdown();
+
+    let epochs = published.get() - p0;
+    assert!(epochs >= 6, "every acknowledged write was published");
+    assert_eq!(
+        capture_ns.count() - c0,
+        epochs,
+        "one net_capture_ns sample per net_epochs_published_total increment"
     );
 }

@@ -1,15 +1,21 @@
 //! Property: the sharded quality cluster computes exactly single-node
 //! columnar detection — for every table, CFD set (constant + variable,
 //! all-NULL and single-group edges included), router, shard count 1–8,
-//! and any routed update stream applied after partitioning.
+//! and any routed update stream applied after partitioning. Its audit
+//! equals the single-node server's, field for field.
 
 mod common;
 
 use common::{arb_cfds, arb_table, cfd_pool, COLS};
 use proptest::prelude::*;
+use semandaq::api::QualityBackend;
+use semandaq::audit::QualityReport;
+use semandaq::cfd::parse::parse_cfds;
 use semandaq::cluster::{HashRouter, RoundRobinRouter, ShardRouter, ShardedQualityServer};
 use semandaq::colstore::detect_columnar;
-use semandaq::minidb::{Schema, Table, Value};
+use semandaq::datagen::customer::CANONICAL_CFDS;
+use semandaq::minidb::{RowId, Schema, Table, Value};
+use semandaq::system::QualityServer;
 
 fn router(kind: usize) -> Box<dyn ShardRouter> {
     match kind % 3 {
@@ -145,7 +151,7 @@ fn all_null_instance_is_clean_on_every_shard_count() {
 fn single_group_split_across_every_shard() {
     // The whole table is one LHS group; round-robin over 4 shards splits
     // it maximally — every conflict is cross-shard, none local.
-    let cfds = semandaq::cfd::parse::parse_cfds("r: [A] -> [B]").unwrap();
+    let cfds = parse_cfds("r: [A] -> [B]").unwrap();
     let mut t = Table::new("r", Schema::of_strings(&["A", "B"]));
     for v in ["v", "v", "v", "w"] {
         t.insert(vec![Value::str("k"), Value::str(v)]).unwrap();
@@ -166,7 +172,7 @@ fn single_group_split_across_every_shard() {
 
 #[test]
 fn more_shards_than_rows() {
-    let cfds = semandaq::cfd::parse::parse_cfds("r: [A] -> [B]").unwrap();
+    let cfds = parse_cfds("r: [A] -> [B]").unwrap();
     let mut t = Table::new("r", Schema::of_strings(&["A", "B"]));
     t.insert(vec![Value::str("k"), Value::str("x")]).unwrap();
     t.insert(vec![Value::str("k"), Value::str("y")]).unwrap();
@@ -194,5 +200,89 @@ fn customers_equivalence_at_scale() {
             reference,
             "{shards} shards"
         );
+    }
+}
+
+/// Apply the same small mutation script through the unified trait: a
+/// delete, an insert, and cell updates that add and remove conflicts.
+fn mutate(backend: &mut dyn QualityBackend, donor: &[Value]) {
+    backend.delete(RowId(3)).unwrap();
+    backend.delete(RowId(10)).unwrap();
+    let mut row = donor.to_vec();
+    row[2] = Value::str("Nowhere");
+    backend.insert(row).unwrap();
+    backend.update_cell(RowId(0), 1, Value::str("NL")).unwrap();
+    backend.update_cell(RowId(5), 2, Value::Null).unwrap();
+    backend.update_cell(RowId(7), 5, Value::str("99")).unwrap();
+}
+
+fn assert_same_audit(cluster: &QualityReport, single: &QualityReport, label: &str) {
+    assert_eq!(cluster.tuples, single.tuples, "{label}: tuples");
+    assert_eq!(
+        cluster.tuple_classes, single.tuple_classes,
+        "{label}: tuple_classes"
+    );
+    assert_eq!(cluster.attributes, single.attributes, "{label}: attributes");
+    assert_eq!(cluster.per_cfd, single.per_cfd, "{label}: per_cfd");
+    assert_eq!(cluster.stats, single.stats, "{label}: stats");
+    assert_eq!(cluster, single, "{label}");
+}
+
+#[test]
+fn sharded_audit_equals_single_node_server_audit() {
+    let d = semandaq::datagen::dirty_customers(300, 0.06, 48);
+    let t = d.db.table("customer").unwrap();
+    let donor = t.get(RowId(1)).unwrap().to_vec();
+    let mut server = QualityServer::new(d.db.clone(), "customer").unwrap();
+    server.register_cfds(CANONICAL_CFDS).unwrap();
+    let fresh = server.audit().unwrap();
+    mutate(&mut server, &donor);
+    let mutated = server.audit().unwrap();
+    assert!(mutated.tuple_classes[3] > 0, "the workload must be dirty");
+
+    let mut saw_empty_shard = false;
+    for shards in 1usize..=8 {
+        // Hashing on CC (a handful of values) leaves shards empty.
+        let routers: Vec<(&str, Box<dyn ShardRouter>)> = vec![
+            ("rr", Box::new(RoundRobinRouter::default())),
+            ("hash", Box::new(HashRouter::new(vec![5]))),
+        ];
+        for (name, router) in routers {
+            let label = format!("{name}/s{shards}");
+            let mut c = ShardedQualityServer::partition(t, shards, router).unwrap();
+            c.register_cfds(parse_cfds(CANONICAL_CFDS).unwrap())
+                .unwrap();
+            assert_same_audit(&c.audit().unwrap(), &fresh, &label);
+            mutate(&mut c, &donor);
+            assert_same_audit(&c.audit().unwrap(), &mutated, &label);
+            saw_empty_shard |= (0..shards).any(|s| c.shard_table(s).is_empty());
+        }
+    }
+    assert!(
+        saw_empty_shard,
+        "some configuration must hold an empty shard"
+    );
+}
+
+#[test]
+fn sharded_audit_of_an_empty_relation() {
+    let d = semandaq::datagen::dirty_customers(4, 0.0, 49);
+    let mut db = d.db.clone();
+    let t = db.table_mut("customer").unwrap();
+    for id in t.row_ids() {
+        t.delete(id).unwrap();
+    }
+    let t = db.table("customer").unwrap().clone();
+    let mut server = QualityServer::new(db, "customer").unwrap();
+    server.register_cfds(CANONICAL_CFDS).unwrap();
+    let single = server.audit().unwrap();
+    assert_eq!(single.tuples, 0);
+    for shards in [1usize, 3, 8] {
+        let mut c =
+            ShardedQualityServer::partition(&t, shards, Box::new(RoundRobinRouter::default()))
+                .unwrap();
+        c.register_cfds(parse_cfds(CANONICAL_CFDS).unwrap())
+            .unwrap();
+        assert_same_audit(&c.audit().unwrap(), &single, &format!("s{shards}"));
     }
 }
