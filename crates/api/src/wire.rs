@@ -4,10 +4,8 @@
 //! A quality service decodes one request per message, dispatches it
 //! against whatever [`QualityBackend`] it hosts, and encodes the response
 //! — `examples/quality_service.rs` runs exactly that loop. The encoding
-//! is a line of JSON; the codec lives here because the workspace's
-//! offline `serde` subset is marker-traits only (the derives on these
-//! types keep them drop-in compatible with real serde, the canonical
-//! encoding below is what actually crosses the wire).
+//! is a line of JSON, produced and parsed by the hand-written codec below
+//! (the workspace has no serialization framework).
 //!
 //! Scalars are encoded so that decoding is exact, not best-effort:
 //! strings and booleans map to their JSON forms, while typed numbers are
@@ -20,14 +18,13 @@
 use cfd::{CfdError, CfdResult};
 use detect::ViolationReport;
 use minidb::{RowId, Value};
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
 
 // ---------------------------------------------------------------- messages
 
 /// One command against a quality backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Register CFDs (textual notation, newline-separated).
     RegisterCfds {
@@ -149,7 +146,7 @@ impl Request {
 /// Wire summary of a [`ViolationReport`] (violation records and headline
 /// tallies; full reports are pulled through the explorer APIs, not the
 /// command protocol).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReportSummary {
     /// Violation records detected.
     pub violations: usize,
@@ -177,7 +174,7 @@ impl ReportSummary {
 }
 
 /// Wire summary of an audit (`audit::QualityReport` headline numbers).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditSummary {
     /// Live tuples audited.
     pub tuples: usize,
@@ -199,7 +196,7 @@ impl AuditSummary {
 }
 
 /// The answer to one [`Request`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// CFDs registered; the backend now enforces this many rules.
     Registered {

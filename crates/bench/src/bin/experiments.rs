@@ -1,10 +1,13 @@
-//! Regenerate the measured experiment tables E1–E16 / A1–A2 recorded in
-//! EXPERIMENTS.md (wall-clock timings plus quality metrics).
+//! Regenerate the measured experiment tables E1–E16 / A1–A2 (wall-clock
+//! timings plus quality metrics, printed to stdout).
 //!
 //! ```sh
 //! cargo run --release --bin experiments           # all experiments
 //! cargo run --release --bin experiments -- e1 e5  # a subset
 //! ```
+//!
+//! An argument that names no experiment is an error: the binary prints
+//! the valid names and exits with status 2 without running anything.
 //!
 //! E8 (detection engines), E9 (sharded cluster), E10 (batched vs per-row
 //! ingest), E11 (sharded repair), E13 (chunked columns + morsel scaling),
@@ -25,9 +28,7 @@ use colstore::{
     detect_cached, detect_columnar, detect_on_snapshot, detect_on_snapshot_threads, Snapshot,
     SnapshotCache,
 };
-use detect::{
-    detect_native, detect_parallel, detect_sql, detect_sql_per_pattern, IncrementalDetector,
-};
+use detect::{detect_native, detect_sql, detect_sql_per_pattern, IncrementalDetector};
 use discovery::{
     discover_fds, mine_constant_cfds, mine_variable_cfds, CtaneConfig, MinerConfig, TaneConfig,
 };
@@ -116,8 +117,21 @@ fn write_baseline(measured: Vec<(usize, String, f64)>) {
     println!("wrote {PATH} ({} entries)\n", merged.len());
 }
 
+/// Every experiment name `main` answers to, in run order.
+const EXPERIMENTS: [&str; 18] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e16", "a1", "a2",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = args.iter().find(|a| !EXPERIMENTS.contains(&a.as_str())) {
+        eprintln!(
+            "unknown experiment `{bad}`; valid names: {}",
+            EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let wanted = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
     if wanted("e1") {
@@ -328,8 +342,8 @@ fn main() {
     if wanted("e8") {
         println!("== E8: columnar vs row detection (customer workload, 5% noise) ==");
         println!(
-            "{:>8} {:>13} {:>13} {:>13} {:>13} {:>9}",
-            "rows", "native (ms)", "par4 (ms)", "columnar(ms)", "snapshot(ms)", "col/nat"
+            "{:>8} {:>13} {:>13} {:>13} {:>9}",
+            "rows", "native (ms)", "columnar(ms)", "snapshot(ms)", "col/nat"
         );
         for rows in [1_000usize, 10_000, 100_000] {
             let w = workload(rows, 0.05, 11);
@@ -337,9 +351,6 @@ fn main() {
             let iters = if rows >= 100_000 { 5 } else { 20 };
             let n_native = time_ns(iters, || {
                 detect_native(t, &w.cfds).unwrap();
-            });
-            let n_par = time_ns(iters, || {
-                detect_parallel(t, &w.cfds, 4).unwrap();
             });
             let n_col = time_ns(iters, || {
                 detect_columnar(t, &w.cfds).unwrap();
@@ -354,15 +365,13 @@ fn main() {
                 detect_columnar(t, &w.cfds).unwrap().normalized()
             );
             println!(
-                "{rows:>8} {:>13.1} {:>13.1} {:>13.1} {:>13.1} {:>8.1}x",
+                "{rows:>8} {:>13.1} {:>13.1} {:>13.1} {:>8.1}x",
                 n_native / 1e6,
-                n_par / 1e6,
                 n_col / 1e6,
                 n_reuse / 1e6,
                 n_native / n_col
             );
             baseline.push((rows, "native".into(), n_native));
-            baseline.push((rows, "parallel4".into(), n_par));
             baseline.push((rows, "columnar".into(), n_col));
             baseline.push((rows, "columnar_reuse".into(), n_reuse));
         }

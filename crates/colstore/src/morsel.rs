@@ -95,14 +95,14 @@ where
     let cursors: Vec<AtomicUsize> = (0..workers).map(|_| AtomicUsize::new(0)).collect();
     let mut out: Vec<Option<T>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    let produced: Vec<Vec<(usize, T)>> = crossbeam::scope(|s| {
+    let produced: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let stripes = &stripes;
                 let cursors = &cursors;
                 let timed = &timed;
                 let trace_ctx = &trace_ctx;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let _trace = obs::trace::install(trace_ctx.as_ref());
                     let mut got: Vec<(usize, T)> = Vec::new();
                     // Drain the own stripe first, then sweep the victims.
@@ -126,12 +126,13 @@ where
                 })
             })
             .collect();
+        // A panicking morsel re-raises its own payload on the caller, as
+        // it would on the serial path.
         handles
             .into_iter()
-            .map(|h| h.join().expect("morsel worker does not panic"))
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect::<Vec<_>>()
-    })
-    .expect("morsel pool does not panic");
+    });
     for batch in produced {
         for (i, t) in batch {
             out[i] = Some(t);
@@ -143,9 +144,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// `detect_morsels_total` is process-global, so the tests here that
+    /// dispatch morsels run one at a time: the counter test then sees no
+    /// dispatches from its siblings. (Other modules' detect tests can
+    /// still dispatch concurrently.)
+    fn dispatch_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        // The panic test poisons the lock by design.
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn results_are_positional_and_complete() {
+        let _serial = dispatch_lock();
         for workers in [1usize, 2, 3, 8] {
             for n in [0usize, 1, 2, 7, 64] {
                 let out = run_morsels(workers, n, |i| i * i);
@@ -160,6 +173,7 @@ mod tests {
     #[test]
     fn pool_runs_work_concurrently_against_shared_state() {
         use std::sync::atomic::AtomicU64;
+        let _serial = dispatch_lock();
         let sum = AtomicU64::new(0);
         let out = run_morsels(4, 100, |i| {
             sum.fetch_add(i as u64, Ordering::Relaxed);
@@ -171,10 +185,21 @@ mod tests {
 
     #[test]
     fn morsel_counter_tracks_dispatches() {
+        let _serial = dispatch_lock();
         let c = obs::counter("detect_morsels_total");
         let before = c.get();
         run_morsels(2, 17, |i| i);
         assert_eq!(c.get() - before, 17);
+    }
+
+    #[test]
+    #[should_panic(expected = "morsel 5 failed")]
+    fn worker_panic_reaches_the_caller() {
+        let _serial = dispatch_lock();
+        run_morsels(2, 8, |i| {
+            assert_ne!(i, 5, "morsel 5 failed");
+            i
+        });
     }
 
     #[test]

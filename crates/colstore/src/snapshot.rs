@@ -89,17 +89,16 @@ impl Snapshot {
                 }
                 b.finish()
             };
-            let encoded = crossbeam::scope(|s| {
+            let encoded = std::thread::scope(|s| {
                 let handles: Vec<_> = targets
                     .iter()
-                    .map(|&c| s.spawn(move |_| (c, encode_one(c))))
+                    .map(|&c| s.spawn(move || (c, encode_one(c))))
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("column encoder does not panic"))
                     .collect::<Vec<(usize, Column)>>()
-            })
-            .expect("encode workers do not panic");
+            });
             for (c, col) in encoded {
                 columns[c] = Some(col);
             }

@@ -6,7 +6,7 @@
 //! * [`engine::ConstraintEngine`] — CFD registration with a consistency
 //!   gate, relational tableau storage, minimal-cover reduction;
 //! * [`server::QualityServer`] — error detection (SQL / native /
-//!   parallel), auditing (report + quality map), exploration hooks,
+//!   columnar), auditing (report + quality map), exploration hooks,
 //!   cleansing, constraint discovery;
 //! * [`monitor::DataMonitor`] — incremental detection or
 //!   repair-on-arrival under an update stream.

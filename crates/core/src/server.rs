@@ -7,7 +7,7 @@ use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, R
 use audit::{quality_map, quality_report, QualityMap, QualityReport};
 use cfd::{CfdError, CfdResult, Consistency};
 use colstore::{detect_cached_threads, ChunkStore, MemChunkStore, SnapshotCache, TableDelta};
-use detect::{detect_native, detect_parallel, detect_sql, ViolationReport};
+use detect::{detect_native, detect_sql, ViolationReport};
 use discovery::{mine_constant_cfds, mine_variable_cfds, CtaneConfig, MinerConfig};
 use explore::{inspect_tuple, CfdRelevance, NavigationSession, ReviewSession};
 use minidb::{Database, DbError, RowId, Schema, Table, Value};
@@ -27,11 +27,6 @@ pub enum DetectorKind {
     Sql,
     /// Direct hash-based detection.
     Native,
-    /// Native detection parallelized across CFDs.
-    Parallel {
-        /// Worker threads.
-        threads: usize,
-    },
     /// Columnar detection over a cached, epoch-versioned snapshot: the
     /// first detect encodes, repeat detects on an unchanged table do zero
     /// encode work, and a repair pass patches the snapshot in lock-step
@@ -305,7 +300,6 @@ impl QualityServer {
         let report = match self.config.detector {
             DetectorKind::Sql => detect_sql(&mut self.db, &self.relation, &cfds)?,
             DetectorKind::Native => detect_native(self.table()?, &cfds)?,
-            DetectorKind::Parallel { threads } => detect_parallel(self.table()?, &cfds, threads)?,
             DetectorKind::Columnar => {
                 // Disjoint field borrows: the cache is written while the
                 // database is only read.

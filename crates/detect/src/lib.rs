@@ -10,13 +10,12 @@
 //! * [`incremental::IncrementalDetector`] — group-indexed state maintained
 //!   under inserts/deletes/updates ([3] §7; experiment E3).
 //!
-//! Plus [`parallel::detect_parallel`], which fans per-CFD native detection
-//! across threads — mirroring Semandaq's claim that its quality servers
-//! "run independently in a distributed way" — and [`exchange`], the
-//! partial-aggregation wire format and coordinator merge that let a
-//! *sharded* cluster of quality servers reproduce single-node detection
-//! exactly (constant CFDs shard-local, variable CFDs via per-group
-//! partial states).
+//! Plus [`exchange`], the partial-aggregation wire format and coordinator
+//! merge that let a *sharded* cluster of quality servers — Semandaq's
+//! servers that "run independently in a distributed way" — reproduce
+//! single-node detection exactly (constant CFDs shard-local, variable
+//! CFDs via per-group partial states). Columnar detection over cached
+//! snapshots lives in the `colstore` crate.
 
 #![warn(missing_docs)]
 
@@ -24,7 +23,6 @@ pub mod exchange;
 pub mod fxhash;
 pub mod incremental;
 pub mod native;
-pub mod parallel;
 pub mod sql_detector;
 pub mod sqlgen;
 pub mod violation;
@@ -32,6 +30,5 @@ pub mod violation;
 pub use exchange::{merge_cfd_partials, CfdPartial, GroupPartial};
 pub use incremental::{CfdSeed, IncrementalDetector};
 pub use native::detect_native;
-pub use parallel::detect_parallel;
 pub use sql_detector::{detect_sql, detect_sql_per_pattern};
 pub use violation::{VioTally, Violation, ViolationKind, ViolationReport};

@@ -233,9 +233,7 @@ impl ViolationReport {
         self.vio.rows().collect()
     }
 
-    /// Merge another report into this one — the parallel detector's
-    /// per-CFD parts, or a cluster coordinator folding per-replica
-    /// reports together.
+    /// Merge another report into this one.
     ///
     /// Violations this report already contains — same CFD and same row
     /// (single-tuple), or same key and member *set* (multi-tuple,
@@ -244,9 +242,9 @@ impl ViolationReport {
     /// group once, with each member's `vio(t)` contribution counted once.
     pub fn merge(&mut self, other: ViolationReport) {
         // Every fingerprint includes the CFD index, so reports over
-        // disjoint CFD sets — the parallel detector's per-CFD parts —
-        // cannot contain duplicates; skip the dedupe bookkeeping entirely
-        // rather than re-index the growing receiver on every part.
+        // disjoint CFD sets cannot contain duplicates; skip the dedupe
+        // bookkeeping entirely rather than re-index the growing receiver
+        // on every part.
         if other.per_cfd.keys().all(|k| !self.per_cfd.contains_key(k)) {
             for v in other.violations {
                 self.absorb(v);

@@ -1,12 +1,10 @@
 //! Table schemas: ordered, typed, named columns.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DbError, DbResult};
 use crate::value::{DataType, Value};
 
 /// A column definition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name (matched case-insensitively).
     pub name: String,
@@ -37,7 +35,7 @@ impl Column {
 }
 
 /// An ordered list of columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     columns: Vec<Column>,
 }

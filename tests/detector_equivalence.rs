@@ -1,5 +1,5 @@
-//! Property: the four detection engines (generated SQL on the embedded
-//! engine, native hash-based, parallel, columnar) compute identical
+//! Property: the detection engines (generated SQL on the embedded engine,
+//! merged or per pattern; native hash-based; columnar) compute identical
 //! violation sets on arbitrary instances — every code path is exactly the
 //! CFD semantics.
 
@@ -8,7 +8,7 @@ mod common;
 use common::{arb_cfds, arb_table, db_with};
 use proptest::prelude::*;
 use semandaq::colstore::detect_columnar;
-use semandaq::detect::{detect_native, detect_parallel, detect_sql};
+use semandaq::detect::{detect_native, detect_sql, detect_sql_per_pattern};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -22,17 +22,6 @@ proptest! {
         let mut db = db_with(table);
         let sql = detect_sql(&mut db, "r", &cfds).unwrap().normalized();
         prop_assert_eq!(native, sql);
-    }
-
-    #[test]
-    fn parallel_equals_native_on_random_instances(
-        table in arb_table(40),
-        cfds in arb_cfds(),
-        threads in 1usize..6,
-    ) {
-        let native = detect_native(&table, &cfds).unwrap().normalized();
-        let par = detect_parallel(&table, &cfds, threads).unwrap().normalized();
-        prop_assert_eq!(native, par);
     }
 
     #[test]
@@ -51,12 +40,14 @@ proptest! {
         cfds in arb_cfds(),
     ) {
         let native = detect_native(&table, &cfds).unwrap().normalized();
-        let par = detect_parallel(&table, &cfds, 4).unwrap().normalized();
         let col = detect_columnar(&table, &cfds).unwrap().normalized();
         let mut db = db_with(table);
         let sql = detect_sql(&mut db, "r", &cfds).unwrap().normalized();
+        let per_pat = detect_sql_per_pattern(&mut db, "r", &cfds)
+            .unwrap()
+            .normalized();
         prop_assert_eq!(&native, &sql);
-        prop_assert_eq!(&native, &par);
+        prop_assert_eq!(&native, &per_pat);
         prop_assert_eq!(&native, &col);
     }
 
@@ -67,7 +58,7 @@ proptest! {
     ) {
         let mut db = db_with(table);
         let merged = detect_sql(&mut db, "r", &cfds).unwrap().normalized();
-        let per_pat = semandaq::detect::detect_sql_per_pattern(&mut db, "r", &cfds)
+        let per_pat = detect_sql_per_pattern(&mut db, "r", &cfds)
             .unwrap()
             .normalized();
         prop_assert_eq!(merged, per_pat);
@@ -126,8 +117,6 @@ fn customers_equivalence_at_scale() {
     let d = semandaq::datagen::dirty_customers(2_000, 0.05, 11);
     let t = d.db.table("customer").unwrap();
     let native = detect_native(t, &d.cfds).unwrap().normalized();
-    let par = detect_parallel(t, &d.cfds, 8).unwrap().normalized();
-    assert_eq!(native, par);
     let col = detect_columnar(t, &d.cfds).unwrap().normalized();
     assert_eq!(native, col);
     let mut db = d.db.clone();
@@ -155,12 +144,10 @@ fn all_null_instance_is_clean_on_every_engine() {
         "all-NULL data cannot violate: {native:?}"
     );
     let col = detect_columnar(&t, &cfds).unwrap().normalized();
-    let par = detect_parallel(&t, &cfds, 4).unwrap().normalized();
     let mut db = db_with(t);
     let sql = detect_sql(&mut db, "r", &cfds).unwrap().normalized();
     let native = native.normalized();
     assert_eq!(native, col);
-    assert_eq!(native, par);
     assert_eq!(native, sql);
 }
 
@@ -176,7 +163,6 @@ fn single_row_group_edge_case_on_every_engine() {
     for engine_report in [
         detect_native(&t, &cfds).unwrap(),
         detect_columnar(&t, &cfds).unwrap(),
-        detect_parallel(&t, &cfds, 2).unwrap(),
     ] {
         assert!(engine_report.is_empty(), "singleton group must be clean");
     }
@@ -188,10 +174,8 @@ fn single_row_group_edge_case_on_every_engine() {
     let native = detect_native(&t, &cfds).unwrap().normalized();
     assert_eq!(native.len(), 1);
     let col = detect_columnar(&t, &cfds).unwrap().normalized();
-    let par = detect_parallel(&t, &cfds, 2).unwrap().normalized();
     let mut db = db_with(t);
     let sql = detect_sql(&mut db, "r", &cfds).unwrap().normalized();
     assert_eq!(native, col);
-    assert_eq!(native, par);
     assert_eq!(native, sql);
 }

@@ -70,8 +70,8 @@ fn medium_native_pipeline() {
 }
 
 #[test]
-fn parallel_pipeline() {
-    pipeline(500, 0.08, 3, DetectorKind::Parallel { threads: 4 });
+fn columnar_pipeline() {
+    pipeline(500, 0.08, 3, DetectorKind::Columnar);
 }
 
 #[test]

@@ -77,7 +77,7 @@ fn repair_quality_reasonable_at_moderate_noise() {
     // ZIP errors (~1/5 of the noise) move rows into singleton groups no
     // CFD can see, and swapped-in CC/CNT values create genuinely ambiguous
     // violations where the cost model legitimately fixes the other cell.
-    // E5 in EXPERIMENTS.md tracks these numbers across noise rates.
+    // `experiments -- e5` prints these numbers across noise rates.
     assert!(
         q.precision_loc > 0.5,
         "location precision {}",
