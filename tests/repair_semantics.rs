@@ -209,3 +209,49 @@ fn batch_and_incremental_agree_on_delta_scenarios() {
         db2.table("customer").unwrap().get(id2).unwrap()
     );
 }
+
+/// FNV-1a over bytes: a digest that, unlike `DefaultHasher`, is the same
+/// on every toolchain.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Repair's change list is pinned byte for byte. The engine's internals
+/// (class bookkeeping, candidate costing, the threaded candidate fan-out)
+/// may change only if the list of changes, the rounds and the cost stay
+/// exactly these, whatever `SDQ_DETECT_THREADS` says.
+#[test]
+fn batch_repair_change_list_is_golden() {
+    // (rows, noise, seed) → (changes, iterations, total_cost, digest).
+    let cases = [
+        (
+            (2_000, 0.05, 7),
+            (365, 4, 235.852_344_877_344_88, 0x12bb_4183_4afd_f9c9),
+        ),
+        (
+            (5_000, 0.05, 3),
+            (914, 4, 588.670_562_770_562_9, 0x2490_7592_8d91_4575),
+        ),
+    ];
+    for ((rows, noise, seed), (n, iterations, cost, digest)) in cases {
+        let w = dirty_customers(rows, noise, seed);
+        let mut db = w.db;
+        let result = batch_repair(&mut db, "customer", &w.cfds, &RepairConfig::default()).unwrap();
+        assert!(result.residual.is_empty());
+        assert_eq!(result.changes.len(), n, "rows {rows}: change count");
+        assert_eq!(result.iterations, iterations, "rows {rows}: iterations");
+        assert_eq!(
+            result.total_cost.to_bits(),
+            f64::to_bits(cost),
+            "rows {rows}: total cost {}",
+            result.total_cost
+        );
+        let got = fnv1a(format!("{:?}", result.changes).as_bytes());
+        assert_eq!(got, digest, "rows {rows}: change-list digest {got:#x}");
+    }
+}
