@@ -144,21 +144,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// `detect_morsels_total` is process-global, so the tests here that
-    /// dispatch morsels run one at a time: the counter test then sees no
-    /// dispatches from its siblings. (Other modules' detect tests can
-    /// still dispatch concurrently.)
-    fn dispatch_lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        // The panic test poisons the lock by design.
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn results_are_positional_and_complete() {
-        let _serial = dispatch_lock();
         for workers in [1usize, 2, 3, 8] {
             for n in [0usize, 1, 2, 7, 64] {
                 let out = run_morsels(workers, n, |i| i * i);
@@ -173,7 +161,6 @@ mod tests {
     #[test]
     fn pool_runs_work_concurrently_against_shared_state() {
         use std::sync::atomic::AtomicU64;
-        let _serial = dispatch_lock();
         let sum = AtomicU64::new(0);
         let out = run_morsels(4, 100, |i| {
             sum.fetch_add(i as u64, Ordering::Relaxed);
@@ -184,18 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn morsel_counter_tracks_dispatches() {
-        let _serial = dispatch_lock();
-        let c = obs::counter("detect_morsels_total");
-        let before = c.get();
-        run_morsels(2, 17, |i| i);
-        assert_eq!(c.get() - before, 17);
-    }
-
-    #[test]
     #[should_panic(expected = "morsel 5 failed")]
     fn worker_panic_reaches_the_caller() {
-        let _serial = dispatch_lock();
         run_morsels(2, 8, |i| {
             assert_ne!(i, 5, "morsel 5 failed");
             i

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use minidb::{RowId, Value};
 
-use crate::fxhash::{DistinctCounter, FxHashMap, FxHasher};
+use crate::fxhash::DistinctCounter;
 
 /// The per-row `vio(t)` tally, stored **dense**: row ids are arena slot
 /// indices (small sequential integers), so a flat `Vec<u64>` indexed by
@@ -233,58 +233,6 @@ impl ViolationReport {
         self.vio.rows().collect()
     }
 
-    /// Merge another report into this one.
-    ///
-    /// Violations this report already contains — same CFD and same row
-    /// (single-tuple), or same key and member *set* (multi-tuple,
-    /// order-insensitive) — are **skipped**, not double-counted: when two
-    /// shards observe the same group, the merged report must hold the
-    /// group once, with each member's `vio(t)` contribution counted once.
-    pub fn merge(&mut self, other: ViolationReport) {
-        // Every fingerprint includes the CFD index, so reports over
-        // disjoint CFD sets cannot contain duplicates; skip the dedupe
-        // bookkeeping entirely rather than re-index the growing receiver
-        // on every part.
-        if other.per_cfd.keys().all(|k| !self.per_cfd.contains_key(k)) {
-            for v in other.violations {
-                self.absorb(v);
-            }
-            return;
-        }
-        // Fingerprint index over the violations already present; exact
-        // equality is re-verified on fingerprint hits, so a hash collision
-        // can never drop a genuine violation.
-        let mut seen: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-        for (i, v) in self.violations.iter().enumerate() {
-            seen.entry(fingerprint(v)).or_default().push(i);
-        }
-        for v in other.violations {
-            let fp = fingerprint(&v);
-            if let Some(idxs) = seen.get(&fp) {
-                if idxs
-                    .iter()
-                    .any(|&i| same_violation(&self.violations[i], &v))
-                {
-                    continue; // duplicate observation of one violation
-                }
-            }
-            let idx = self.violations.len();
-            self.absorb(v);
-            seen.entry(fp).or_default().push(idx);
-        }
-    }
-
-    /// Append a violation taken from another report, recomputing tallies.
-    fn absorb(&mut self, v: Violation) {
-        match v.kind {
-            ViolationKind::SingleTuple { row } => self.push_single(v.cfd_idx, row),
-            ViolationKind::MultiTuple { key, rows } => {
-                let rows = Arc::try_unwrap(rows).unwrap_or_else(|a| (*a).clone());
-                self.push_multi(v.cfd_idx, key, rows);
-            }
-        }
-    }
-
     /// Canonical ordering for equality tests: sorts violations by
     /// (cfd, kind, first row, key).
     pub fn normalized(mut self) -> ViolationReport {
@@ -303,63 +251,6 @@ impl ViolationReport {
             ka.cmp(&kb)
         });
         self
-    }
-}
-
-/// Order-insensitive digest of a violation, used by [`ViolationReport::merge`]
-/// to index candidates for deduplication. Multi-tuple member order is
-/// folded commutatively (two shards may have scanned the group in
-/// different orders); collisions are resolved by [`same_violation`].
-fn fingerprint(v: &Violation) -> u64 {
-    use std::hash::Hasher;
-    let mut h = FxHasher::default();
-    h.write_usize(v.cfd_idx);
-    match &v.kind {
-        ViolationKind::SingleTuple { row } => {
-            h.write_u8(0);
-            h.write_u64(row.0);
-        }
-        ViolationKind::MultiTuple { key, rows } => {
-            h.write_u8(1);
-            h.write_usize(key.len());
-            h.write_usize(rows.len());
-            let digest = rows
-                .iter()
-                .map(|(r, _)| (r.0 ^ 0x9e37_79b9_7f4a_7c15).wrapping_mul(0x2545_f491_4f6c_dd1d))
-                .fold(0u64, u64::wrapping_add);
-            h.write_u64(digest);
-        }
-    }
-    h.finish()
-}
-
-/// Exact duplicate check behind [`fingerprint`]: same CFD and same row
-/// (single-tuple) or same key and member multiset (multi-tuple; member
-/// values compare by `strong_eq` through `Value`'s `PartialEq`).
-fn same_violation(a: &Violation, b: &Violation) -> bool {
-    if a.cfd_idx != b.cfd_idx {
-        return false;
-    }
-    match (&a.kind, &b.kind) {
-        (ViolationKind::SingleTuple { row: x }, ViolationKind::SingleTuple { row: y }) => x == y,
-        (
-            ViolationKind::MultiTuple { key: ka, rows: ra },
-            ViolationKind::MultiTuple { key: kb, rows: rb },
-        ) => {
-            if ka != kb || ra.len() != rb.len() {
-                return false;
-            }
-            if Arc::ptr_eq(ra, rb) {
-                return true;
-            }
-            fn sorted(rows: &[(RowId, Value)]) -> Vec<&(RowId, Value)> {
-                let mut m: Vec<&(RowId, Value)> = rows.iter().collect();
-                m.sort_by_key(|(r, _)| *r);
-                m
-            }
-            sorted(ra) == sorted(rb)
-        }
-        _ => false,
     }
 }
 
@@ -409,18 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_tallies() {
-        let mut a = ViolationReport::default();
-        a.push_single(0, RowId(1));
-        let mut b = ViolationReport::default();
-        b.push_single(2, RowId(1));
-        a.merge(b);
-        assert_eq!(a.vio_of(RowId(1)), 2);
-        assert_eq!(a.per_cfd[&0], 1);
-        assert_eq!(a.per_cfd[&2], 1);
-    }
-
-    #[test]
     fn normalized_is_order_insensitive() {
         let mut a = ViolationReport::default();
         a.push_single(0, RowId(1));
@@ -431,79 +310,19 @@ mod tests {
         assert_eq!(a.normalized(), b.normalized());
     }
 
-    fn multi(cfd_idx: usize, members: &[(u64, &str)]) -> ViolationReport {
-        let mut r = ViolationReport::default();
-        r.push_multi(
-            cfd_idx,
-            vec![Value::str("UK")],
-            members
-                .iter()
-                .map(|&(id, v)| (RowId(id), Value::str(v)))
-                .collect(),
-        );
-        r
-    }
-
     #[test]
-    fn merge_dedupes_identical_group_from_two_shards() {
-        // Two replicas (or overlapping shards) observe the *same* group:
-        // the merged report must hold it once, tallies counted once.
-        let group = [(1u64, "a"), (2, "a"), (3, "b")];
-        let mut a = multi(0, &group);
-        let expect = a.clone().normalized();
-        a.merge(multi(0, &group));
-        assert_eq!(a.len(), 1, "duplicate group must not be re-added");
-        assert_eq!(a.vio_of(RowId(1)), 1);
-        assert_eq!(a.vio_of(RowId(3)), 2);
-        assert_eq!(a.normalized(), expect);
-    }
-
-    #[test]
-    fn merge_dedupes_order_insensitively() {
-        // A shard that scanned the group in a different member order still
-        // reports the same violation.
-        let mut a = multi(0, &[(1, "a"), (2, "a"), (3, "b")]);
-        a.merge(multi(0, &[(3, "b"), (1, "a"), (2, "a")]));
-        assert_eq!(a.len(), 1);
-        assert_eq!(a.vio_of(RowId(2)), 1);
-    }
-
-    #[test]
-    fn merge_keeps_distinct_groups_and_cfds() {
-        // Same members under a different CFD index, and a genuinely
-        // different group under the same CFD: both survive the merge.
-        let mut a = multi(0, &[(1, "a"), (3, "b")]);
-        a.merge(multi(1, &[(1, "a"), (3, "b")]));
-        a.merge(multi(0, &[(5, "x"), (6, "y")]));
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.vio_of(RowId(1)), 2, "one partner per CFD");
-        // Same key/members but a *different RHS assignment* is a different
-        // violation (values participate in the member comparison).
-        a.merge(multi(0, &[(5, "y"), (6, "x")]));
-        assert_eq!(a.len(), 4);
-    }
-
-    #[test]
-    fn merge_dedupes_duplicate_singles() {
-        let mut a = ViolationReport::default();
-        a.push_single(0, RowId(7));
-        let mut b = ViolationReport::default();
-        b.push_single(0, RowId(7));
-        b.push_single(1, RowId(7));
-        a.merge(b);
-        assert_eq!(a.len(), 2, "same (cfd, row) single collapses");
-        assert_eq!(a.vio_of(RowId(7)), 2);
-    }
-
-    #[test]
-    fn normalized_equal_regardless_of_shard_arrival_order() {
+    fn normalized_equal_regardless_of_group_order() {
         let g1 = [(1u64, "a"), (4, "b")];
         let g2 = [(2u64, "x"), (3, "y")];
-        let mut ab = multi(0, &g1);
-        ab.merge(multi(0, &g2));
-        let mut ba = multi(0, &g2);
-        ba.merge(multi(0, &g1));
-        assert_eq!(ab.normalized(), ba.normalized());
+        let report = |groups: [&[(u64, &str)]; 2]| {
+            let mut r = ViolationReport::default();
+            for g in groups {
+                let rows = g.iter().map(|&(id, v)| (RowId(id), Value::str(v)));
+                r.push_multi(0, vec![Value::str("UK")], rows.collect());
+            }
+            r.normalized()
+        };
+        assert_eq!(report([&g1, &g2]), report([&g2, &g1]));
     }
 
     #[test]
