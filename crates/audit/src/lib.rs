@@ -2,11 +2,11 @@
 //!
 //! Summarized quality reporting over detection results:
 //!
-//! * [`classify`] — tuple- and cell-level classes (verified / probably /
+//! * [`classify`](mod@classify) — tuple- and cell-level classes (verified / probably /
 //!   arguably clean / dirty), exactly the taxonomy the demo's §3 defines,
 //!   as per-tuple and per-cell maps;
 //! * [`stats`] — min/avg/max of `vio(t)`, histograms, group-size stats;
-//! * [`quality_map`] — the tuple-level shading of Fig. 3;
+//! * [`quality_map`](mod@quality_map) — the tuple-level shading of Fig. 3;
 //! * [`report`] — the assembled Fig. 4 report (attribute bar chart +
 //!   per-CFD pie + headline numbers), counted in one pass over the
 //!   violations and one over the live rows;

@@ -10,7 +10,7 @@
 //! the valid names and exits with status 2 without running anything.
 //!
 //! E8 (detection engines), E9 (sharded cluster), E10 (batched vs per-row
-//! ingest), E11 (sharded repair), E13 (chunked columns + morsel scaling),
+//! ingest), E11 (sharded repair), E13 (chunked columns),
 //! E14 (tracing overhead), E15 (TCP service throughput vs client
 //! count) and E16 (WAL replay time, spill-budget detect) record a
 //! machine-readable baseline (`rows`,
@@ -24,10 +24,7 @@ use api::{dispatch, Mutation, MutationBatch, QualityBackend, Request};
 use cfd::satisfiability::check_consistency;
 use cfd::DomainSpec;
 use cluster::{HashRouter, RoundRobinRouter, ShardRouter, ShardedQualityServer};
-use colstore::{
-    detect_cached, detect_columnar, detect_on_snapshot, detect_on_snapshot_threads, Snapshot,
-    SnapshotCache,
-};
+use colstore::{detect_cached, detect_columnar, detect_on_snapshot, Snapshot, SnapshotCache};
 use detect::{detect_native, detect_sql, detect_sql_per_pattern, IncrementalDetector};
 use discovery::{
     discover_fds, mine_constant_cfds, mine_variable_cfds, CtaneConfig, MinerConfig, TaneConfig,
@@ -862,7 +859,7 @@ fn main() {
     }
 
     if wanted("e13") {
-        println!("== E13: chunked columns & morsel-driven detection ==");
+        println!("== E13: chunked columns ==");
         // E13a: append ingest under live reader snapshots. A stream of
         // single-row inserts patches the cached snapshot while a reader
         // grabs (and holds) a snapshot Arc every 512 rows — the monitoring
@@ -906,32 +903,20 @@ fn main() {
         baseline.push((append_rows, "e13_append_chunked".into(), chunked));
         baseline.push((append_rows, "e13_append_contiguous_cow".into(), cow));
 
-        // E13b/c: warm detection over one reused snapshot — chunk-size
-        // sweep at one thread, then thread scaling at the default chunk.
+        // E13b: warm detection over one reused snapshot — chunk-size sweep.
         let rows = 100_000usize;
         let w = workload(rows, 0.05, 11);
         let t = w.db.table("customer").unwrap();
         let cols: Vec<usize> = (0..t.schema().arity()).collect();
         let iters = 5u32;
-        println!(
-            "{:>12} {:>8} {:>14}",
-            "chunk_rows", "threads", "detect (ms)"
-        );
+        println!("{:>12} {:>14}", "chunk_rows", "detect (ms)");
         for chunk in [1_024usize, 4_096, 16_384] {
             let snap = Snapshot::projected_with_chunk(t, &cols, chunk);
             let n = time_ns(iters, || {
                 detect_on_snapshot(&snap, &w.cfds).unwrap();
             });
-            println!("{chunk:>12} {:>8} {:>14.1}", 1, n / 1e6);
+            println!("{chunk:>12} {:>14.1}", n / 1e6);
             baseline.push((rows, format!("e13_warm_detect_c{chunk}"), n));
-        }
-        let snap = Snapshot::of(t);
-        for threads in [1usize, 2, 4] {
-            let n = time_ns(iters, || {
-                detect_on_snapshot_threads(&snap, &w.cfds, threads).unwrap();
-            });
-            println!("{:>12} {threads:>8} {:>14.1}", "default", n / 1e6);
-            baseline.push((rows, format!("e13_detect_threads{threads}"), n));
         }
         println!();
     }
@@ -1119,7 +1104,7 @@ fn main() {
 
         // (b) Warm cached detect with the encoded table at 10x the memory
         // budget: sealed chunks live in the paged spill file and fault
-        // back per morsel, so the run prices the page churn.
+        // back chunk by chunk, so the run prices the page churn.
         let cols = w.db.table("customer").unwrap().schema().arity();
         let budget = (rows * cols * 4) / 10;
         let iters = 20u32;

@@ -3,7 +3,7 @@
 //! Consistency and implication of CFDs are sensitive to whether attributes
 //! range over infinite domains (strings, integers) or finite ones (booleans,
 //! enumerated codes): the problems are NP-complete / coNP-complete in the
-//! presence of finite domains ([3] Thm 3.2/3.5). `DomainSpec` lets callers
+//! presence of finite domains (\[3\] Thm 3.2/3.5). `DomainSpec` lets callers
 //! declare finite domains; undeclared attributes are treated as infinite.
 
 use std::collections::HashMap;

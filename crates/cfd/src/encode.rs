@@ -1,4 +1,4 @@
-//! Relational encoding of pattern tableaux ([3] §5).
+//! Relational encoding of pattern tableaux (\[3\] §5).
 //!
 //! Each tableau (the pattern rows of all CFDs sharing an embedded FD) is
 //! stored as a table whose columns are the FD's attributes plus a pattern-id

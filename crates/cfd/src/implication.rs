@@ -8,7 +8,7 @@
 //! Σ ∪ {φ} plus two fresh sentinels (so the two tuples can agree or
 //! disagree outside the constants), or the declared finite domain.
 //!
-//! Implication with finite domains is coNP-complete ([3] Thm 3.5); the
+//! Implication with finite domains is coNP-complete (\[3\] Thm 3.5); the
 //! search is budgeted. For inputs that are all plain FDs, the classical
 //! attribute-closure test is used instead (linear time).
 

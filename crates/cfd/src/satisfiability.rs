@@ -1,7 +1,7 @@
 //! Consistency (satisfiability) analysis for CFD sets.
 //!
 //! A set Σ of CFDs is *consistent* iff some **nonempty** instance satisfies
-//! it ([3] §3). Because every subset of a satisfying instance also satisfies
+//! it (\[3\] §3). Because every subset of a satisfying instance also satisfies
 //! Σ (CFD violations never disappear when tuples are removed), Σ is
 //! consistent iff some **single tuple** satisfies it; and a single tuple can
 //! only violate CFDs whose RHS pattern is a constant. So consistency
@@ -9,7 +9,7 @@
 //! per-attribute candidate sets of: constants appearing in Σ plus one fresh
 //! value (infinite domains), or the declared finite domain.
 //!
-//! The problem is NP-complete with finite domains ([3] Thm 3.2); the solver
+//! The problem is NP-complete with finite domains (\[3\] Thm 3.2); the solver
 //! below is a backtracking search with unit propagation of constant rules,
 //! guarded by a node budget.
 

@@ -16,8 +16,8 @@
 //!   column epochs) and gathers with the partial-group merge of
 //!   [`detect::exchange`].
 //! * [`ShardedQualityServer::repair`] — cross-shard repair (see
-//!   [`repair`](crate::repair)): each round detects through the exchange,
-//!   builds **global** equivalence classes over the merged per-group
+//!   [`repair`]): each round detects through the exchange, builds
+//!   **global** equivalence classes over the merged per-group
 //!   partials with the shared plan/resolve core of `repair::rounds`, and
 //!   routes the cell changes back as per-shard snapshot patch batches —
 //!   output-identical to single-node `batch_repair` of the merged table.

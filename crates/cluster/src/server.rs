@@ -589,11 +589,10 @@ impl ShardedQualityServer {
         needed.sort_unstable();
         needed.dedup();
 
-        // Scatter: one morsel per shard on the shared detection pool. The
-        // pool size comes from the same knob as within-shard detection
-        // (builder override, else `SDQ_DETECT_THREADS` / parallelism) and
-        // `run_morsels` clamps it to the shard count — one pool, never the
-        // old shards × threads oversubscription.
+        // Scatter: one morsel per shard on the work-stealing pool, its one
+        // user; each shard's export runs serially on its worker. The pool
+        // size comes from `with_detect_threads`, else `SDQ_DETECT_THREADS`
+        // / parallelism, and `run_morsels` clamps it to the shard count.
         let t0 = Instant::now();
         let scatter_span = obs::trace::span("cluster.scatter");
         let workers = colstore::morsel::resolve_threads(self.detect_threads);

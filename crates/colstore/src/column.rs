@@ -8,9 +8,9 @@
 //! * **O(1) append** — pushing a value writes to the tail and seals it
 //!   into an `Arc` when full; no copy-on-write unshare of the whole code
 //!   vector, no matter how many snapshots still reference the column;
-//! * **morsel-parallel scans** — a chunk is the unit of work for the
-//!   work-stealing detection pool ([`crate::morsel`]); per-chunk partial
-//!   states merge through the same exchange machinery shards use.
+//! * **chunk-at-a-time scans** — the detector walks a column chunk by
+//!   chunk, and a sealed chunk is the page [`crate::spill`] evicts, so a
+//!   scan faults in at most one page per column at a time.
 //!
 //! Cloning a column bumps the sealed chunks' refcounts and memcpys only
 //! the tail (< `chunk_rows` codes), so handed-out snapshots keep sharing

@@ -15,27 +15,25 @@
 //!   cloned on the scan path — values are only decoded (an `Arc` bump) when
 //!   a violating group is materialized into the report.
 //!
-//! Scans walk the column chunk by chunk ([`crate::column`]), which is also
-//! the parallel decomposition: [`detect_on_snapshot_threads`] splits every
-//! variable CFD into (CFD × chunk) morsels, runs them on the work-stealing
-//! pool ([`crate::morsel`]), and merges the per-chunk [`GroupPartial`]s
-//! through the *same* exchange machinery the cluster's shards gather
-//! through — one merge semantics for threads-in-a-node and
-//! shards-in-a-cluster. One worker is the exact serial path.
+//! Scans walk the column chunk by chunk ([`crate::column`]) on the
+//! caller's thread: fanned out as (CFD × chunk) morsels, detection lost
+//! to this serial scan end to end on two cores. The cluster's shards
+//! export per-group [`GroupPartial`]s ([`cfd_partials`]) that its gather
+//! merges; that scatter is the one user of the work-stealing pool
+//! ([`crate::morsel`]).
 //!
 //! The output is [`ViolationReport`]-identical (after `normalized()`) to the
 //! native detector on every instance; the property tests in
 //! `tests/detector_equivalence.rs` and `tests/chunked_detect.rs` pin this.
 
 use cfd::{BoundCfd, Cfd, CfdResult, Pattern};
-use detect::exchange::{merge_variable_partials, CfdPartial, GroupPartial};
+use detect::exchange::{CfdPartial, GroupPartial};
 use detect::incremental::CfdSeed;
 use detect::{IncrementalDetector, ViolationReport};
 use minidb::{RowId, Table, Value};
 
 use crate::column::Column;
 use crate::dictionary::NULL_CODE;
-use crate::morsel;
 use crate::snapshot::Snapshot;
 use crate::spill::ChunkGuard;
 use detect::fxhash::{DistinctCounter, FxHashMap};
@@ -132,134 +130,38 @@ pub(crate) fn resolve(snap: &Snapshot, b: &BoundCfd) -> Option<Resolved> {
 /// snapshot, projected onto the columns the CFD set mentions, and
 /// evaluating every CFD against it (one encode, N rules).
 pub fn detect_columnar(table: &Table, cfds: &[Cfd]) -> CfdResult<ViolationReport> {
-    detect_columnar_threads(table, cfds, 1)
-}
-
-/// [`detect_columnar`] with an explicit detection worker count (see
-/// [`detect_on_snapshot_threads`]; the snapshot encode itself parallelizes
-/// independently).
-pub fn detect_columnar_threads(
-    table: &Table,
-    cfds: &[Cfd],
-    threads: usize,
-) -> CfdResult<ViolationReport> {
     let bound: Vec<BoundCfd> = cfds
         .iter()
         .map(|c| c.bind(table.schema()))
         .collect::<CfdResult<_>>()?;
     let snap = Snapshot::projected(table, &needed_columns(&bound));
-    detect_on_snapshot_threads(&snap, cfds, threads)
+    detect_on_snapshot(&snap, cfds)
 }
 
 /// Detect all violations of `cfds` against an existing snapshot — the reuse
 /// path when several CFD sets (or repeated calls) run over the same data.
 pub fn detect_on_snapshot(snap: &Snapshot, cfds: &[Cfd]) -> CfdResult<ViolationReport> {
-    detect_on_snapshot_threads(snap, cfds, 1)
-}
-
-/// [`detect_on_snapshot`] with an explicit worker count. `threads <= 1`
-/// (or a single-chunk snapshot) is the exact serial path; otherwise every
-/// variable CFD fans out into (CFD × chunk) morsels over the work-stealing
-/// pool, whose per-chunk partials merge through
-/// [`detect::exchange::merge_variable_partials`]. Constant CFDs stay
-/// serial — their branch-free chunk scan is memory-bound and cheap.
-///
-/// The result is `normalized()`-equal to the serial path at every worker
-/// count; only the within-CFD group order may differ.
-pub fn detect_on_snapshot_threads(
-    snap: &Snapshot,
-    cfds: &[Cfd],
-    threads: usize,
-) -> CfdResult<ViolationReport> {
     let bound: Vec<BoundCfd> = cfds
         .iter()
         .map(|c| c.bind(snap.schema()))
         .collect::<CfdResult<_>>()?;
     let mut report = ViolationReport::default();
-    if threads.max(1) == 1 || snap.n_chunks() < 2 {
-        for (idx, b) in bound.iter().enumerate() {
-            let sp = obs::trace::span("detect.cfd");
-            sp.attr("cfd", idx);
-            detect_one_columnar(snap, idx, b, &mut report);
-        }
-        return Ok(report);
-    }
-
-    // Resolve the variable CFDs up front; constants and vacuous rules run
-    // inline in CFD order below, so the report's per-CFD record order
-    // matches the serial path's exactly.
-    let vars: Vec<(usize, &BoundCfd, Resolved)> = bound
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| b.cfd.rhs_pat.is_wild())
-        .filter_map(|(idx, b)| resolve(snap, b).map(|r| (idx, b, r)))
-        .collect();
-    let mut merged = variable_groups_threaded(snap, &vars, threads);
-    debug_assert_eq!(merged.len(), vars.len());
-    let mut merged_by_idx: FxHashMap<usize, Vec<DecodedGroup>> = vars
-        .iter()
-        .map(|(idx, ..)| *idx)
-        .zip(merged.drain(..))
-        .collect();
     for (idx, b) in bound.iter().enumerate() {
-        if let Some(groups) = merged_by_idx.remove(&idx) {
-            for (key, rows, own) in groups {
-                report.push_multi_shared(idx, key, rows, &own);
-            }
-        } else if b.cfd.rhs_pat.constant().is_some() {
-            detect_one_columnar(snap, idx, b, &mut report);
-        }
-        // Variable CFDs whose LHS constants resolve to nothing hold
-        // vacuously — absent from `merged_by_idx`, nothing to push.
+        let sp = obs::trace::span("detect.cfd");
+        sp.attr("cfd", idx);
+        detect_one_columnar(snap, idx, b, &mut report);
     }
     Ok(report)
 }
 
-/// Evaluate the variable CFDs in `vars` as (CFD × chunk) morsels on the
-/// work-stealing pool and merge each CFD's per-chunk partials, preserving
-/// `vars` order. Each morsel exports one chunk's groups in the wire format
-/// ([`GroupPartial`]); the merge is the shard-exchange merge, so a chunk
-/// boundary splitting a group is indistinguishable from a shard boundary
-/// splitting it.
-pub(crate) fn variable_groups_threaded(
+/// [`detect_on_snapshot`]; ignores `threads`. Kept for the benchmark
+/// harness, which still calls it.
+pub fn detect_on_snapshot_threads(
     snap: &Snapshot,
-    vars: &[(usize, &BoundCfd, Resolved)],
-    threads: usize,
-) -> Vec<Vec<DecodedGroup>> {
-    let nc = snap.n_chunks();
-    if vars.is_empty() || nc == 0 {
-        return vec![Vec::new(); vars.len()];
-    }
-    let o = detect_obs();
-    o.rows_scanned.add((vars.len() * snap.n_rows()) as u64);
-    let partials: Vec<Option<Vec<GroupPartial>>> =
-        morsel::run_morsels(threads, vars.len() * nc, |m| {
-            let (cfd_idx, b, r) = &vars[m / nc];
-            let ci = m % nc;
-            let sp = obs::trace::span("detect.morsel");
-            sp.attr("cfd", cfd_idx);
-            sp.attr("chunk", ci);
-            group_by_codes_range(snap, r, ci..ci + 1)
-                .into_iter()
-                .map(|(key, g)| export_partial(snap, b, r, &key, &g))
-                .collect::<Vec<GroupPartial>>()
-        });
-    vars.iter()
-        .enumerate()
-        .map(|(vi, _)| {
-            let parts = partials[vi * nc..(vi + 1) * nc]
-                .iter()
-                .filter_map(|p| p.as_deref());
-            let groups: Vec<DecodedGroup> = merge_variable_partials(parts)
-                .into_iter()
-                .map(|(key, rows, own)| (key, std::sync::Arc::new(rows), own))
-                .collect();
-            o.violating_groups.add(groups.len() as u64);
-            o.group_members
-                .add(groups.iter().map(|(_, rows, _)| rows.len() as u64).sum());
-            groups
-        })
-        .collect()
+    cfds: &[Cfd],
+    _threads: usize,
+) -> CfdResult<ViolationReport> {
+    detect_on_snapshot(snap, cfds)
 }
 
 /// A decoded violating group: LHS key, members (shared — the lifecycle
@@ -738,34 +640,22 @@ enum Key {
     Wide(Box<[u32]>),
 }
 
-/// [`group_by_codes_range`] over the whole snapshot.
-fn group_by_codes(snap: &Snapshot, r: &Resolved) -> Vec<(Key, Group)> {
-    let nc = snap.column(r.rhs_col).n_chunks();
-    group_by_codes_range(snap, r, 0..nc)
-}
-
-/// Single grouping pass over a chunk range of the code columns. Returns
-/// every group with at least one non-NULL member (the incremental seeding
-/// path needs non-violating groups too); recorded positions are global, so
-/// a one-chunk range produces exactly that chunk's portion of each group —
-/// the morsel unit of [`variable_groups_threaded`].
+/// Single grouping pass over the code columns. Returns every group with
+/// at least one non-NULL member (the incremental seeding and partial
+/// export paths need non-violating groups too).
 ///
 /// Row filtering and key packing are [`ChunkScan`]'s — the same
 /// `packed_key` / `wide_key` the detection path scans with, so the
-/// seeding, morsel, and detection paths group by construction-identical
+/// seeding, export, and detection paths group by construction-identical
 /// keys.
 // Parallel chunk slices are indexed by one shared chunk-local position
 // throughout; an enumerate-based rewrite would obscure that.
 #[allow(clippy::needless_range_loop)]
-fn group_by_codes_range(
-    snap: &Snapshot,
-    r: &Resolved,
-    chunks: std::ops::Range<usize>,
-) -> Vec<(Key, Group)> {
+fn group_by_codes(snap: &Snapshot, r: &Resolved) -> Vec<(Key, Group)> {
     let scan = Scan::new(snap, r);
     let rhs = snap.column(r.rhs_col);
     let chunk_rows = rhs.chunk_rows();
-    let n: usize = chunks.clone().map(|ci| rhs.chunk(ci).len()).sum();
+    let n = snap.n_rows();
 
     if let Some(total_bits) = scan.packed_bits() {
         // Dense path: when the packed key space is small relative to the
@@ -776,7 +666,7 @@ fn group_by_codes_range(
         if slots <= (2 * n as u64).clamp(4_096, MAX_DENSE_GROUP_SLOTS) {
             let mut groups: Vec<Group> = Vec::new();
             groups.resize_with(slots as usize, Group::default);
-            for ci in chunks {
+            for ci in 0..rhs.n_chunks() {
                 let guards = scan.at(ci);
                 let cs = guards.scan();
                 let codes = rhs.chunk(ci);
@@ -801,7 +691,7 @@ fn group_by_codes_range(
         }
         // Hashed path: pack the whole key into one u64.
         let mut groups: FxHashMap<u64, Group> = FxHashMap::default();
-        for ci in chunks {
+        for ci in 0..rhs.n_chunks() {
             let guards = scan.at(ci);
             let cs = guards.scan();
             let codes = rhs.chunk(ci);
@@ -825,7 +715,7 @@ fn group_by_codes_range(
         // Wide path: materialize the code key (NULL-RHS rows are skipped
         // before the key allocation).
         let mut groups: FxHashMap<Box<[u32]>, Group> = FxHashMap::default();
-        for ci in chunks {
+        for ci in 0..rhs.n_chunks() {
             let guards = scan.at(ci);
             let cs = guards.scan();
             let codes = rhs.chunk(ci);
@@ -1080,22 +970,18 @@ mod tests {
     }
 
     #[test]
-    fn threaded_detection_matches_serial_across_chunk_layouts() {
+    fn detection_matches_default_layout_across_chunk_layouts() {
         let d = dirty_customers(400, 0.08, 28);
         let t = d.db.table("customer").unwrap();
-        let serial = detect_columnar(t, &d.cfds).unwrap().normalized();
+        let expected = detect_columnar(t, &d.cfds).unwrap().normalized();
         for chunk_rows in [1usize, 7, 64, 4096] {
             let snap = Snapshot::projected_with_chunk(
                 t,
                 &(0..t.schema().arity()).collect::<Vec<_>>(),
                 chunk_rows,
             );
-            for threads in [1usize, 2, 4] {
-                let got = detect_on_snapshot_threads(&snap, &d.cfds, threads)
-                    .unwrap()
-                    .normalized();
-                assert_eq!(got, serial, "chunk_rows={chunk_rows} threads={threads}");
-            }
+            let got = detect_on_snapshot(&snap, &d.cfds).unwrap().normalized();
+            assert_eq!(got, expected, "chunk_rows={chunk_rows}");
         }
     }
 

@@ -17,11 +17,11 @@
 //! * [`detect_columnar`] / [`detect_on_snapshot`] — constant CFDs by
 //!   branch-free code comparison over chunks, variable CFDs by grouping
 //!   packed `u64` (or wide `[u32]`) LHS code keys. Returns reports
-//!   `normalized()`-equal to [`detect::detect_native`] on every instance.
-//! * [`detect_on_snapshot_threads`] / [`detect_cached_threads`] — the same
-//!   detection fanned out as (CFD × chunk) morsels over the work-stealing
-//!   pool in [`morsel`]; per-chunk partials merge through the shard
-//!   exchange machinery, so threads and shards share one merge semantics.
+//!   `normalized()`-equal to [`detect_native`](::detect::detect_native) on every instance.
+//! * [`cfd_partials`] — a shard's per-group partial state in the cluster's
+//!   exchange format; the cluster scatters these exports over the
+//!   work-stealing pool in [`morsel`]. Detection itself runs on the
+//!   caller's thread.
 //! * [`seed_incremental`] / [`build_incremental`] — bulk-seed the
 //!   incremental detector's group state from one columnar pass (the data
 //!   monitor's full-rescan fallback).
@@ -45,8 +45,8 @@ pub mod spill;
 
 pub use self::column::{default_chunk_rows, Column, ColumnBuilder};
 pub use self::detect::{
-    build_incremental, cfd_partial_one, cfd_partials, detect_columnar, detect_columnar_threads,
-    detect_on_snapshot, detect_on_snapshot_threads, detect_one_columnar, seed_incremental,
+    build_incremental, cfd_partial_one, cfd_partials, detect_columnar, detect_on_snapshot,
+    detect_on_snapshot_threads, detect_one_columnar, seed_incremental,
 };
 pub use self::dictionary::{Dictionary, NULL_CODE};
 pub use self::lifecycle::{detect_cached, detect_cached_threads, SnapshotCache, TableDelta};

@@ -39,10 +39,7 @@ use detect::fxhash::FxHashMap;
 use detect::ViolationReport;
 use minidb::{RowId, Table, Value};
 
-use crate::detect::{
-    detect_constant, needed_columns, resolve, variable_groups_threaded, violating_groups,
-    DecodedGroup, Resolved,
-};
+use crate::detect::{detect_constant, needed_columns, resolve, violating_groups, DecodedGroup};
 use crate::snapshot::Snapshot;
 use crate::spill::ChunkStore;
 
@@ -196,8 +193,8 @@ impl SnapshotCache {
 
     /// Override the rows-per-chunk size of snapshots this cache encodes
     /// (default: the process-wide [`crate::column::default_chunk_rows`]).
-    /// Smaller chunks mean more detection morsels; the equivalence
-    /// property tests sweep this down to 1.
+    /// Smaller chunks mean more chunk boundaries inside each group; the
+    /// equivalence property tests sweep this down to 1.
     pub fn with_chunk_rows(mut self, chunk_rows: usize) -> SnapshotCache {
         assert!(chunk_rows >= 1, "chunk_rows must be positive");
         self.chunk_rows = Some(chunk_rows);
@@ -487,7 +484,7 @@ impl SnapshotCache {
     ///
     /// * one epoch-gap check for the whole batch;
     /// * insert runs appended with one copy-on-write unsharing and one
-    ///   reservation per column ([`Snapshot::append_rows`]);
+    ///   reservation per column (`Snapshot::append_rows`);
     /// * **batch-local position resolution**: the batch knows every row
     ///   it touches up front, so when the cache's persistent `RowId → pos`
     ///   index was never built, the targets are resolved in a single scan
@@ -773,89 +770,15 @@ pub fn detect_cached(
     Ok(report)
 }
 
-/// [`detect_cached`] with an explicit detection worker count. `threads <=
-/// 1` *is* [`detect_cached`] — same code path, same counters. More workers
-/// keep the whole memo/epoch bookkeeping (fresh fragments still replay
-/// without a scan) but compute the stale *variable* fragments as (CFD ×
-/// chunk) morsels on the work-stealing pool; stale constant fragments stay
-/// serial (their branch-free scan is memory-bound). Output stays
-/// `normalized()`-equal at every worker count.
+/// [`detect_cached`]; ignores `threads`. Kept for the benchmark harness,
+/// which still calls it.
 pub fn detect_cached_threads(
     cache: &mut SnapshotCache,
     table: &Table,
     cfds: &[Cfd],
-    threads: usize,
+    _threads: usize,
 ) -> CfdResult<ViolationReport> {
-    if threads.max(1) == 1 {
-        return detect_cached(cache, table, cfds);
-    }
-    let bound: Vec<BoundCfd> = cfds
-        .iter()
-        .map(|c| c.bind(table.schema()))
-        .collect::<CfdResult<_>>()?;
-    let snap = cache.snapshot_projected(table, &needed_columns(&bound));
-    let epoch = table.epoch();
-    let mut old = std::mem::take(&mut cache.memo);
-    // Classify every CFD first: fresh fragments lift out of the old memo,
-    // stale constants (and vacuous rules) compute inline, stale variable
-    // CFDs collect for one fan-out over the pool.
-    let mut entries: Vec<Option<MemoEntry>> = (0..bound.len()).map(|_| None).collect();
-    let mut stale_vars: Vec<(usize, &BoundCfd, Resolved)> = Vec::new();
-    for (idx, b) in bound.iter().enumerate() {
-        let sp = obs::trace::span("detect.cfd");
-        sp.attr("cfd", idx);
-        let cols: Vec<usize> = b.lhs_cols.iter().copied().chain([b.rhs_col]).collect();
-        if let Some(p) = old
-            .iter()
-            .position(|e| e.cfd == cfds[idx] && cache.fragment_fresh(e.epoch, &cols))
-        {
-            cache.fragments_reused += 1;
-            cache_obs().fragments_reused.inc();
-            sp.attr("memo", "hit");
-            entries[idx] = Some(old.swap_remove(p));
-            continue;
-        }
-        cache.fragments_computed += 1;
-        cache_obs().fragments_computed.inc();
-        sp.attr("memo", "recompute");
-        if b.cfd.rhs_pat.is_wild() {
-            if let Some(r) = resolve(&snap, b) {
-                stale_vars.push((idx, b, r));
-                continue;
-            }
-        }
-        // Constant CFDs and vacuous variable CFDs (no resolvable LHS).
-        entries[idx] = Some(MemoEntry::compute(&snap, &cfds[idx], b, epoch));
-    }
-    if !stale_vars.is_empty() {
-        let per_var: Vec<Vec<DecodedGroup>> = if snap.n_chunks() >= 2 {
-            variable_groups_threaded(&snap, &stale_vars, threads)
-        } else {
-            // Single chunk: nothing to fan out.
-            stale_vars
-                .iter()
-                .map(|(_, b, r)| violating_groups(&snap, b, r))
-                .collect()
-        };
-        for ((idx, ..), groups) in stale_vars.iter().zip(per_var) {
-            entries[*idx] = Some(MemoEntry {
-                cfd: cfds[*idx].clone(),
-                epoch,
-                singles: Vec::new(),
-                groups,
-            });
-        }
-    }
-    let mut report = ViolationReport::default();
-    let memo: Vec<MemoEntry> = entries
-        .into_iter()
-        .map(|e| e.expect("every CFD classified"))
-        .collect();
-    for (idx, entry) in memo.iter().enumerate() {
-        entry.replay(idx, &mut report);
-    }
-    cache.memo = memo;
-    Ok(report)
+    detect_cached(cache, table, cfds)
 }
 
 #[cfg(test)]

@@ -1,19 +1,20 @@
-//! Work-stealing morsel pool for chunk-parallel scans.
+//! Work-stealing morsel pool for the cluster's scatter.
 //!
-//! A **morsel** is one independent unit of scan work — in detection, one
-//! (variable CFD × column chunk) pair; in the cluster's scatter, one
-//! shard export; in repair, one candidate-cost evaluation stripe. The
-//! pool runs `n` morsels over `workers` scoped threads with striped
-//! work-stealing: each worker owns a contiguous stripe of morsel indexes
-//! and claims them by a `fetch_add` on its stripe cursor; a worker whose
-//! stripe drains steals from the other stripes by the *same* `fetch_add`
-//! protocol, so every index is claimed exactly once without a lock or a
-//! deque. Results come back positionally, so callers can merge partial
-//! states in deterministic (chunk) order regardless of which worker ran
-//! which morsel.
+//! A **morsel** is one independent unit of scan work: one shard's export
+//! in the cluster's scatter, the pool's one user. Single-node detection
+//! and repair run on the caller's thread: fanned out over chunks or
+//! candidates, they lost to serial end to end on two cores. The pool runs
+//! `n` morsels over `workers` scoped threads with striped work-stealing:
+//! each worker owns a contiguous stripe of morsel indexes and claims them
+//! by a `fetch_add` on its stripe cursor; a worker whose stripe drains
+//! steals from the other stripes by the *same* `fetch_add` protocol, so
+//! every index is claimed exactly once without a lock or a deque. Results
+//! come back positionally, so callers can merge partial states in
+//! deterministic (shard) order regardless of which worker ran which
+//! morsel.
 //!
 //! Worker counts resolve through [`resolve_threads`]: explicit
-//! configuration (`ServerConfig` / builder) beats the
+//! configuration (`ShardedQualityServer::with_detect_threads`) beats the
 //! `SDQ_DETECT_THREADS` environment variable beats the machine's
 //! available parallelism. `1` means strictly serial on the caller's
 //! thread — no pool, no spawn, bit-identical to the pre-pool code path.
@@ -82,10 +83,9 @@ where
     // Captured once on the dispatching thread: every pool worker installs
     // the same trace position, so spans opened inside morsels parent
     // under the caller's open span. This one seam propagates request
-    // traces across every fan-out in the system — threaded detection,
-    // the cluster scatter, and the repair candidate scans all ride this
-    // pool. The serial path above needs nothing: it runs on the caller's
-    // thread where the trace is already installed.
+    // traces across the system's one fan-out, the cluster scatter. The
+    // serial path above needs nothing: it runs on the caller's thread
+    // where the trace is already installed.
     let trace_ctx = obs::trace::current();
 
     // Striped indexes: worker `w` owns `stripes[w].0 .. stripes[w].1`.

@@ -11,8 +11,8 @@
 //!
 //! Every encoded column shares one snapshot-wide chunk size
 //! ([`Snapshot::chunk_rows`]), so chunk `ci` covers the same global row
-//! positions in every column — the alignment the morsel-driven detector
-//! scans by ([`Snapshot::n_chunks`] morsels per variable CFD).
+//! positions in every column — the alignment the detector scans by, one
+//! chunk of every column it reads at a time.
 
 use std::sync::Arc;
 
@@ -155,8 +155,7 @@ impl Snapshot {
         self.chunk_rows
     }
 
-    /// Number of code chunks each encoded column holds — the morsel count
-    /// per variable CFD.
+    /// Number of code chunks each encoded column holds.
     pub fn n_chunks(&self) -> usize {
         self.n_rows().div_ceil(self.chunk_rows)
     }
@@ -270,7 +269,7 @@ impl Snapshot {
     /// is at or below `budget` bytes (or nothing sealed is left to
     /// evict — tails never spill). Eviction is oldest-chunk-first across
     /// all encoded columns: chunk index `ci` of *every* column goes out
-    /// before `ci + 1` of any, so a morsel scanning chunk `ci` faults at
+    /// before `ci + 1` of any, so a scan reading chunk `ci` faults at
     /// most one page per column it reads. Returns the number of chunks
     /// spilled.
     pub fn spill_to_budget(

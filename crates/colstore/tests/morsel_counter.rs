@@ -1,7 +1,7 @@
-//! `detect_morsels_total` is a process-global counter, and the crate's
-//! unit tests dispatch morsels (detection, the pool's own tests) on
-//! parallel test threads. This test is alone in its binary, so its own
-//! run is the only thing that can move the counter.
+//! `detect_morsels_total` is a process-global counter, and the pool's own
+//! unit tests dispatch morsels on parallel test threads. This test is
+//! alone in its binary, so its own run is the only thing that can move
+//! the counter.
 
 use colstore::morsel::run_morsels;
 

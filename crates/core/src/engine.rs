@@ -77,7 +77,7 @@ impl ConstraintEngine {
     }
 
     /// Store the pattern tableaux relationally in `db` (tables named
-    /// `__cfd_tableau_{i}`), mirroring [3]'s relational representation.
+    /// `__cfd_tableau_{i}`), mirroring \[3\]'s relational representation.
     /// Returns the created table names.
     pub fn store_tableaux(&self, db: &mut Database, relation: &str) -> CfdResult<Vec<String>> {
         let schema = db

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
 use audit::{quality_map, quality_report, QualityMap, QualityReport};
 use cfd::{CfdError, CfdResult, Consistency};
-use colstore::{detect_cached_threads, ChunkStore, MemChunkStore, SnapshotCache, TableDelta};
+use colstore::{detect_cached, ChunkStore, MemChunkStore, SnapshotCache, TableDelta};
 use detect::{detect_native, detect_sql, ViolationReport};
 use discovery::{mine_constant_cfds, mine_variable_cfds, CtaneConfig, MinerConfig};
 use explore::{inspect_tuple, CfdRelevance, NavigationSession, ReviewSession};
@@ -41,10 +41,6 @@ pub struct ServerConfig {
     pub detector: DetectorKind,
     /// Repair configuration.
     pub repair: RepairConfig,
-    /// Worker threads for the columnar detector's morsel pool. `None`
-    /// resolves through `SDQ_DETECT_THREADS`, then the machine's available
-    /// parallelism; `Some(1)` pins the exact serial path.
-    pub detect_threads: Option<usize>,
     /// Snapshot-cache delta threshold (fraction of rows patched before a
     /// full rebuild); `None` keeps the cache default.
     pub delta_threshold: Option<f64>,
@@ -72,7 +68,6 @@ impl Default for ServerConfig {
             // `with_config` away.
             detector: DetectorKind::Columnar,
             repair: RepairConfig::default(),
-            detect_threads: None,
             delta_threshold: None,
             tracing: false,
             mem_budget: None,
@@ -84,8 +79,7 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// The default configuration with the environment knobs applied:
     /// `SDQ_MEM_BUDGET` (a byte size like `64m`) bounds snapshot
-    /// residency, `SDQ_TRACE` turns request tracing on. Detection threads
-    /// resolve through `SDQ_DETECT_THREADS` lazily, as always.
+    /// residency, `SDQ_TRACE` turns request tracing on.
     pub fn from_env() -> ServerConfig {
         ServerConfig {
             mem_budget: obs::env::bytes("SDQ_MEM_BUDGET"),
@@ -304,8 +298,7 @@ impl QualityServer {
                 // Disjoint field borrows: the cache is written while the
                 // database is only read.
                 let table = self.db.table(&self.relation).map_err(db_err)?;
-                let threads = colstore::morsel::resolve_threads(self.config.detect_threads);
-                detect_cached_threads(&mut self.snapshots, table, &cfds, threads)?
+                detect_cached(&mut self.snapshots, table, &cfds)?
             }
         };
         self.last_report = Some(report.clone());
@@ -375,17 +368,11 @@ impl QualityServer {
     /// pays zero encode work.
     pub fn repair(&mut self) -> CfdResult<RepairResult> {
         let cfds = self.engine.cfds().to_vec();
-        let mut cfg = self.config.repair.clone();
-        // One worker knob drives detection and repair alike unless the
-        // repair config pins its own count.
-        if cfg.threads.is_none() {
-            cfg.threads = self.config.detect_threads;
-        }
         let result = batch_repair_with_cache(
             &mut self.db,
             &self.relation,
             &cfds,
-            &cfg,
+            &self.config.repair,
             &mut self.snapshots,
         )?;
         self.last_report = None;

@@ -1,7 +1,7 @@
 //! A second workload: a HOSP-style provider relation.
 //!
 //! The US "Hospital Compare" data is the other standard benchmark in the
-//! CFD-repair literature ([8] and follow-ups evaluate on it). We generate
+//! CFD-repair literature (\[8\] and follow-ups evaluate on it). We generate
 //! a synthetic equivalent with the same dependency structure:
 //!
 //! ```text

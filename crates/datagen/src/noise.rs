@@ -1,6 +1,6 @@
 //! Controlled noise injection with a ground-truth mask.
 //!
-//! The repair-quality experiments ([8]'s methodology) need to know exactly
+//! The repair-quality experiments (\[8\]'s methodology) need to know exactly
 //! which cells were dirtied and what their original values were; the
 //! injector records a [`CellNoise`] entry per corrupted cell.
 

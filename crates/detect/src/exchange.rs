@@ -99,14 +99,12 @@ struct MergedGroup {
 
 /// A merged violating group, decoded into the report format's parts: LHS
 /// key, members with their RHS values, per-member distinct-value counts.
-pub type MergedDecoded = (Vec<Value>, Vec<(RowId, Value)>, Vec<u64>);
+type MergedDecoded = (Vec<Value>, Vec<(RowId, Value)>, Vec<u64>);
 
 /// Union variable-CFD group partials by LHS key and return every merged
-/// group holding ≥ 2 distinct non-NULL RHS values, decoded. This is the
-/// gather half of both distribution axes: shards in a cluster *and*
-/// chunk-morsels inside one node merge through this single function, so
-/// the two execution modes cannot drift apart semantically.
-pub fn merge_variable_partials<'a, I>(parts: I) -> Vec<MergedDecoded>
+/// group holding ≥ 2 distinct non-NULL RHS values, decoded: the gather
+/// half of the cluster's variable-CFD exchange.
+fn merge_variable_partials<'a, I>(parts: I) -> Vec<MergedDecoded>
 where
     I: IntoIterator<Item = &'a [GroupPartial]>,
 {
@@ -172,10 +170,9 @@ where
 ///
 /// The output is `normalized()`-equal to evaluating the CFD single-node
 /// over the union of the shards' rows: constant violators concatenate;
-/// variable groups union by key ([`merge_variable_partials`]), and a
-/// merged group violates iff it holds ≥ 2 distinct non-NULL RHS values —
-/// whether the disagreement sat inside one shard or only appears across
-/// shards.
+/// variable groups union by LHS key, and a merged group violates iff it
+/// holds ≥ 2 distinct non-NULL RHS values — whether the disagreement sat
+/// inside one shard or only appears across shards.
 pub fn merge_cfd_partials<'a, I>(cfd_idx: usize, parts: I, report: &mut ViolationReport)
 where
     I: IntoIterator<Item = &'a CfdPartial>,

@@ -19,7 +19,7 @@ const LINEAR_MAX: usize = 16;
 /// Distinct-key counter for the per-group counting passes of the
 /// detection hot paths: a linear counted vec for the typical
 /// few-distinct-values case (no hashing per member), spilling to an
-/// [`FxHashMap`] index past [`LINEAR_MAX`] so high-cardinality inputs
+/// [`FxHashMap`] index past `LINEAR_MAX` so high-cardinality inputs
 /// stay `O(members)`. Slot indices are assigned in first-seen order and
 /// stay stable across the spill.
 ///

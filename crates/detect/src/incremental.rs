@@ -1,4 +1,4 @@
-//! Incremental violation detection ([3] §7, the Data Monitor's engine).
+//! Incremental violation detection (\[3\] §7, the Data Monitor's engine).
 //!
 //! Instead of re-running detection after every update, the detector keeps,
 //! per CFD, exactly the state the detection queries would recompute:

@@ -8,7 +8,7 @@
 //! * [`native::detect_native`] — a direct hash-based reference detector
 //!   (cross-validates SQL detection; the baseline in experiment E1);
 //! * [`incremental::IncrementalDetector`] — group-indexed state maintained
-//!   under inserts/deletes/updates ([3] §7; experiment E3).
+//!   under inserts/deletes/updates (\[3\] §7; experiment E3).
 //!
 //! Plus [`exchange`], the partial-aggregation wire format and coordinator
 //! merge that let a *sharded* cluster of quality servers — Semandaq's

@@ -1,4 +1,4 @@
-//! SQL generation for CFD violation detection ([3] §5–6).
+//! SQL generation for CFD violation detection (\[3\] §5–6).
 //!
 //! For each pattern tableau (the CFDs sharing an embedded FD `X → A`) two
 //! queries are generated over the data joined with the encoded tableau

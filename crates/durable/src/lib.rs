@@ -14,7 +14,7 @@
 //! * **Spill** ([`pages`]) — sealed dictionary-code chunks evict from the
 //!   snapshot cache to a paged file ([`PagedStore`], a
 //!   `colstore::ChunkStore`), fronted by a small clock-eviction buffer
-//!   pool. Morsel-driven detect faults pages back chunk-at-a-time, so a
+//!   pool. The chunk-at-a-time detect scan faults pages back, so a
 //!   scan runs in `O(memory budget)` residency instead of `O(table)`.
 //!
 //! Reusing the wire encoding as the log format means the WAL inherits the

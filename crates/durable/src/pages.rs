@@ -11,7 +11,7 @@
 //! evicts with the clock (second-chance) sweep: each frame has a
 //! referenced bit, set on hit; the hand sweeps frames, clearing set bits
 //! and evicting the first frame found clear. Eviction only drops the
-//! pool's `Arc` — a detect morsel still scanning the page keeps it alive
+//! pool's `Arc` — a detect scan still reading the page keeps it alive
 //! through its `ChunkGuard`, so eviction can never invalidate a reader.
 
 use std::collections::HashMap;

@@ -1,4 +1,4 @@
-//! Writer-side deferred reclamation for [`Published`](crate::read::Published) values.
+//! Writer-side deferred reclamation for [`Published`] values.
 //!
 //! The single writer owns one [`Reclaimer`]: every pointer returned by
 //! `Published::publish` goes in tagged with the epoch at which it stopped

@@ -7,8 +7,8 @@
 //! [`SpanRecord`]s with hierarchical parent ids, microsecond timestamps
 //! on a single clock, per-span key/value attributes ("grouping path:
 //! dense", "cache: patch", "memo: hit"), and the thread each span ran
-//! on — even when the request fanned out over the morsel pool or the
-//! cluster's scatter threads.
+//! on — even when the cluster's scatter fanned the request out over the
+//! morsel pool's threads.
 //!
 //! ## Design
 //!
@@ -27,8 +27,7 @@
 //!   [`current()`] captures a cheap [`TraceHandle`] (trace Arc + the
 //!   spawner's open span id) on the parent thread, [`install`] adopts it
 //!   on the worker. `colstore::morsel::run_morsels` does this for every
-//!   pool worker, which covers threaded detection, the cluster scatter,
-//!   and the repair candidate scans in one seam.
+//!   pool worker, which covers the cluster scatter, the one fan-out.
 //! - **Flight recorder.** A completed root span assembles the trace and
 //!   pushes it into a bounded global ring ([`ring_capacity`] entries,
 //!   oldest evicted), readable via [`last_trace`] / [`recent_traces`]

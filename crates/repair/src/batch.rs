@@ -1,4 +1,4 @@
-//! BatchRepair: the cost-greedy, equivalence-class repair of [8], bound to
+//! BatchRepair: the cost-greedy, equivalence-class repair of \[8\], bound to
 //! a single-node `minidb` relation.
 //!
 //! Each iteration detects the current violations and resolves them by

@@ -1,4 +1,4 @@
-//! The repair cost model of Cong et al. (VLDB 2007, [8]).
+//! The repair cost model of Cong et al. (VLDB 2007, \[8\]).
 //!
 //! The cost of changing a cell value `v` to `v'` is
 //! `w(t, A) · dist(v, v') / max(|v|, |v'|)` where `dist` is the

@@ -1,5 +1,5 @@
 //! Equivalence classes over cells (union-find), the core data structure of
-//! the repair algorithm of [8]: cells that must end up equal (because a
+//! the repair algorithm of \[8\]: cells that must end up equal (because a
 //! variable CFD links them) are merged into one class; a class may be
 //! *pinned* to a constant when a constant CFD forces its value.
 //!

@@ -1,4 +1,4 @@
-//! IncRepair ([8] §6): repairing a delta against an already-clean database.
+//! IncRepair (\[8\] §6): repairing a delta against an already-clean database.
 //!
 //! When the bulk of the data is known clean and a batch of new/updated
 //! tuples arrives (the Data Monitor scenario), only the delta needs

@@ -1,7 +1,7 @@
 //! # repair — the Semandaq Data Cleanser
 //!
 //! Cost-based CFD repair by attribute-value modification (Cong, Fan,
-//! Geerts, Jia, Ma — VLDB 2007, the paper's reference [8]):
+//! Geerts, Jia, Ma — VLDB 2007, the paper's reference \[8\]):
 //!
 //! * [`cost`] — `w(t,A) · DL(v, v')/max(|v|,|v'|)` change costs;
 //! * [`eqclass`] — union-find equivalence classes over cells with pins;

@@ -1,4 +1,4 @@
-//! Repair-quality scoring against ground truth ([8]'s evaluation
+//! Repair-quality scoring against ground truth (\[8\]'s evaluation
 //! methodology; experiment E5): given the dirty, repaired, and clean
 //! versions of a table, compute precision/recall at cell level — both
 //! location-only (did we touch a truly dirty cell?) and value-exact (did we

@@ -2,7 +2,7 @@
 //!
 //! Historically the detect→resolve round loop lived inside `batch.rs`,
 //! hard-wired to a `minidb::Database` plus a snapshot cache. Sharded
-//! repair needs the *same* loop — the resolution semantics of [8] must be
+//! repair needs the *same* loop — the resolution semantics of \[8\] must be
 //! byte-identical whether the relation lives in one heap table or is
 //! partitioned across cluster shards — so the loop is factored over a
 //! small storage surface, [`RepairStore`]:
@@ -16,7 +16,7 @@
 //!   derived state (cached snapshots, shard placement) in lock-step.
 //! * `value_counts` — distinct values with occurrence counts for the
 //!   active-domain pool, counted over dictionary codes instead of a
-//!   per-round row walk (see [`active_domains`]).
+//!   per-round row walk (see `active_domains`).
 //!
 //! [`repair_rounds`] then is the whole algorithm: constant violations
 //! first (they establish pins), variable groups merged into global
@@ -139,11 +139,6 @@ pub struct RepairConfig {
     /// Use the similarity term of the cost model; `false` switches to 0/1
     /// costs (ablation A2).
     pub use_similarity: bool,
-    /// Worker count for candidate-cost evaluation in the resolve phase;
-    /// `None` defers to `SDQ_DETECT_THREADS` / available parallelism (the
-    /// same knob and pool as morsel-driven detection). Cost scans below
-    /// [`PARALLEL_CANDIDATES`] candidates stay serial regardless.
-    pub threads: Option<usize>,
 }
 
 impl Default for RepairConfig {
@@ -152,31 +147,8 @@ impl Default for RepairConfig {
             max_iterations: 32,
             weights: crate::cost::WeightModel::uniform(),
             use_similarity: true,
-            threads: None,
         }
     }
-}
-
-/// Candidate pools smaller than this are cost-scanned serially — below it
-/// the pool fan-out costs more than the scan.
-pub const PARALLEL_CANDIDATES: usize = 64;
-
-/// Evaluate `cost(i)` for every candidate index in `0..n`, fanning out over
-/// the shared morsel pool when the pool is large enough to pay for it.
-/// Results are positional, so the caller's serial reduce (strict `<`,
-/// first-seen minimum wins) is order-identical to the old inline loop.
-fn candidate_costs<F>(cfg: &RepairConfig, n: usize, cost: F) -> Vec<Option<f64>>
-where
-    F: Fn(usize) -> Option<f64> + Sync,
-{
-    let workers = colstore::morsel::resolve_threads(cfg.threads);
-    if n < PARALLEL_CANDIDATES || workers <= 1 {
-        return (0..n).map(cost).collect();
-    }
-    colstore::morsel::run_morsels(workers, n, cost)
-        .into_iter()
-        .map(|c| c.flatten())
-        .collect()
 }
 
 /// The distinct values of one column with their live occurrence counts —
@@ -218,7 +190,7 @@ pub trait RepairStore {
     fn value_counts(&mut self, cols: &[usize]) -> CfdResult<Vec<(usize, ColumnCounts)>>;
 }
 
-/// Run the detect→resolve loop of [8] against `store` — see the module
+/// Run the detect→resolve loop of \[8\] against `store` — see the module
 /// docs. The change sequence is deterministic given the store's data:
 /// reports are normalized before resolution, and candidate orderings are
 /// value-sorted.
@@ -432,10 +404,7 @@ fn resolve_constant<S: RepairStore>(
         }
     }
 
-    // Candidates 2..k: break a constant-patterned LHS cell. Candidate
-    // costs (simulate + cost model, no store access) fan out over the
-    // morsel pool; the reduce below walks pool order, so the chosen
-    // candidate is exactly the serial loop's.
+    // Candidates 2..k: break a constant-patterned LHS cell.
     for (j, pat) in b.cfd.lhs_pat.iter().enumerate() {
         let Pattern::Const(c) = pat else { continue };
         let col = b.lhs_cols[j];
@@ -445,20 +414,16 @@ fn resolve_constant<S: RepairStore>(
         let Some(pool) = domains.get(&col) else {
             continue;
         };
-        let costs = candidate_costs(cfg, pool.len(), |i| {
-            let v = &pool[i];
+        for v in pool {
             if v.strong_eq(c) || v.strong_eq(&current[col]) {
-                return None;
+                continue;
             }
             let mut sim = current.clone();
             sim[col] = v.clone();
             if const_violates(bound, &sim) {
-                return None;
+                continue;
             }
-            Some(change_cost(cfg, row, col, &current[col], v))
-        });
-        for (v, cost) in pool.iter().zip(costs) {
-            let Some(cost) = cost else { continue };
+            let cost = change_cost(cfg, row, col, &current[col], v);
             if best.as_ref().is_none_or(|(bc, ..)| cost < *bc) {
                 best = Some((
                     cost,
@@ -624,20 +589,13 @@ fn resolve_variable<S: RepairStore>(
             .collect();
         candidates.sort_by(|a, b| a.total_cmp(b));
         candidates.dedup_by(|a, b| a.strong_eq(b));
-        // Per-candidate class cost is pure (no store access), so the scan
-        // fans out over the morsel pool; the serial reduce preserves the
-        // sorted-candidate first-seen-minimum tie-break exactly.
-        let totals = candidate_costs(cfg, candidates.len(), |i| {
-            Some(
-                class_values
-                    .iter()
-                    .map(|(r, v)| change_cost(cfg, *r, b.rhs_col, v, candidates[i]))
-                    .sum(),
-            )
-        });
+        // Sorted candidates, strict `<`: the first-seen minimum wins ties.
         let mut best: Option<(f64, Value)> = None;
-        for (cand, total) in candidates.iter().zip(totals) {
-            let total = total.expect("every candidate cost computed");
+        for cand in &candidates {
+            let total: f64 = class_values
+                .iter()
+                .map(|(r, v)| change_cost(cfg, *r, b.rhs_col, v, cand))
+                .sum();
             if best.as_ref().is_none_or(|(bc, _)| total < *bc) {
                 best = Some((total, (*cand).clone()));
             }

@@ -1,15 +1,14 @@
-//! Property: chunked, morsel-parallel detection ≡ the reference detector.
+//! Property: chunked columnar detection ≡ the reference detector.
 //!
-//! The chunk layout (sealed code chunks + mutable tail) and the worker
-//! count are pure execution knobs — no combination of chunk size × thread
-//! count × mutation history may change a `normalized()` report. The sweeps
-//! here run chunk sizes {1, 7, 64, 4096} (1 maximizes chunk boundaries,
-//! 4096 is the default single-chunk layout for small tables) against
-//! thread counts {1, 2, 4} (1 pins the exact serial path), over random
-//! instances, random update streams, and the structural edges: a group
-//! split across chunks, an all-NULL chunk, and an exactly-full tail.
-//! Sharded repair under threading closes the loop: the cluster pool and
-//! the single-node pool must drive byte-identical change lists.
+//! The chunk layout (sealed code chunks + mutable tail) is a pure
+//! execution knob — no combination of chunk size × mutation history may
+//! change a `normalized()` report. The sweeps here run chunk sizes
+//! {1, 7, 64, 4096} (1 maximizes chunk boundaries, 4096 is the default
+//! single-chunk layout for small tables) over random instances, random
+//! update streams, and the structural edges: a group split across chunks,
+//! an all-NULL chunk, and an exactly-full tail. Sharded repair under a
+//! threaded scatter closes the loop: the cluster's pooled scatter and the
+//! single-node repair must drive byte-identical change lists.
 
 mod common;
 
@@ -17,31 +16,24 @@ use common::{arb_cfds, arb_table, db_with};
 use proptest::prelude::*;
 use semandaq::cfd::Cfd;
 use semandaq::cluster::{RoundRobinRouter, ShardedQualityServer};
-use semandaq::colstore::{
-    detect_cached_threads, detect_on_snapshot_threads, Snapshot, SnapshotCache,
-};
+use semandaq::colstore::{detect_cached, detect_on_snapshot, Snapshot, SnapshotCache};
 use semandaq::detect::detect_native;
 use semandaq::minidb::{RowId, Schema, Table, Value};
 use semandaq::repair::{batch_repair, RepairConfig};
 
 const CHUNK_SIZES: [usize; 4] = [1, 7, 64, 4096];
-const THREADS: [usize; 3] = [1, 2, 4];
 
-/// Every chunk size × thread count yields the reference report.
+/// Every chunk size yields the reference report.
 fn assert_all_layouts_match(table: &Table, cfds: &[Cfd]) {
     let reference = detect_native(table, cfds).unwrap().normalized();
     let cols: Vec<usize> = (0..table.schema().arity()).collect();
     for chunk in CHUNK_SIZES {
         let snap = Snapshot::projected_with_chunk(table, &cols, chunk);
-        for threads in THREADS {
-            let got = detect_on_snapshot_threads(&snap, cfds, threads)
-                .unwrap()
-                .normalized();
-            assert_eq!(
-                got, reference,
-                "chunk_rows={chunk} threads={threads} diverged from the reference"
-            );
-        }
+        let got = detect_on_snapshot(&snap, cfds).unwrap().normalized();
+        assert_eq!(
+            got, reference,
+            "chunk_rows={chunk} diverged from the reference"
+        );
     }
 }
 
@@ -49,7 +41,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn chunked_threaded_detection_equals_reference(
+    fn chunked_detection_equals_reference(
         table in arb_table(48),
         cfds in arb_cfds(),
     ) {
@@ -57,7 +49,7 @@ proptest! {
     }
 
     /// A random update stream against a chunk-pinned [`SnapshotCache`]:
-    /// after every mutation the patched snapshot's threaded detect must
+    /// after every mutation the patched snapshot's detect must
     /// equal the reference over the table's current rows — inserts that
     /// grow the tail, deletes that swap-remove across chunk boundaries,
     /// and cell writes that re-encode inside sealed chunks.
@@ -67,14 +59,12 @@ proptest! {
         cfds in arb_cfds(),
         ops in proptest::collection::vec((0usize..3, 0usize..64, 0usize..4, 0usize..4), 1..24),
         chunk_idx in 0usize..CHUNK_SIZES.len(),
-        thread_idx in 0usize..THREADS.len(),
     ) {
         let chunk = CHUNK_SIZES[chunk_idx];
-        let threads = THREADS[thread_idx];
         let mut table = table;
         let mut cache = SnapshotCache::new().with_chunk_rows(chunk);
         // Warm the cache so the stream exercises the patch paths.
-        detect_cached_threads(&mut cache, &table, &cfds, threads).unwrap();
+        detect_cached(&mut cache, &table, &cfds).unwrap();
         for (kind, row_sel, col, val) in ops {
             let ids = table.row_ids();
             match kind {
@@ -98,18 +88,16 @@ proptest! {
                 }
                 _ => {}
             }
-            let got = detect_cached_threads(&mut cache, &table, &cfds, threads)
-                .unwrap()
-                .normalized();
+            let got = detect_cached(&mut cache, &table, &cfds).unwrap().normalized();
             let reference = detect_native(&table, &cfds).unwrap().normalized();
-            prop_assert_eq!(got, reference, "chunk_rows={} threads={}", chunk, threads);
+            prop_assert_eq!(got, reference, "chunk_rows={}", chunk);
         }
     }
 }
 
 /// One violating group whose members land in distinct chunks
-/// (`chunk_rows = 1`): the per-chunk partials each see a single member, so
-/// only the exchange merge can assemble the conflict.
+/// (`chunk_rows = 1`): each chunk holds a single member, so only grouping
+/// across chunks can assemble the conflict.
 #[test]
 fn group_split_across_chunks_is_still_one_violation() {
     let cfds = semandaq::cfd::parse::parse_cfds("r: [A] -> [B]").unwrap();
@@ -119,10 +107,8 @@ fn group_split_across_chunks_is_still_one_violation() {
     }
     let snap = Snapshot::projected_with_chunk(&t, &[0, 1], 1);
     assert_eq!(snap.n_chunks(), 4, "one row per chunk");
-    for threads in THREADS {
-        let report = detect_on_snapshot_threads(&snap, &cfds, threads).unwrap();
-        assert_eq!(report.len(), 1, "threads={threads}");
-    }
+    let report = detect_on_snapshot(&snap, &cfds).unwrap();
+    assert_eq!(report.len(), 1);
     assert_all_layouts_match(&t, &cfds);
 }
 
@@ -161,7 +147,7 @@ fn all_null_chunk_contributes_nothing() {
 }
 
 /// Row count an exact multiple of the chunk size: every chunk is sealed
-/// and the tail is empty — the `n_chunks` arithmetic and the morsel spans
+/// and the tail is empty — the `n_chunks` arithmetic and the chunk scan
 /// must not invent a phantom tail chunk.
 #[test]
 fn exactly_full_chunks_leave_an_empty_tail() {
@@ -180,16 +166,13 @@ fn exactly_full_chunks_leave_an_empty_tail() {
 }
 
 /// Sharded repair under threading: the cluster's pooled scatter and the
-/// single-node morsel pool must drive byte-identical repairs — change
+/// serial single-node repair must drive byte-identical repairs — change
 /// lists, costs, iteration counts.
 #[test]
 fn sharded_repair_equals_single_node_under_threading() {
     let d = semandaq::datagen::dirty_customers(400, 0.06, 77);
     let table = d.db.table("customer").unwrap();
-    let cfg = RepairConfig {
-        threads: Some(4),
-        ..RepairConfig::default()
-    };
+    let cfg = RepairConfig::default();
     let mut db = db_with(table.clone());
     let single = batch_repair(&mut db, "customer", &d.cfds, &cfg).unwrap();
     assert!(single.residual.is_empty());

@@ -8,9 +8,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use semandaq::api::{dispatch, QualityBackend, Request, Response};
 use semandaq::cluster::{RoundRobinRouter, ShardedQualityServer};
-use semandaq::colstore::{
-    detect_cached, detect_columnar, detect_on_snapshot_threads, Snapshot, SnapshotCache,
-};
+use semandaq::colstore::{detect_cached, detect_columnar, SnapshotCache};
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
 use semandaq::durable::Durable;
 use semandaq::minidb::{RowId, Value};
@@ -110,33 +108,52 @@ fn cluster_exports_equal_merges_consumed() {
     assert_eq!(shipped, 3 * 4 * d.cfds.len() as u64);
 }
 
+/// The cluster scatter is the morsel pool's one user: every detect
+/// dispatches one morsel per shard, and the worker gauge records the pool
+/// size clamped to the shard count.
 #[test]
-fn detect_morsels_equal_chunks_times_variable_cfds() {
+fn cluster_detect_morsels_equal_shards() {
     let _g = lock();
     let morsels = semandaq::obs::counter("detect_morsels_total");
     let workers = semandaq::obs::gauge("detect_workers");
 
     let d = dirty_customers(300, 0.06, 315);
     let t = d.db.table("customer").unwrap();
-    let cols: Vec<usize> = (0..t.schema().arity()).collect();
-    // 300 rows at 64 rows/chunk → 5 chunks, so the threaded fan-out is
-    // taken and the morsel count is fully determined by the layout.
-    let snap = Snapshot::projected_with_chunk(t, &cols, 64);
-    let n_chunks = snap.n_chunks() as u64;
-    assert!(n_chunks >= 2, "layout must produce multiple chunks");
-    // Every variable (wild-RHS) CFD contributes one morsel per chunk;
-    // constant CFDs are scanned outside the pool.
-    let n_vars = d.cfds.iter().filter(|c| c.rhs_pat.is_wild()).count() as u64;
-    assert!(n_vars >= 1, "workload must carry variable CFDs");
-
+    const DETECTS: u64 = 3;
+    for shards in [3usize, 6] {
+        let mut cluster =
+            ShardedQualityServer::partition(t, shards, Box::new(RoundRobinRouter::default()))
+                .unwrap()
+                .with_detect_threads(4);
+        cluster.register_cfds(d.cfds.clone()).unwrap();
+        let m0 = morsels.get();
+        for _ in 0..DETECTS {
+            cluster.detect().unwrap();
+        }
+        assert_eq!(
+            morsels.get() - m0,
+            DETECTS * shards as u64,
+            "one morsel per shard per detect ({shards} shards)"
+        );
+        assert_eq!(
+            workers.get(),
+            4.min(shards) as i64,
+            "gauge records the pool size clamped to {shards} shards"
+        );
+    }
+    // Single-node detection and repair never touch the pool, even over a
+    // table of several chunks at the default chunk size.
+    let big = dirty_customers(10_000, 0.06, 315);
+    let mut server = QualityServer::new(big.db.clone(), "customer").unwrap();
+    server.register_cfds(CANONICAL_CFDS).unwrap();
     let m0 = morsels.get();
-    detect_on_snapshot_threads(&snap, &d.cfds, 4).unwrap();
+    server.detect().unwrap();
+    server.repair().unwrap();
     assert_eq!(
-        morsels.get() - m0,
-        n_chunks * n_vars,
-        "morsels == chunks × variable CFDs"
+        morsels.get(),
+        m0,
+        "single-node detect and repair dispatch no morsels"
     );
-    assert_eq!(workers.get(), 4, "gauge records the last pool size");
 }
 
 /// Pins the `obs::reset()` contract the module-local handle caches rely

@@ -1,7 +1,7 @@
 //! Tracing invariants: one traced request must come back as one coherent
 //! span tree — balanced guards, parents that exist, child intervals inside
-//! the root's — even when the work fanned out across morsel workers and
-//! shard threads. The trace layer (enable flag, flight recorder) is
+//! the root's — even when the cluster's scatter fanned the work out across
+//! shard workers. The trace layer (enable flag, flight recorder) is
 //! process-global, so every test serializes on one mutex and restores the
 //! disabled default before releasing it.
 
@@ -12,7 +12,7 @@ use semandaq::cluster::{HashRouter, ShardedQualityServer};
 use semandaq::colstore::Snapshot;
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
 use semandaq::obs::{trace, TraceReport};
-use semandaq::system::{DataMonitor, MonitorMode, QualityServer, ServerConfig};
+use semandaq::system::{DataMonitor, MonitorMode, QualityServer};
 
 const ROWS: usize = 400;
 const SEED: u64 = 777;
@@ -179,19 +179,19 @@ fn cluster_detect_is_one_tree_across_shard_threads() {
 
 /// The single-server columnar path: per-CFD spans carry the grouping-path
 /// attribute (`dense`/`hashed`/`wide`/`constant`) the detector chose, and
-/// the chunked fan-out's morsel spans nest under the request from worker
-/// threads.
+/// a detect over a multi-chunk table runs on the request's own thread —
+/// no morsel fan-out, every CFD span on the caller's thread.
 #[test]
-fn detect_spans_carry_grouping_path_and_morsels_nest() {
+fn detect_spans_carry_grouping_path_on_the_request_thread() {
     let _g = lock();
     let _t = trace_on();
-    let d = dirty_customers(ROWS, 0.05, SEED);
-    let mut s = QualityServer::new(d.db.clone(), "customer")
-        .unwrap()
-        .with_config(ServerConfig {
-            detect_threads: Some(1),
-            ..ServerConfig::default()
-        });
+    let d = dirty_customers(10_000, 0.05, SEED);
+    let table = d.db.table("customer").unwrap();
+    assert!(
+        Snapshot::of(table).n_chunks() >= 2,
+        "the table spans several chunks at the default chunk size"
+    );
+    let mut s = QualityServer::new(d.db.clone(), "customer").unwrap();
     dispatch_line(
         &mut s,
         &Request::RegisterCfds {
@@ -225,31 +225,22 @@ fn detect_spans_carry_grouping_path_and_morsels_nest() {
         "cold detect encodes"
     );
 
-    // Chunked + threaded: the (CFD × chunk) morsels must land under one
-    // request tree even though they ran on pool workers.
-    let table = d.db.table("customer").unwrap();
-    let cols: Vec<usize> = (0..table.schema().arity()).collect();
-    let snap = Snapshot::projected_with_chunk(table, &cols, 64);
-    assert!(snap.n_chunks() >= 2);
-    {
-        let _rt = trace::root("test.threaded_detect");
-        semandaq::colstore::detect_on_snapshot_threads(&snap, &d.cfds, 4).unwrap();
-    }
-    let threaded = trace::last_trace().unwrap();
-    assert_eq!(threaded.name, "test.threaded_detect");
-    assert_coherent_tree(&threaded, "threaded detect");
-    let root = threaded.root().unwrap();
-    let morsels: Vec<_> = threaded
+    // Serial on the caller's thread: no morsel spans, and every per-CFD
+    // span was recorded on the request root's thread.
+    let root = report.root().unwrap();
+    assert!(
+        report.spans.iter().all(|s| s.name != "detect.morsel"),
+        "single-node detect does not fan out"
+    );
+    let cfd_spans: Vec<_> = report
         .spans
         .iter()
-        .filter(|s| s.name == "detect.morsel")
+        .filter(|s| s.name == "detect.cfd")
         .collect();
-    let n_vars = d.cfds.iter().filter(|c| c.rhs_pat.is_wild()).count();
-    assert_eq!(morsels.len(), n_vars * snap.n_chunks());
-    assert!(morsels.iter().all(|m| m.parent == root.id));
+    assert_eq!(cfd_spans.len(), d.cfds.len());
     assert!(
-        morsels.iter().any(|m| m.thread != root.thread),
-        "morsels ran on pool workers"
+        cfd_spans.iter().all(|s| s.thread == root.thread),
+        "every detect.cfd span sits on the request's thread"
     );
 }
 
