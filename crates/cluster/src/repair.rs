@@ -135,13 +135,9 @@ impl RepairStore for ClusterStore<'_> {
         self.cluster.len()
     }
 
-    fn row(&self, id: RowId) -> Option<Vec<Value>> {
+    fn row(&self, id: RowId) -> Option<&[Value]> {
         let sid = self.cluster.shard_of(id)?;
-        self.cluster.shards[sid]
-            .table
-            .get(id)
-            .ok()
-            .map(<[Value]>::to_vec)
+        self.cluster.shards[sid].table.get(id).ok()
     }
 
     fn set_cell(&mut self, id: RowId, col: usize, value: Value) -> CfdResult<Value> {

@@ -63,13 +63,8 @@ impl RepairStore for TableStore<'_> {
         self.db.table(self.relation).map(Table::len).unwrap_or(0)
     }
 
-    fn row(&self, id: RowId) -> Option<Vec<Value>> {
-        self.db
-            .table(self.relation)
-            .ok()?
-            .get(id)
-            .ok()
-            .map(<[Value]>::to_vec)
+    fn row(&self, id: RowId) -> Option<&[Value]> {
+        self.db.table(self.relation).ok()?.get(id).ok()
     }
 
     fn set_cell(&mut self, id: RowId, col: usize, value: Value) -> CfdResult<Value> {

@@ -172,8 +172,9 @@ pub trait RepairStore {
         self.len() == 0
     }
 
-    /// Current values of one row (`None` when the row is not live).
-    fn row(&self, id: RowId) -> Option<Vec<Value>>;
+    /// Current values of one row, borrowed in place (`None` when the row
+    /// is not live).
+    fn row(&self, id: RowId) -> Option<&[Value]>;
 
     /// Overwrite one cell, keeping every derived structure (cached
     /// snapshots, shard state) in lock-step; returns the previous value.
@@ -371,7 +372,7 @@ fn resolve_constant<S: RepairStore>(
     changes: &mut Vec<CellChange>,
 ) -> CfdResult<bool> {
     let b = &bound[cfd_idx];
-    let Some(current) = store.row(row) else {
+    let Some(current) = store.row(row).map(<[Value]>::to_vec) else {
         return Ok(false); // row vanished
     };
     if !b.single_tuple_violation(&current) {
@@ -512,27 +513,27 @@ fn resolve_variable<S: RepairStore>(
     changes: &mut Vec<CellChange>,
 ) -> CfdResult<bool> {
     let b = &bound[cfd_idx];
-    // Re-verify the group against current data.
+    // Re-verify the group against current data: every member's LHS must
+    // still equal the first matching row's, compared cell by cell in place.
     let mut current: Vec<(RowId, Value)> = Vec::with_capacity(members.len());
-    let mut key: Option<Vec<Value>> = None;
+    let mut key_row: Option<&[Value]> = None;
     for (row, _) in members {
         let Some(vals) = store.row(*row) else {
             continue;
         };
-        if !b.lhs_matches(&vals) {
+        if !b.lhs_matches(vals) {
             continue;
         }
-        let k = b.lhs_key(&vals);
-        match &key {
-            None => key = Some(k),
-            Some(existing) if *existing == k => {}
+        match key_row {
+            None => key_row = Some(vals),
+            Some(k) if b.lhs_cols.iter().all(|&c| k[c] == vals[c]) => {}
             Some(_) => continue, // moved to another group since detection
         }
-        let rhs = vals[b.rhs_col].clone();
+        let rhs = &vals[b.rhs_col];
         if rhs.is_null() {
             continue;
         }
-        current.push((*row, rhs));
+        current.push((*row, rhs.clone()));
     }
     if !detect::native::group_violates(&current) {
         return Ok(false);
