@@ -359,6 +359,16 @@ fn const_violates(bound: &[BoundCfd], row_vals: &[Value]) -> bool {
     bound.iter().any(|b| b.single_tuple_violation(row_vals))
 }
 
+/// Would `row_vals` single-violate any constant CFD with its `col` cell
+/// set to `v`? The cell is set in place and restored before returning, so
+/// one row buffer serves every candidate a resolver tries.
+fn const_violates_with(bound: &[BoundCfd], row_vals: &mut [Value], col: usize, v: &Value) -> bool {
+    let saved = std::mem::replace(&mut row_vals[col], v.clone());
+    let hit = const_violates(bound, row_vals);
+    row_vals[col] = saved;
+    hit
+}
+
 #[allow(clippy::too_many_arguments)]
 fn resolve_constant<S: RepairStore>(
     store: &mut S,
@@ -372,7 +382,7 @@ fn resolve_constant<S: RepairStore>(
     changes: &mut Vec<CellChange>,
 ) -> CfdResult<bool> {
     let b = &bound[cfd_idx];
-    let Some(current) = store.row(row).map(<[Value]>::to_vec) else {
+    let Some(mut current) = store.row(row).map(<[Value]>::to_vec) else {
         return Ok(false); // row vanished
     };
     if !b.single_tuple_violation(&current) {
@@ -391,18 +401,14 @@ fn resolve_constant<S: RepairStore>(
     let mut best: Option<(f64, usize, Value, ChangeReason)> = None;
     let rhs_pin = eq.pinned(rhs_cell);
     let rhs_allowed = rhs_pin.as_ref().is_none_or(|p| p.strong_eq(&a));
-    if rhs_allowed {
-        let mut sim = current.clone();
-        sim[b.rhs_col] = a.clone();
-        if !const_violates(bound, &sim) {
-            let cost = change_cost(cfg, row, b.rhs_col, &current[b.rhs_col], &a);
-            best = Some((
-                cost,
-                b.rhs_col,
-                a.clone(),
-                ChangeReason::ConstantRhs { cfd_idx },
-            ));
-        }
+    if rhs_allowed && !const_violates_with(bound, &mut current, b.rhs_col, &a) {
+        let cost = change_cost(cfg, row, b.rhs_col, &current[b.rhs_col], &a);
+        best = Some((
+            cost,
+            b.rhs_col,
+            a.clone(),
+            ChangeReason::ConstantRhs { cfd_idx },
+        ));
     }
 
     // Candidates 2..k: break a constant-patterned LHS cell.
@@ -419,9 +425,7 @@ fn resolve_constant<S: RepairStore>(
             if v.strong_eq(c) || v.strong_eq(&current[col]) {
                 continue;
             }
-            let mut sim = current.clone();
-            sim[col] = v.clone();
-            if const_violates(bound, &sim) {
+            if const_violates_with(bound, &mut current, col, v) {
                 continue;
             }
             let cost = change_cost(cfg, row, col, &current[col], v);
