@@ -7,8 +7,16 @@
 //! to substitute — the model prefers repairs that look like typo fixes.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use minidb::{RowId, Value};
+
+/// `repair_distance_evals_total`: one per Damerau–Levenshtein run behind
+/// [`normalized_distance`].
+fn distance_evals() -> &'static obs::Counter {
+    static EVALS: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    EVALS.get_or_init(|| obs::counter("repair_distance_evals_total"))
+}
 
 /// Restricted Damerau–Levenshtein (optimal string alignment) distance:
 /// insertions, deletions, substitutions and adjacent transpositions.
@@ -53,6 +61,7 @@ pub fn normalized_distance(a: &Value, b: &Value) -> f64 {
             if ml == 0 {
                 return 0.0;
             }
+            distance_evals().inc();
             damerau_levenshtein(x, y) as f64 / ml as f64
         }
         _ => {

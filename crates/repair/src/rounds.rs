@@ -31,9 +31,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use cfd::{BoundCfd, Cfd, CfdResult, Pattern};
+use detect::fxhash::{DistinctCounter, FxHashMap};
 use detect::violation::{ViolationKind, ViolationReport};
 use minidb::{RowId, Schema, Value};
 
+use crate::cost::{normalized_distance, uniform_cost};
 use crate::eqclass::{CellRef, EqClasses};
 
 /// Global-registry handles for the repair loop's telemetry. After every
@@ -218,6 +220,7 @@ pub fn repair_rounds<S: RepairStore>(
         v
     };
     let mut eq = EqClasses::new();
+    let mut costs = Costs::new(cfg);
     let mut changes: Vec<CellChange> = Vec::new();
     let mut iterations = 0usize;
 
@@ -268,7 +271,7 @@ pub fn repair_rounds<S: RepairStore>(
                 v.cfd_idx,
                 row,
                 &mut eq,
-                cfg,
+                &mut costs,
                 &domains,
                 iter,
                 &mut changes,
@@ -286,7 +289,7 @@ pub fn repair_rounds<S: RepairStore>(
                     v.cfd_idx,
                     rows,
                     &mut eq,
-                    cfg,
+                    &mut costs,
                     iter,
                     &mut changes,
                 )?;
@@ -346,11 +349,52 @@ fn active_domains<S: RepairStore>(
         .collect())
 }
 
-fn change_cost(cfg: &RepairConfig, row: RowId, col: usize, old: &Value, new: &Value) -> f64 {
-    if cfg.use_similarity {
-        cfg.weights.change_cost(row, col, old, new)
-    } else {
-        cfg.weights.weight(row, col) * crate::cost::uniform_cost(old, new)
+/// The cost model of one repair run: the configured weights and
+/// similarity switch, plus a memo of every string distance priced so far.
+/// A repair prices the same (old, new) pair over and over — each class
+/// member against each candidate, then again for the applied change — but
+/// meets few distinct pairs, so each Damerau–Levenshtein distance is
+/// computed once per run. The memo is keyed by string content, not by
+/// pointer: the table holds its own `Arc<str>` per cell, so equal strings
+/// seldom share one. It lives as long as [`repair_rounds`]' call.
+struct Costs<'a> {
+    cfg: &'a RepairConfig,
+    distances: FxHashMap<(Arc<str>, Arc<str>), f64>,
+}
+
+impl<'a> Costs<'a> {
+    fn new(cfg: &'a RepairConfig) -> Costs<'a> {
+        Costs {
+            cfg,
+            distances: FxHashMap::default(),
+        }
+    }
+
+    /// `w(t, A)`.
+    fn weight(&self, row: RowId, col: usize) -> f64 {
+        self.cfg.weights.weight(row, col)
+    }
+
+    /// The unweighted cost of changing `old` to `new`: the normalized
+    /// distance, memoised for string pairs (any other pair is a compare),
+    /// or the 0/1 cost when the similarity term is off. Bit-equal to
+    /// calling [`normalized_distance`] / [`uniform_cost`] directly.
+    fn distance(&mut self, old: &Value, new: &Value) -> f64 {
+        if !self.cfg.use_similarity {
+            return uniform_cost(old, new);
+        }
+        match (old, new) {
+            (Value::Str(a), Value::Str(b)) => *self
+                .distances
+                .entry((Arc::clone(a), Arc::clone(b)))
+                .or_insert_with(|| normalized_distance(old, new)),
+            _ => normalized_distance(old, new),
+        }
+    }
+
+    /// `w(t, A) · distance(old, new)`.
+    fn change(&mut self, row: RowId, col: usize, old: &Value, new: &Value) -> f64 {
+        self.weight(row, col) * self.distance(old, new)
     }
 }
 
@@ -376,7 +420,7 @@ fn resolve_constant<S: RepairStore>(
     cfd_idx: usize,
     row: RowId,
     eq: &mut EqClasses,
-    cfg: &RepairConfig,
+    costs: &mut Costs,
     domains: &HashMap<usize, Vec<Value>>,
     iter: usize,
     changes: &mut Vec<CellChange>,
@@ -402,7 +446,7 @@ fn resolve_constant<S: RepairStore>(
     let rhs_pin = eq.pinned(rhs_cell);
     let rhs_allowed = rhs_pin.as_ref().is_none_or(|p| p.strong_eq(&a));
     if rhs_allowed && !const_violates_with(bound, &mut current, b.rhs_col, &a) {
-        let cost = change_cost(cfg, row, b.rhs_col, &current[b.rhs_col], &a);
+        let cost = costs.change(row, b.rhs_col, &current[b.rhs_col], &a);
         best = Some((
             cost,
             b.rhs_col,
@@ -428,7 +472,7 @@ fn resolve_constant<S: RepairStore>(
             if const_violates_with(bound, &mut current, col, v) {
                 continue;
             }
-            let cost = change_cost(cfg, row, col, &current[col], v);
+            let cost = costs.change(row, col, &current[col], v);
             if best.as_ref().is_none_or(|(bc, ..)| cost < *bc) {
                 best = Some((
                     cost,
@@ -454,7 +498,7 @@ fn resolve_constant<S: RepairStore>(
             });
             match (rhs_allowed, unpinned_lhs) {
                 (true, _) | (false, None) => {
-                    let cost = change_cost(cfg, row, b.rhs_col, &current[b.rhs_col], &a);
+                    let cost = costs.change(row, b.rhs_col, &current[b.rhs_col], &a);
                     (
                         cost,
                         b.rhs_col,
@@ -466,7 +510,7 @@ fn resolve_constant<S: RepairStore>(
                     let col = b.lhs_cols[j];
                     let fresh = fresh_value(row, col);
                     (
-                        cfg.weights.weight(row, col),
+                        costs.weight(row, col),
                         col,
                         fresh,
                         ChangeReason::LhsBreak { cfd_idx },
@@ -512,7 +556,7 @@ fn resolve_variable<S: RepairStore>(
     cfd_idx: usize,
     members: &[(RowId, Value)],
     eq: &mut EqClasses,
-    cfg: &RepairConfig,
+    costs: &mut Costs,
     iter: usize,
     changes: &mut Vec<CellChange>,
 ) -> CfdResult<bool> {
@@ -594,12 +638,28 @@ fn resolve_variable<S: RepairStore>(
             .collect();
         candidates.sort_by(|a, b| a.total_cmp(b));
         candidates.dedup_by(|a, b| a.strong_eq(b));
+        // Price each distinct class value against each candidate once. Each
+        // total still sums the per-member terms `w(r, A) · d` in class
+        // order, so it is bit-equal to pricing every member separately.
+        // (Class values share their column's type, so values that
+        // `strong_eq` merges are at equal distance from every candidate.)
+        let mut distinct = DistinctCounter::new();
+        let slots: Vec<u32> = class_values.iter().map(|(_, v)| distinct.add(v)).collect();
+        let distinct: Vec<&Value> = distinct.into_counts().into_iter().map(|(v, _)| v).collect();
+        let weights: Vec<f64> = class_values
+            .iter()
+            .map(|(r, _)| costs.weight(*r, b.rhs_col))
+            .collect();
+        let mut dists: Vec<f64> = Vec::with_capacity(distinct.len());
         // Sorted candidates, strict `<`: the first-seen minimum wins ties.
         let mut best: Option<(f64, Value)> = None;
         for cand in &candidates {
-            let total: f64 = class_values
+            dists.clear();
+            dists.extend(distinct.iter().map(|v| costs.distance(v, cand)));
+            let total: f64 = weights
                 .iter()
-                .map(|(r, v)| change_cost(cfg, *r, b.rhs_col, v, cand))
+                .zip(&slots)
+                .map(|(w, &s)| w * dists[s as usize])
                 .sum();
             if best.as_ref().is_none_or(|(bc, _)| total < *bc) {
                 best = Some((total, (*cand).clone()));
@@ -628,7 +688,7 @@ fn resolve_variable<S: RepairStore>(
         // constant pass cascades the fix, and pins bound the recursion.)
         let compatible = pin.as_ref().is_none_or(|p| p.strong_eq(&target));
         if compatible {
-            let cost = change_cost(cfg, *row, b.rhs_col, val, &target);
+            let cost = costs.change(*row, b.rhs_col, val, &target);
             let old = store.set_cell(*row, b.rhs_col, target.clone())?;
             changes.push(CellChange {
                 row: *row,
@@ -653,7 +713,7 @@ fn resolve_variable<S: RepairStore>(
             };
             let col = b.lhs_cols[j];
             let fresh = fresh_value(*row, col);
-            let cost = cfg.weights.weight(*row, col);
+            let cost = costs.weight(*row, col);
             let old = store.set_cell(*row, col, fresh.clone())?;
             // Sentinel cells are detached from their class (the break
             // severs the equality links through this cell) and pinned so
@@ -685,4 +745,57 @@ pub fn fresh_value(row: RowId, col: usize) -> Value {
 /// Is this value a fresh sentinel produced by [`fresh_value`]?
 pub fn is_fresh(v: &Value) -> bool {
     matches!(v, Value::Str(s) if s.starts_with('\u{22a5}'))
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// NULL, Int, Float (NaN, and integral floats equal to an Int), the
+    /// empty string and short multibyte strings — few enough that pairs
+    /// repeat.
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            1 => Just(Value::Null),
+            1 => (0u8..3).prop_map(|i| Value::Int(i64::from(i))),
+            1 => (0u8..3).prop_map(|i| Value::Float(f64::from(i))),
+            1 => Just(Value::Float(f64::NAN)),
+            1 => Just(Value::str("")),
+            4 => proptest::string::string_regex("[abé日]{0,4}")
+                .unwrap()
+                .prop_map(Value::str),
+        ]
+    }
+
+    /// The same value behind a freshly allocated `Arc<str>`, as a second
+    /// table cell holding an equal string would be.
+    fn fresh_copy(v: &Value) -> Value {
+        match v {
+            Value::Str(s) => Value::str(&**s),
+            other => other.clone(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn memoised_distance_is_bit_equal_to_normalized_distance(
+            pool in proptest::collection::vec(value(), 1..6),
+            pairs in proptest::collection::vec((0usize..6, 0usize..6), 1..40),
+        ) {
+            let cfg = RepairConfig::default();
+            let mut costs = Costs::new(&cfg);
+            for (i, j) in pairs {
+                let (a, b) = (&pool[i % pool.len()], &pool[j % pool.len()]);
+                for (x, y) in [(a, b), (b, a)] {
+                    let want = normalized_distance(x, y).to_bits();
+                    prop_assert_eq!(costs.distance(x, y).to_bits(), want);
+                    prop_assert_eq!(costs.distance(&fresh_copy(x), y).to_bits(), want);
+                }
+            }
+        }
+    }
 }

@@ -226,6 +226,36 @@ fn repair_round_and_change_counters_match_the_result() {
 }
 
 #[test]
+fn repair_distance_evals_are_served_by_metrics() {
+    let _g = lock();
+    let evals = semandaq::obs::counter("repair_distance_evals_total");
+
+    let d = dirty_customers(200, 0.05, 318);
+    let mut server = QualityServer::new(d.db.clone(), "customer").unwrap();
+    let register = Request::RegisterCfds {
+        text: CANONICAL_CFDS.to_string(),
+    };
+    assert!(!matches!(
+        dispatch(&mut server, register),
+        Response::Error { .. }
+    ));
+    let e0 = evals.get();
+    let r = dispatch(&mut server, Request::Repair);
+    assert!(matches!(r, Response::Repaired(_)), "{r:?}");
+    let Response::Metrics(m) = dispatch(&mut server, Request::Metrics) else {
+        panic!("metrics request failed");
+    };
+    let served = m
+        .counter("repair_distance_evals_total")
+        .expect("Request::Metrics serves repair_distance_evals_total");
+    assert!(
+        served > e0,
+        "repairing a dirty relation prices string changes"
+    );
+    assert_eq!(served, evals.get());
+}
+
+#[test]
 fn one_audit_report_sample_per_audit_dispatch() {
     let _g = lock();
     let report_ns = semandaq::obs::histogram("audit_report_ns");
