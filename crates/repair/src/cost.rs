@@ -5,6 +5,13 @@
 //! Damerau–Levenshtein distance (restricted / optimal-string-alignment
 //! variant) and `w` a per-cell confidence weight. Similar values are cheap
 //! to substitute — the model prefers repairs that look like typo fixes.
+//!
+//! A repair prices the same (old, new) pair many times — every class
+//! member against every candidate value — so
+//! [`repair_rounds`](crate::rounds::repair_rounds) memoises distances for
+//! the length of its run and computes each string pair's distance once.
+//! `repair_distance_evals_total` counts the Damerau–Levenshtein runs
+//! behind [`normalized_distance`].
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
