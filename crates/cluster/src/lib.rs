@@ -11,10 +11,9 @@
 //! * [`ShardedQualityServer`] — routes `insert` / `delete` / `update_cell`
 //!   to the owning shard, keeping each shard's epoch-versioned
 //!   [`colstore::SnapshotCache`] patched in lock-step; `detect()` scatters
-//!   per-CFD partial export across shards (one morsel per shard on
-//!   [`colstore::morsel::run_morsels`], per-shard memoization against
-//!   column epochs) and gathers with the partial-group merge of
-//!   [`detect::exchange`].
+//!   per-CFD partial export across shards (scoped workers pulling shards
+//!   off one shared queue, per-shard memoization against column epochs)
+//!   and gathers with the partial-group merge of [`detect::exchange`].
 //! * [`ShardedQualityServer::repair`] — cross-shard repair (see
 //!   [`repair`]): each round detects through the exchange, builds
 //!   **global** equivalence classes over the merged per-group

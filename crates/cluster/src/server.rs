@@ -11,8 +11,8 @@
 //!
 //! Detection is scatter/gather:
 //!
-//! 1. **Scatter** — every shard (one morsel per shard on the
-//!    [`colstore::morsel::run_morsels`] pool) exports one [`CfdPartial`]
+//! 1. **Scatter** — every shard (pulled off one shared queue by
+//!    `min(shards, cores)` scoped workers) exports one [`CfdPartial`]
 //!    per CFD from its cached snapshot: constant CFDs resolve fully
 //!    shard-local; variable CFDs export the per-group partial state of
 //!    `detect::exchange`. Exports are memoized per shard per CFD against
@@ -30,7 +30,7 @@
 //! router and shard count (`tests/sharded_cluster.rs` pins this by
 //! property).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
@@ -49,7 +49,7 @@ pub(crate) fn db_err(e: DbError) -> CfdError {
 }
 
 /// Global-registry handles for the exchange telemetry, resolved once per
-/// process. The scatter-side counters are bumped from the morsel pool's
+/// process. The scatter-side counters are bumped from the scatter's
 /// worker threads (the handles are plain atomics); the gather-side ones
 /// from the coordinator. After every detect, partials exported == partials merged —
 /// the gather loop consumes exactly what the scatter shipped (pinned by
@@ -189,9 +189,6 @@ pub struct ShardedQualityServer {
     /// Next global row id — the same sequence a single-node table would
     /// have assigned, which is what makes sharded reports id-compatible.
     next_row: u64,
-    /// Scatter worker override; `None` defers to `SDQ_DETECT_THREADS` /
-    /// available parallelism (see [`colstore::morsel::resolve_threads`]).
-    detect_threads: Option<usize>,
     stats: DetectStats,
     /// The most recent scatter/gather report; dropped by any mutation.
     pub(crate) last_report: Option<ViolationReport>,
@@ -216,29 +213,9 @@ impl ShardedQualityServer {
                 .collect(),
             shard_of: Vec::new(),
             next_row: 0,
-            detect_threads: None,
             stats: DetectStats::default(),
             last_report: None,
         }
-    }
-
-    /// Cap the scatter pool at `threads` workers (the pool is additionally
-    /// clamped to the shard count per detect). Without this, the worker
-    /// count comes from `SDQ_DETECT_THREADS` or available parallelism.
-    pub fn with_detect_threads(mut self, threads: usize) -> ShardedQualityServer {
-        self.detect_threads = Some(threads);
-        self
-    }
-
-    /// Set the incremental-patch delta threshold of every shard's snapshot
-    /// cache (see [`SnapshotCache::with_delta_threshold`]): the fraction of
-    /// a shard's rows that may change before its next snapshot falls back
-    /// to a full re-encode.
-    pub fn with_delta_threshold(mut self, threshold: f64) -> ShardedQualityServer {
-        for s in &mut self.shards {
-            s.cache = std::mem::take(&mut s.cache).with_delta_threshold(threshold);
-        }
-        self
     }
 
     /// Bound the cluster's snapshot residency at `budget` bytes total:
@@ -423,8 +400,8 @@ impl ShardedQualityServer {
     ///
     /// Per-shard order is exactly batch order (later entries may
     /// reference earlier inserts); cross-shard order is immaterial, since
-    /// every mutation touches exactly one shard — which is also what lets
-    /// the per-shard phase fan out across cores. Failure granularity is
+    /// every mutation touches exactly one shard. The per-shard phase runs
+    /// serially on the writer's thread. Failure granularity is
     /// per shard: a bad mutation stops *its shard's* remaining work (a
     /// routing failure additionally stops planning of later mutations),
     /// sibling shards complete, every applied op is patched, and the
@@ -589,31 +566,45 @@ impl ShardedQualityServer {
         needed.sort_unstable();
         needed.dedup();
 
-        // Scatter: one morsel per shard on the work-stealing pool, its one
-        // user; each shard's export runs serially on its worker. The pool
-        // size comes from `with_detect_threads`, else `SDQ_DETECT_THREADS`
-        // / parallelism, and `run_morsels` clamps it to the shard count.
+        // Scatter: `min(shards, cores)` scoped workers pull shards off one
+        // shared iterator; the caller only joins. Each worker installs the
+        // caller's trace position, so every `shard.export` span parents
+        // under `cluster.scatter` whichever thread ran it.
         let t0 = Instant::now();
         let scatter_span = obs::trace::span("cluster.scatter");
-        let workers = colstore::morsel::resolve_threads(self.detect_threads);
-        let (bound_ref, cols_ref, needed_ref) = (&bound, &cols, &needed);
-        let slots: Vec<std::sync::Mutex<&mut Shard>> =
-            self.shards.iter_mut().map(std::sync::Mutex::new).collect();
-        let exports: Vec<ShardExport> = colstore::morsel::run_morsels(workers, slots.len(), |i| {
-            // Uncontended: each index is claimed by exactly one worker; the
-            // mutex only converts the shared borrow into the exclusive one
-            // the export needs. The span lands on whichever pool worker
-            // ran the shard, parented under `cluster.scatter` through the
-            // context the pool propagated.
-            let sp = obs::trace::span("shard.export");
-            sp.attr("shard", i);
-            let mut shard = slots[i].lock().expect("shard slot lock");
-            shard.export(bound_ref, cols_ref, needed_ref)
-        })
-        .into_iter()
-        .map(|e| e.expect("every shard exports"))
-        .collect();
-        drop(slots);
+        let workers = colstore::morsel::resolve_threads(None).min(self.shards.len());
+        let queue = Mutex::new(self.shards.iter_mut().enumerate());
+        let trace_ctx = obs::trace::current();
+        let (queue, trace_ctx, bound, cols, needed) = (&queue, &trace_ctx, &bound, &cols, &needed);
+        let mut exports: Vec<(usize, ShardExport)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    s.spawn(move || {
+                        let _trace = obs::trace::install(trace_ctx.as_ref());
+                        let mut got = Vec::new();
+                        loop {
+                            // Bind first: the queue lock drops at the end of
+                            // this statement, not after the export.
+                            let next = queue.lock().expect("shard queue lock").next();
+                            let Some((i, shard)) = next else { break };
+                            let sp = obs::trace::span("shard.export");
+                            sp.attr("shard", i);
+                            got.push((i, shard.export(bound, cols, needed)));
+                        }
+                        got
+                    })
+                })
+                .collect();
+            // A panicking export re-raises its own payload on the caller.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
+        // Shard order, whichever worker ran which shard: the merge below
+        // is order-sensitive.
+        exports.sort_unstable_by_key(|&(i, _)| i);
+        let exports: Vec<ShardExport> = exports.into_iter().map(|(_, e)| e).collect();
         drop(scatter_span);
         let scatter_ns = t0.elapsed().as_nanos() as u64;
 

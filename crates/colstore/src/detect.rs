@@ -19,8 +19,8 @@
 //! caller's thread: fanned out as (CFD × chunk) morsels, detection lost
 //! to this serial scan end to end on two cores. The cluster's shards
 //! export per-group [`GroupPartial`]s ([`cfd_partials`]) that its gather
-//! merges; that scatter is the one user of the work-stealing pool
-//! ([`crate::morsel`]).
+//! merges; that scatter is the one fan-out left, sized by
+//! [`crate::morsel::resolve_threads`].
 //!
 //! The output is [`ViolationReport`]-identical (after `normalized()`) to the
 //! native detector on every instance; the property tests in

@@ -10,8 +10,8 @@
 //!   reference semantics.
 //! * [`Column`] — fixed-size immutable code chunks (`Arc`-shared) plus one
 //!   mutable tail chunk and the dictionary; cloning bumps refcounts,
-//!   appending is an O(1) tail push, and a chunk is the unit of parallel
-//!   scan work.
+//!   appending is an O(1) tail push, and a chunk is the unit of scan
+//!   work.
 //! * [`Snapshot`] — one encode pass over a table's live rows; the unit of
 //!   reuse across a whole CFD set (one encode, N rules) and across engines.
 //! * [`detect_columnar`] / [`detect_on_snapshot`] — constant CFDs by
@@ -19,9 +19,9 @@
 //!   packed `u64` (or wide `[u32]`) LHS code keys. Returns reports
 //!   `normalized()`-equal to [`detect_native`](::detect::detect_native) on every instance.
 //! * [`cfd_partials`] — a shard's per-group partial state in the cluster's
-//!   exchange format; the cluster scatters these exports over the
-//!   work-stealing pool in [`morsel`]. Detection itself runs on the
-//!   caller's thread.
+//!   exchange format; the cluster scatters these exports over scoped
+//!   workers sized by [`morsel::resolve_threads`]. Detection itself runs
+//!   on the caller's thread.
 //! * [`seed_incremental`] / [`build_incremental`] — bulk-seed the
 //!   incremental detector's group state from one columnar pass (the data
 //!   monitor's full-rescan fallback).

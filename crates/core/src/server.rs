@@ -7,7 +7,7 @@ use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, R
 use audit::{quality_map, quality_report, QualityMap, QualityReport};
 use cfd::{CfdError, CfdResult, Consistency};
 use colstore::{detect_cached, ChunkStore, MemChunkStore, SnapshotCache, TableDelta};
-use detect::{detect_native, detect_sql, ViolationReport};
+use detect::{detect_sql, ViolationReport};
 use discovery::{mine_constant_cfds, mine_variable_cfds, CtaneConfig, MinerConfig};
 use explore::{inspect_tuple, CfdRelevance, NavigationSession, ReviewSession};
 use minidb::{Database, DbError, RowId, Schema, Table, Value};
@@ -25,8 +25,6 @@ pub enum DetectorKind {
     /// SQL-generated queries executed on the embedded engine (the paper's
     /// code path).
     Sql,
-    /// Direct hash-based detection.
-    Native,
     /// Columnar detection over a cached, epoch-versioned snapshot: the
     /// first detect encodes, repeat detects on an unchanged table do zero
     /// encode work, and a repair pass patches the snapshot in lock-step
@@ -41,9 +39,6 @@ pub struct ServerConfig {
     pub detector: DetectorKind,
     /// Repair configuration.
     pub repair: RepairConfig,
-    /// Snapshot-cache delta threshold (fraction of rows patched before a
-    /// full rebuild); `None` keeps the cache default.
-    pub delta_threshold: Option<f64>,
     /// Enable request-scoped tracing (`obs::trace`) process-wide. The
     /// flag is sticky — `true` turns the (global) tracing layer on,
     /// `false` leaves whatever `SDQ_TRACE` / a sibling component chose.
@@ -68,7 +63,6 @@ impl Default for ServerConfig {
             // `with_config` away.
             detector: DetectorKind::Columnar,
             repair: RepairConfig::default(),
-            delta_threshold: None,
             tracing: false,
             mem_budget: None,
             spill_store: None,
@@ -127,9 +121,6 @@ impl QualityServer {
 
     /// Adjust the configuration.
     pub fn with_config(mut self, config: ServerConfig) -> QualityServer {
-        if let Some(t) = config.delta_threshold {
-            self.snapshots = std::mem::take(&mut self.snapshots).with_delta_threshold(t);
-        }
         if let Some(budget) = config.mem_budget {
             let store = config
                 .spill_store
@@ -293,7 +284,6 @@ impl QualityServer {
         let cfds = self.engine.cfds().to_vec();
         let report = match self.config.detector {
             DetectorKind::Sql => detect_sql(&mut self.db, &self.relation, &cfds)?,
-            DetectorKind::Native => detect_native(self.table()?, &cfds)?,
             DetectorKind::Columnar => {
                 // Disjoint field borrows: the cache is written while the
                 // database is only read.
@@ -509,6 +499,7 @@ impl QualityBackend for QualityServer {
 mod tests {
     use super::*;
     use datagen::dirty_customers;
+    use detect::detect_native;
 
     fn server(rows: usize, noise: f64, seed: u64) -> QualityServer {
         let d = dirty_customers(rows, noise, seed);
@@ -532,34 +523,32 @@ mod tests {
         assert_eq!(audit2.dirty_fraction(), 0.0);
     }
 
-    #[test]
-    fn sql_and_native_detectors_agree_via_config() {
-        let mut s1 = server(150, 0.06, 72).with_config(ServerConfig {
-            detector: DetectorKind::Sql,
+    /// The server's report under `detector`, next to the native oracle's
+    /// over the same table and rules.
+    fn report_and_oracle(
+        detector: DetectorKind,
+        rows: usize,
+        seed: u64,
+    ) -> (ViolationReport, ViolationReport) {
+        let mut s = server(rows, 0.06, seed).with_config(ServerConfig {
+            detector,
             ..ServerConfig::default()
         });
-        let mut s2 = server(150, 0.06, 72).with_config(ServerConfig {
-            detector: DetectorKind::Native,
-            ..ServerConfig::default()
-        });
-        let a = s1.detect().unwrap().normalized();
-        let b = s2.detect().unwrap().normalized();
-        assert_eq!(a, b);
+        let report = s.detect().unwrap().normalized();
+        let oracle = detect_native(s.table().unwrap(), s.engine.cfds()).unwrap();
+        (report, oracle.normalized())
     }
 
     #[test]
-    fn columnar_detector_agrees_via_config() {
-        let mut s1 = server(200, 0.06, 75).with_config(ServerConfig {
-            detector: DetectorKind::Native,
-            ..ServerConfig::default()
-        });
-        let mut s2 = server(200, 0.06, 75).with_config(ServerConfig {
-            detector: DetectorKind::Columnar,
-            ..ServerConfig::default()
-        });
-        let a = s1.detect().unwrap().normalized();
-        let b = s2.detect().unwrap().normalized();
-        assert_eq!(a, b);
+    fn sql_detector_agrees_with_native_via_config() {
+        let (report, oracle) = report_and_oracle(DetectorKind::Sql, 150, 72);
+        assert_eq!(report, oracle);
+    }
+
+    #[test]
+    fn columnar_detector_agrees_with_native_via_config() {
+        let (report, oracle) = report_and_oracle(DetectorKind::Columnar, 200, 75);
+        assert_eq!(report, oracle);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every configuration knob in the workspace used to parse its own
 //! environment variable with a private `and_then(parse).ok()` chain that
 //! *silently* fell back to the default on a malformed value — a typo like
-//! `SDQ_DETECT_THREADS=fuor` quietly ran the serial path. This module is
+//! `SDQ_CHUNK_ROWS=fuor` quietly kept the default chunk size. This module is
 //! the one funnel all of them go through now:
 //!
 //! * an **unset** variable is simply absent (`None`) — defaults apply

@@ -7,8 +7,8 @@
 //! [`SpanRecord`]s with hierarchical parent ids, microsecond timestamps
 //! on a single clock, per-span key/value attributes ("grouping path:
 //! dense", "cache: patch", "memo: hit"), and the thread each span ran
-//! on — even when the cluster's scatter fanned the request out over the
-//! morsel pool's threads.
+//! on — even when the cluster's scatter fanned the request out over its
+//! worker threads.
 //!
 //! ## Design
 //!
@@ -26,8 +26,8 @@
 //! - **Explicit propagation.** Crossing a thread boundary is two calls:
 //!   [`current()`] captures a cheap [`TraceHandle`] (trace Arc + the
 //!   spawner's open span id) on the parent thread, [`install`] adopts it
-//!   on the worker. `colstore::morsel::run_morsels` does this for every
-//!   pool worker, which covers the cluster scatter, the one fan-out.
+//!   on the worker. The cluster scatter, the one fan-out, does this for
+//!   every worker it spawns.
 //! - **Flight recorder.** A completed root span assembles the trace and
 //!   pushes it into a bounded global ring ([`ring_capacity`] entries,
 //!   oldest evicted), readable via [`last_trace`] / [`recent_traces`]

@@ -1,15 +1,16 @@
 //! Backend conformance: one shared mutation + detect + audit + repair
-//! script runs against every [`QualityBackend`] — `QualityServer` (Native
-//! and Columnar), `ShardedQualityServer` (hash and round-robin routers,
-//! shard counts 1/3/5) and `DataMonitor` — and every backend must produce
-//! `normalized()`-equal violation reports, equal audit dirty fractions
-//! and equal row counts at every step. Repair-capable backends (both
-//! server configs and all six cluster configs) additionally run the
-//! script's `Repair` step, must end with an all-clean `audit()` and
-//! pairwise-equal repaired tables; the monitor must refuse repair with
-//! `CfdError::Unsupported` both directly and through the wire. The same
-//! script also runs through the wire protocol (`Request` → `dispatch` →
-//! `Response`) and must observe the same summaries.
+//! script runs against every [`QualityBackend`] — `QualityServer` (its
+//! default columnar detector), `ShardedQualityServer` (hash and
+//! round-robin routers, shard counts 1/3/5) and `DataMonitor` — and every
+//! backend must produce `normalized()`-equal violation reports, equal
+//! audit dirty fractions and equal row counts at every step.
+//! Repair-capable backends (the server and all six cluster configs)
+//! additionally run the script's `Repair` step, must end with an
+//! all-clean `audit()` and pairwise-equal repaired tables; the monitor
+//! must refuse repair with `CfdError::Unsupported` both directly and
+//! through the wire. The same script also runs through the wire protocol
+//! (`Request` → `dispatch` → `Response`) and must observe the same
+//! summaries.
 
 use semandaq::api::{
     dispatch, dispatch_line, Mutation, MutationBatch, QualityBackend, Request, Response,
@@ -19,7 +20,7 @@ use semandaq::cluster::{HashRouter, RoundRobinRouter, ShardRouter, ShardedQualit
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
 use semandaq::detect::ViolationReport;
 use semandaq::minidb::{RowId, Table, Value};
-use semandaq::system::{DataMonitor, DetectorKind, MonitorMode, QualityServer, ServerConfig};
+use semandaq::system::{DataMonitor, MonitorMode, QualityServer};
 
 const ROWS: usize = 200;
 const SEED: u64 = 4242;
@@ -58,18 +59,8 @@ fn backends() -> Vec<(String, Backend)> {
     let d = dirty_customers(ROWS, 0.05, SEED);
     let table = d.db.table("customer").unwrap();
     let mut out: Vec<(String, Backend)> = Vec::new();
-    for (label, kind) in [
-        ("server/native", DetectorKind::Native),
-        ("server/columnar", DetectorKind::Columnar),
-    ] {
-        let s = QualityServer::new(d.db.clone(), "customer")
-            .unwrap()
-            .with_config(ServerConfig {
-                detector: kind,
-                ..ServerConfig::default()
-            });
-        out.push((label.to_string(), Backend::Server(s)));
-    }
+    let s = QualityServer::new(d.db.clone(), "customer").unwrap();
+    out.push(("server/columnar".to_string(), Backend::Server(s)));
     for shards in [1usize, 3, 5] {
         let routers: Vec<(&str, Box<dyn ShardRouter>)> = vec![
             ("rr", Box::new(RoundRobinRouter::default())),
@@ -242,7 +233,7 @@ fn capabilities_describe_each_backend() {
     for (label, b) in &mut backends() {
         let caps = b.as_dyn().capabilities();
         match label.as_str() {
-            "server/native" | "server/columnar" => {
+            "server/columnar" => {
                 assert!(caps.repair);
                 assert!(!caps.streaming);
                 assert_eq!(caps.shards, 1);
@@ -303,7 +294,7 @@ fn repair_is_capability_gated_and_agrees_across_backends() {
         }
     }
     // Every repair-capable backend converged on the same relation.
-    assert_eq!(repaired.len(), 8, "2 server configs + 6 cluster configs");
+    assert_eq!(repaired.len(), 7, "the server + 6 cluster configs");
     let (ref_label, reference) = &repaired[0];
     for (label, rows) in &repaired[1..] {
         assert_eq!(rows, reference, "'{label}' vs '{ref_label}'");

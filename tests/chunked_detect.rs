@@ -165,7 +165,7 @@ fn exactly_full_chunks_leave_an_empty_tail() {
     assert_all_layouts_match(&t, &cfds);
 }
 
-/// Sharded repair under threading: the cluster's pooled scatter and the
+/// Sharded repair under threading: the cluster's threaded scatter and the
 /// serial single-node repair must drive byte-identical repairs — change
 /// lists, costs, iteration counts.
 #[test]
@@ -178,10 +178,7 @@ fn sharded_repair_equals_single_node_under_threading() {
     assert!(single.residual.is_empty());
 
     let mut cluster =
-        ShardedQualityServer::partition(table, 4, Box::new(RoundRobinRouter::default()))
-            .unwrap()
-            .with_detect_threads(4)
-            .with_delta_threshold(0.5);
+        ShardedQualityServer::partition(table, 4, Box::new(RoundRobinRouter::default())).unwrap();
     cluster.register_cfds(d.cfds.clone()).unwrap();
     let sharded = cluster.repair_with_config(&cfg).unwrap();
     assert!(sharded.residual.is_empty());

@@ -65,8 +65,8 @@ fn small_sql_pipeline() {
 }
 
 #[test]
-fn medium_native_pipeline() {
-    pipeline(1_000, 0.05, 2, DetectorKind::Native);
+fn medium_columnar_pipeline() {
+    pipeline(1_000, 0.05, 2, DetectorKind::Columnar);
 }
 
 #[test]
@@ -81,7 +81,7 @@ fn clean_data_pipeline() {
 
 #[test]
 fn high_noise_pipeline_still_converges() {
-    pipeline(400, 0.15, 5, DetectorKind::Native);
+    pipeline(400, 0.15, 5, DetectorKind::Columnar);
 }
 
 #[test]

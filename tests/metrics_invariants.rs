@@ -108,14 +108,13 @@ fn cluster_exports_equal_merges_consumed() {
     assert_eq!(shipped, 3 * 4 * d.cfds.len() as u64);
 }
 
-/// The cluster scatter is the morsel pool's one user: every detect
-/// dispatches one morsel per shard, and the worker gauge records the pool
-/// size clamped to the shard count.
+/// The cluster scatter exports every shard exactly once per detect, so
+/// the per-shard export histogram gains one sample per shard per detect,
+/// whichever worker ran which shard.
 #[test]
-fn cluster_detect_morsels_equal_shards() {
+fn cluster_shard_export_samples_equal_shards() {
     let _g = lock();
-    let morsels = semandaq::obs::counter("detect_morsels_total");
-    let workers = semandaq::obs::gauge("detect_workers");
+    let export_ns = semandaq::obs::histogram("cluster_shard_export_ns");
 
     let d = dirty_customers(300, 0.06, 315);
     let t = d.db.table("customer").unwrap();
@@ -123,36 +122,30 @@ fn cluster_detect_morsels_equal_shards() {
     for shards in [3usize, 6] {
         let mut cluster =
             ShardedQualityServer::partition(t, shards, Box::new(RoundRobinRouter::default()))
-                .unwrap()
-                .with_detect_threads(4);
+                .unwrap();
         cluster.register_cfds(d.cfds.clone()).unwrap();
-        let m0 = morsels.get();
+        let e0 = export_ns.count();
         for _ in 0..DETECTS {
             cluster.detect().unwrap();
         }
         assert_eq!(
-            morsels.get() - m0,
+            export_ns.count() - e0,
             DETECTS * shards as u64,
-            "one morsel per shard per detect ({shards} shards)"
-        );
-        assert_eq!(
-            workers.get(),
-            4.min(shards) as i64,
-            "gauge records the pool size clamped to {shards} shards"
+            "one export sample per shard per detect ({shards} shards)"
         );
     }
-    // Single-node detection and repair never touch the pool, even over a
-    // table of several chunks at the default chunk size.
+    // Single-node detection and repair never scatter, even over a table
+    // of several chunks at the default chunk size.
     let big = dirty_customers(10_000, 0.06, 315);
     let mut server = QualityServer::new(big.db.clone(), "customer").unwrap();
     server.register_cfds(CANONICAL_CFDS).unwrap();
-    let m0 = morsels.get();
+    let e0 = export_ns.count();
     server.detect().unwrap();
     server.repair().unwrap();
     assert_eq!(
-        morsels.get(),
-        m0,
-        "single-node detect and repair dispatch no morsels"
+        export_ns.count(),
+        e0,
+        "single-node detect and repair export no shards"
     );
 }
 

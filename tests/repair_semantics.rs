@@ -224,7 +224,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Repair's change list is pinned byte for byte. The engine's internals
 /// (class bookkeeping, candidate costing, the per-run distance memo) may
 /// change only if the list of changes, the rounds and the cost stay
-/// exactly these, whatever `SDQ_DETECT_THREADS` says.
+/// exactly these, on any number of cores.
 #[test]
 fn batch_repair_change_list_is_golden() {
     // (rows, noise, seed) → (changes, iterations, total_cost, digest).

@@ -78,8 +78,9 @@ fn assert_coherent_tree(report: &TraceReport, label: &str) {
 
 /// The acceptance scenario: one Detect on a 4-shard cluster produces a
 /// single span tree rooted at `api.detect`, with the scatter, one export
-/// span per shard (on pool threads), and per-CFD detect spans carrying
-/// memo attributes — all correctly parented across the thread boundary.
+/// span per shard (on scatter worker threads), and per-CFD detect spans
+/// carrying memo attributes — all correctly parented across the thread
+/// boundary.
 #[test]
 fn cluster_detect_is_one_tree_across_shard_threads() {
     let _g = lock();
@@ -90,10 +91,7 @@ fn cluster_detect_is_one_tree_across_shard_threads() {
         4,
         Box::new(HashRouter::new(vec![1])),
     )
-    .unwrap()
-    // Force the pool even on a single-core machine: the point of the
-    // test is the cross-thread propagation seam.
-    .with_detect_threads(4);
+    .unwrap();
     dispatch_line(
         &mut c,
         &Request::RegisterCfds {
@@ -130,14 +128,15 @@ fn cluster_detect_is_one_tree_across_shard_threads() {
     for e in &exports {
         assert_eq!(
             e.parent, scatter.id,
-            "export spans parent under the scatter across the pool boundary"
+            "export spans parent under the scatter across the thread boundary"
         );
     }
-    // The pool ran on spawned workers: at least one export span carries a
-    // non-dispatcher thread ordinal (the dispatcher records thread 0).
+    // The dispatcher only joins: every export ran on a scoped worker, so
+    // none carries the dispatcher's thread ordinal (thread 0), even on a
+    // single core.
     assert!(
-        exports.iter().any(|s| s.thread != root.thread),
-        "exports ran on pool worker threads"
+        exports.iter().all(|s| s.thread != root.thread),
+        "exports ran on scatter worker threads"
     );
 
     let cfd_spans: Vec<_> = report
@@ -180,7 +179,7 @@ fn cluster_detect_is_one_tree_across_shard_threads() {
 /// The single-server columnar path: per-CFD spans carry the grouping-path
 /// attribute (`dense`/`hashed`/`wide`/`constant`) the detector chose, and
 /// a detect over a multi-chunk table runs on the request's own thread —
-/// no morsel fan-out, every CFD span on the caller's thread.
+/// no fan-out, every CFD span on the caller's thread.
 #[test]
 fn detect_spans_carry_grouping_path_on_the_request_thread() {
     let _g = lock();
