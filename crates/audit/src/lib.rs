@@ -9,7 +9,8 @@
 //! * [`quality_map`](mod@quality_map) — the tuple-level shading of Fig. 3;
 //! * [`report`] — the assembled Fig. 4 report (attribute bar chart +
 //!   per-CFD pie + headline numbers), counted in one pass over the
-//!   violations and one over the live rows;
+//!   violations and one over the live rows by a [`ReportBuilder`] that
+//!   the columnar auditor fills from codes instead of values;
 //! * [`charts`] — plain-text bar / stacked-bar / pie renderers.
 
 #![warn(missing_docs)]
@@ -22,5 +23,7 @@ pub mod stats;
 
 pub use classify::{classify, Classification, CleanClass};
 pub use quality_map::{quality_map, QualityMap};
-pub use report::{quality_report, quality_report_rows, AttributeBreakdown, QualityReport};
+pub use report::{
+    quality_report, quality_report_rows, AttributeBreakdown, QualityReport, ReportBuilder,
+};
 pub use stats::{violation_stats, ViolationStats};

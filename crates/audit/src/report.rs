@@ -1,5 +1,20 @@
 //! The data quality report (Fig. 4): per-attribute class breakdown (bar
 //! chart), violation breakdown per CFD (pie chart), and headline numbers.
+//!
+//! A report is built in two halves by one [`ReportBuilder`]:
+//!
+//! * **involvement** — which rows, and which of their constrained cells,
+//!   sit in a single-tuple violation or on the minority or majority side
+//!   of a multi-tuple one;
+//! * **grading** — each live row's involvement, plus which of its cells a
+//!   constant-RHS CFD verified, decides its class; the class counts
+//!   become the report.
+//!
+//! [`quality_report_rows`] fills both halves from `Value`s: it hashes each
+//! group's RHS values to find the majority and matches the constant CFDs
+//! against every live row. It is the oracle. The columnar server fills the
+//! same builder from its detect memo and snapshot codes instead
+//! (`colstore::audit_cached`), so the taxonomy itself exists once.
 
 use std::collections::HashMap;
 use std::iter::once;
@@ -49,7 +64,8 @@ fn class_slot(c: CleanClass) -> usize {
     }
 }
 
-/// `audit_report_ns`: wall time of one [`quality_report_rows`] call.
+/// `audit_report_ns`: wall time of one audit, from
+/// [`ReportBuilder::new`] to [`ReportBuilder::finish`].
 fn report_ns() -> &'static Arc<obs::Histogram> {
     static H: OnceLock<Arc<obs::Histogram>> = OnceLock::new();
     H.get_or_init(|| obs::histogram("audit_report_ns"))
@@ -69,6 +85,162 @@ fn graded(flags: u8, verified: bool) -> usize {
         ),
         verified,
     ))
+}
+
+/// One quality report under construction: the involvement flags of pass
+/// 1, then the class counts of pass 2.
+///
+/// Involvement lives in dense per-row and per-cell flag arrays indexed by
+/// [`RowId::index`] below the arena, with one cell slot per constrained
+/// column ([`ReportBuilder::width`]). Marks of rows at or beyond the arena
+/// cannot be live and are ignored. Creating a builder starts the
+/// `audit_report_ns` timer; [`ReportBuilder::finish`] records it.
+pub struct ReportBuilder {
+    bound: Vec<BoundCfd>,
+    constrained: Vec<usize>,
+    /// Each CFD's attributes as positions in `constrained`.
+    cfd_slots: Vec<Vec<usize>>,
+    arena: usize,
+    row_flags: Vec<u8>,
+    cell_flags: Vec<u8>,
+    tuple_classes: [usize; 4],
+    cell_classes: Vec<[usize; 4]>,
+    live: usize,
+    names: Vec<String>,
+    _timer: obs::SpanTimer,
+}
+
+impl ReportBuilder {
+    /// A builder for `cfds` over a relation of `schema` whose live row ids
+    /// lie below `arena` (the next id the relation would assign).
+    pub fn new(schema: &Schema, arena: usize, cfds: &[Cfd]) -> CfdResult<ReportBuilder> {
+        let timer = obs::SpanTimer::new(Arc::clone(report_ns()));
+        let bound: Vec<BoundCfd> = cfds
+            .iter()
+            .map(|c| c.bind(schema))
+            .collect::<CfdResult<_>>()?;
+        let constrained = constrained_columns(&bound);
+        let width = constrained.len();
+        let cfd_slots = bound
+            .iter()
+            .map(|b| {
+                b.lhs_cols
+                    .iter()
+                    .chain(once(&b.rhs_col))
+                    .map(|c| {
+                        constrained
+                            .binary_search(c)
+                            .expect("every CFD column is constrained")
+                    })
+                    .collect()
+            })
+            .collect();
+        Ok(ReportBuilder {
+            names: constrained
+                .iter()
+                .map(|&c| schema.column(c).name.clone())
+                .collect(),
+            bound,
+            constrained,
+            cfd_slots,
+            arena,
+            row_flags: vec![0; arena],
+            cell_flags: vec![0; arena * width],
+            tuple_classes: [0; 4],
+            cell_classes: vec![[0; 4]; width],
+            live: 0,
+            _timer: timer,
+        })
+    }
+
+    /// The CFDs, bound to the schema, in report order.
+    pub fn bound(&self) -> &[BoundCfd] {
+        &self.bound
+    }
+
+    /// Number of constrained columns: the cell slots per row.
+    pub fn width(&self) -> usize {
+        self.constrained.len()
+    }
+
+    /// The cell slots of CFD `cfd_idx`'s attributes (LHS, then RHS).
+    pub fn slots(&self, cfd_idx: usize) -> &[usize] {
+        &self.cfd_slots[cfd_idx]
+    }
+
+    fn mark(&mut self, cfd_idx: usize, row: RowId, flag: u8) {
+        let i = row.index();
+        if i < self.arena {
+            let width = self.width();
+            self.row_flags[i] |= flag;
+            for &s in &self.cfd_slots[cfd_idx] {
+                self.cell_flags[i * width + s] |= flag;
+            }
+        }
+    }
+
+    /// Pass 1: `row` violates constant CFD `cfd_idx` on its own.
+    pub fn mark_single(&mut self, cfd_idx: usize, row: RowId) {
+        self.mark(cfd_idx, row, SINGLE);
+    }
+
+    /// Pass 1: `row` is a member of a violating group of CFD `cfd_idx`,
+    /// on the side of the group's strict RHS majority or not.
+    pub fn mark_member(&mut self, cfd_idx: usize, row: RowId, majority: bool) {
+        self.mark(cfd_idx, row, if majority { MAJORITY } else { MINORITY });
+    }
+
+    /// Pass 2: grade one live row. `verified` holds one flag per cell
+    /// slot: set where a constant-RHS CFD whose pattern the row matches
+    /// and satisfies names the column. The row itself is verified when
+    /// any of its cells is, since every such CFD has at least its RHS
+    /// slot.
+    pub fn grade_row(&mut self, row: RowId, verified: &[bool]) {
+        let width = self.width();
+        debug_assert_eq!(verified.len(), width);
+        let i = row.index();
+        self.live += 1;
+        self.tuple_classes[graded(self.row_flags[i], verified.contains(&true))] += 1;
+        let cells = &self.cell_flags[i * width..(i + 1) * width];
+        for ((counts, &flags), &v) in self.cell_classes.iter_mut().zip(cells).zip(verified) {
+            counts[graded(flags, v)] += 1;
+        }
+    }
+
+    /// Assemble the report from the graded rows, taking the per-CFD
+    /// counts and statistics from the detection `report`.
+    pub fn finish(self, report: &ViolationReport) -> QualityReport {
+        let n = self.live.max(1) as f64;
+        let attributes = self
+            .constrained
+            .iter()
+            .zip(self.names)
+            .zip(&self.cell_classes)
+            .map(|((&col, name), counts)| AttributeBreakdown {
+                col,
+                name,
+                fractions: counts.map(|k| k as f64 / n),
+            })
+            .collect();
+        let per_cfd = self
+            .bound
+            .iter()
+            .enumerate()
+            .map(|(i, b)| {
+                (
+                    b.cfd.to_string(),
+                    report.per_cfd.get(&i).copied().unwrap_or(0),
+                )
+            })
+            .collect();
+        QualityReport {
+            tuples: self.live,
+            tuple_classes: self.tuple_classes,
+            attributes,
+            per_cfd,
+            stats: violation_stats(report),
+        }
+    }
 }
 
 /// Build the quality report for `table` under `cfds` and a detection
@@ -104,46 +276,14 @@ pub fn quality_report_rows<'a>(
     cfds: &[Cfd],
     report: &ViolationReport,
 ) -> CfdResult<QualityReport> {
-    let _span = obs::SpanTimer::new(Arc::clone(report_ns()));
-    let bound: Vec<BoundCfd> = cfds
-        .iter()
-        .map(|c| c.bind(schema))
-        .collect::<CfdResult<_>>()?;
-    let constrained = constrained_columns(&bound);
-    let width = constrained.len();
-    // Each CFD's attributes as positions in `constrained`.
-    let cfd_slots: Vec<Vec<usize>> = bound
-        .iter()
-        .map(|b| {
-            b.lhs_cols
-                .iter()
-                .chain(once(&b.rhs_col))
-                .map(|c| {
-                    constrained
-                        .binary_search(c)
-                        .expect("every CFD column is constrained")
-                })
-                .collect()
-        })
-        .collect();
+    let mut audit = ReportBuilder::new(schema, arena, cfds)?;
 
-    // Pass 1: involvement flags from the violation members.
-    let mut row_flags = vec![0u8; arena];
-    let mut cell_flags = vec![0u8; arena * width];
-    let mut mark = |row: RowId, slots: &[usize], flag: u8| {
-        let i = row.index();
-        if i < arena {
-            row_flags[i] |= flag;
-            for &s in slots {
-                cell_flags[i * width + s] |= flag;
-            }
-        }
-    };
+    // Pass 1: involvement from the violation members; each group's
+    // majority found by counting its RHS values.
     let mut counts: HashMap<&Value, usize> = HashMap::new();
     for v in &report.violations {
-        let slots = &cfd_slots[v.cfd_idx];
         match &v.kind {
-            ViolationKind::SingleTuple { row } => mark(*row, slots, SINGLE),
+            ViolationKind::SingleTuple { row } => audit.mark_single(v.cfd_idx, *row),
             ViolationKind::MultiTuple { rows, .. } => {
                 counts.clear();
                 for (_, val) in rows.iter() {
@@ -155,70 +295,31 @@ pub fn quality_report_rows<'a>(
                     .find(|&(_, &n)| n * 2 > rows.len())
                     .map(|(&val, _)| val);
                 for (row, val) in rows.iter() {
-                    let flag = if majority == Some(val) {
-                        MAJORITY
-                    } else {
-                        MINORITY
-                    };
-                    mark(*row, slots, flag);
+                    audit.mark_member(v.cfd_idx, *row, majority == Some(val));
                 }
             }
         }
     }
 
     // Pass 2: per live row, positive verification by the constant-RHS
-    // CFDs, then every class count.
-    let constant: Vec<(&BoundCfd, &[usize])> = bound
-        .iter()
-        .zip(&cfd_slots)
-        .filter(|(b, _)| b.cfd.rhs_pat.constant().is_some())
-        .map(|(b, s)| (b, s.as_slice()))
+    // CFDs matched against its values, then its grade.
+    let constant: Vec<usize> = (0..cfds.len())
+        .filter(|&i| audit.bound()[i].cfd.rhs_pat.constant().is_some())
         .collect();
-    let mut verified = vec![false; width];
-    let mut tuple_classes = [0usize; 4];
-    let mut cell_classes = vec![[0usize; 4]; width];
-    let mut live = 0usize;
+    let mut verified = vec![false; audit.width()];
     for (id, row) in rows {
-        live += 1;
         verified.fill(false);
-        let mut verified_row = false;
-        for &(b, slots) in &constant {
+        for &i in &constant {
+            let b = &audit.bound()[i];
             if b.lhs_matches(row) && b.rhs_matches(row) {
-                verified_row = true;
-                for &s in slots {
+                for &s in audit.slots(i) {
                     verified[s] = true;
                 }
             }
         }
-        let i = id.index();
-        tuple_classes[graded(row_flags[i], verified_row)] += 1;
-        for (s, &flags) in cell_flags[i * width..(i + 1) * width].iter().enumerate() {
-            cell_classes[s][graded(flags, verified[s])] += 1;
-        }
+        audit.grade_row(id, &verified);
     }
-
-    let n = live.max(1) as f64;
-    let attributes = constrained
-        .iter()
-        .zip(&cell_classes)
-        .map(|(&col, counts)| AttributeBreakdown {
-            col,
-            name: schema.column(col).name.clone(),
-            fractions: counts.map(|k| k as f64 / n),
-        })
-        .collect();
-    let per_cfd = cfds
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.to_string(), report.per_cfd.get(&i).copied().unwrap_or(0)))
-        .collect();
-    Ok(QualityReport {
-        tuples: live,
-        tuple_classes,
-        attributes,
-        per_cfd,
-        stats: violation_stats(report),
-    })
+    Ok(audit.finish(report))
 }
 
 impl QualityReport {

@@ -660,6 +660,7 @@ impl ShardedQualityServer {
     /// keep their global ids, so this is the single-node audit of the
     /// same data, field for field.
     pub fn audit(&mut self) -> CfdResult<QualityReport> {
+        let _sp = obs::trace::span("audit.report");
         if self.last_report.is_none() {
             self.detect()?;
         }

@@ -95,6 +95,20 @@ pub(crate) struct Resolved {
     rhs_code: Option<u32>,
 }
 
+impl Resolved {
+    /// The constant LHS cells as `(column, code)` filters. Wild LHS cells
+    /// of a constant-RHS CFD match every row.
+    fn filters<'a>(&self, snap: &'a Snapshot) -> Vec<(&'a Column, u32)> {
+        self.cells
+            .iter()
+            .filter_map(|c| match c {
+                LhsCell::Filter { col, code } => Some((snap.column(*col), *code)),
+                LhsCell::Wild { .. } => None,
+            })
+            .collect()
+    }
+}
+
 /// Resolve pattern constants against the snapshot dictionaries. Returns
 /// `None` when some LHS constant does not occur in its column — then no row
 /// can match the pattern and the CFD holds vacuously.
@@ -207,15 +221,7 @@ pub(crate) fn detect_constant(
     obs::trace::note("path", "constant");
     obs::trace::note("chunks", rhs.n_chunks());
     let before = report.len();
-    let filters: Vec<(&Column, u32)> = r
-        .cells
-        .iter()
-        .filter_map(|c| match c {
-            LhsCell::Filter { col, code } => Some((snap.column(*col), *code)),
-            // Wild LHS cells of a constant-RHS CFD match every row.
-            LhsCell::Wild { .. } => None,
-        })
-        .collect();
+    let filters = r.filters(snap);
     // Codes are small sequential dictionary indices, so `u32::MAX` is a
     // safe never-matches stand-in for an RHS constant absent from the
     // dictionary (where every non-NULL code violates).
@@ -256,6 +262,46 @@ pub(crate) fn detect_constant(
         }
     }
     o.constant_violations.add((report.len() - before) as u64);
+}
+
+/// The auditor's half of a constant-RHS CFD: set `verified[pos]` for
+/// every snapshot position whose LHS filters match and whose RHS code is
+/// the pattern constant's — the rows the CFD positively verifies — and
+/// leave the other flags as they are. An RHS constant absent from the
+/// dictionary verifies nothing. One chunked code scan, through
+/// [`ChunkGuard`]s so spilled chunks fault in.
+pub(crate) fn verify_constant(snap: &Snapshot, r: &Resolved, verified: &mut [bool]) {
+    let Some(target) = r.rhs_code.filter(|&c| c != NULL_CODE) else {
+        return;
+    };
+    let rhs = snap.column(r.rhs_col);
+    let filters = r.filters(snap);
+    for ci in 0..rhs.n_chunks() {
+        let codes = rhs.chunk(ci);
+        let base = ci * rhs.chunk_rows();
+        let out = &mut verified[base..base + codes.len()];
+        let guards: Vec<(ChunkGuard<'_>, u32)> = filters
+            .iter()
+            .map(|(c, code)| (c.chunk(ci), *code))
+            .collect();
+        let fs: Vec<(&[u32], u32)> = guards
+            .iter()
+            .map(|(g, code)| (g.as_slice(), *code))
+            .collect();
+        match fs.as_slice() {
+            // The canonical shape (`[CC='44'] -> [CNT='UK']`) zips slices.
+            [(f, fc)] => {
+                for ((v, &c), &fv) in out.iter_mut().zip(codes.iter()).zip(f.iter()) {
+                    *v |= (c == target) & (fv == *fc);
+                }
+            }
+            _ => {
+                for (i, v) in out.iter_mut().enumerate() {
+                    *v |= codes[i] == target && fs.iter().all(|(f, code)| f[i] == *code);
+                }
+            }
+        }
+    }
 }
 
 /// Accumulator for one LHS group (non-NULL RHS members only).

@@ -32,6 +32,9 @@
 //!   caller reports its deltas, with a delta-threshold fallback to full
 //!   re-encode. The steady-state engine under `QualityServer::detect`,
 //!   `DataMonitor` and `batch_repair`.
+//! * [`audit_cached`] — the columnar server's auditor: the Fig. 4 quality
+//!   report assembled from the detect memo and snapshot codes, equal to
+//!   `audit::quality_report` field for field.
 
 #![warn(missing_docs)]
 
@@ -49,6 +52,8 @@ pub use self::detect::{
     detect_on_snapshot_threads, detect_one_columnar, seed_incremental,
 };
 pub use self::dictionary::{Dictionary, NULL_CODE};
-pub use self::lifecycle::{detect_cached, detect_cached_threads, SnapshotCache, TableDelta};
+pub use self::lifecycle::{
+    audit_cached, detect_cached, detect_cached_threads, SnapshotCache, TableDelta,
+};
 pub use self::snapshot::Snapshot;
 pub use self::spill::{ChunkGuard, ChunkStore, MemChunkStore, PageHandle};

@@ -31,15 +31,25 @@
 //! were touched since their fragment was computed and replays the rest —
 //! so a monitoring loop that mutates one column re-scans one rule, not
 //! the whole constraint set.
+//!
+//! The same memo serves the auditor. [`audit_cached`] builds the Fig. 4
+//! quality report from the fragments the last detect left — each
+//! constant CFD's violating rows, each violating group's members with
+//! their RHS multiplicities — plus one code scan per constant CFD over
+//! the snapshot for the rows it verifies. It reads no `Value` row and
+//! hashes no `Value`, and its memo hits are not counted as detection.
 
 use std::sync::{Arc, OnceLock};
 
+use audit::{QualityReport, ReportBuilder};
 use cfd::{BoundCfd, Cfd, CfdResult};
 use detect::fxhash::FxHashMap;
 use detect::ViolationReport;
 use minidb::{RowId, Table, Value};
 
-use crate::detect::{detect_constant, needed_columns, resolve, violating_groups, DecodedGroup};
+use crate::detect::{
+    detect_constant, needed_columns, resolve, verify_constant, violating_groups, DecodedGroup,
+};
 use crate::snapshot::Snapshot;
 use crate::spill::ChunkStore;
 
@@ -736,21 +746,45 @@ pub fn detect_cached(
         .iter()
         .map(|c| c.bind(table.schema()))
         .collect::<CfdResult<_>>()?;
-    let snap = cache.snapshot_projected(table, &needed_columns(&bound));
+    let mut report = ViolationReport::default();
+    refresh_memo(cache, table, cfds, &bound, Some(&mut report));
+    Ok(report)
+}
+
+/// Bring the memo in line with `cfds` at `table`'s current epoch and
+/// return the snapshot it describes: afterwards `cache.memo[i]` is the
+/// fresh fragment of `cfds[i]`. A stale or missing fragment is recomputed
+/// (counted and traced as a `detect.cfd` span); a fresh one is kept.
+///
+/// Detection passes its report in: every fragment, hit or recompute, is
+/// replayed into it, and hits are counted and traced too. The auditor
+/// passes `None` — its hits read a fragment the last detect already
+/// accounted for, so they leave no trace.
+fn refresh_memo(
+    cache: &mut SnapshotCache,
+    table: &Table,
+    cfds: &[Cfd],
+    bound: &[BoundCfd],
+    mut report: Option<&mut ViolationReport>,
+) -> Arc<Snapshot> {
+    let snap = cache.snapshot_projected(table, &needed_columns(bound));
     let epoch = table.epoch();
     // The memo is rebuilt per call: fresh entries for this CFD set carry
     // over, everything else (stale fragments, CFDs no longer checked) is
     // dropped — memory stays bounded by one fragment per active CFD.
     let mut old = std::mem::take(&mut cache.memo);
-    let mut report = ViolationReport::default();
     for (idx, b) in bound.iter().enumerate() {
+        let cols: Vec<usize> = b.lhs_cols.iter().copied().chain([b.rhs_col]).collect();
+        let fresh = old
+            .iter()
+            .position(|e| e.cfd == cfds[idx] && cache.fragment_fresh(e.epoch, &cols));
+        if let (Some(p), None) = (fresh, &report) {
+            cache.memo.push(old.swap_remove(p));
+            continue;
+        }
         let sp = obs::trace::span("detect.cfd");
         sp.attr("cfd", idx);
-        let cols: Vec<usize> = b.lhs_cols.iter().copied().chain([b.rhs_col]).collect();
-        let entry = match old
-            .iter()
-            .position(|e| e.cfd == cfds[idx] && cache.fragment_fresh(e.epoch, &cols))
-        {
+        let entry = match fresh {
             Some(p) => {
                 cache.fragments_reused += 1;
                 cache_obs().fragments_reused.inc();
@@ -764,10 +798,80 @@ pub fn detect_cached(
                 MemoEntry::compute(&snap, &cfds[idx], b, epoch)
             }
         };
-        entry.replay(idx, &mut report);
+        if let Some(report) = report.as_deref_mut() {
+            entry.replay(idx, report);
+        }
         cache.memo.push(entry);
     }
-    Ok(report)
+    snap
+}
+
+/// The Fig. 4 quality report of `table` under `cfds`, assembled in code
+/// space from what the last [`detect_cached`] left in the cache: the same
+/// report [`audit::quality_report`] builds from `Value`s, field for field.
+/// `report` is that detect's output; it supplies only the per-CFD counts
+/// and the statistics.
+///
+/// Fragments missing or stale for this epoch and CFD set are recomputed
+/// exactly as detection would; after a detect at the same epoch there are
+/// none. Then, with no `Value` read or hashed:
+///
+/// * **pass 1** marks each constant CFD's violating rows single, and each
+///   violating group's members majority or minority from their
+///   multiplicities — member `i` holds the strict majority iff
+///   `own[i] * 2 > len`;
+/// * **pass 2** builds a per-position "verified" cell mask with one
+///   chunked code scan per constant CFD, then grades every snapshot
+///   position.
+pub fn audit_cached(
+    cache: &mut SnapshotCache,
+    table: &Table,
+    cfds: &[Cfd],
+    report: &ViolationReport,
+) -> CfdResult<QualityReport> {
+    let mut audit = ReportBuilder::new(table.schema(), table.arena_size(), cfds)?;
+    let snap = refresh_memo(cache, table, cfds, audit.bound(), None);
+    // Pass 1: involvement straight from the fragments, no hashing.
+    for (idx, entry) in cache.memo.iter().enumerate() {
+        for &row in &entry.singles {
+            audit.mark_single(idx, row);
+        }
+        for (_, members, own) in &entry.groups {
+            let len = members.len() as u64;
+            for (&(row, _), &count) in members.iter().zip(own) {
+                audit.mark_member(idx, row, count * 2 > len);
+            }
+        }
+    }
+    // Pass 2: one "verified" flag per (cell slot, position), slot-major,
+    // ORed in from one code scan per constant CFD.
+    let (width, n) = (audit.width(), snap.n_rows());
+    let mut verified = vec![false; width * n];
+    let mut hits = vec![false; n];
+    for (idx, b) in audit.bound().iter().enumerate() {
+        if b.cfd.rhs_pat.constant().is_none() {
+            continue;
+        }
+        // An LHS constant absent from its column verifies no row.
+        let Some(r) = resolve(&snap, b) else {
+            continue;
+        };
+        hits.fill(false);
+        verify_constant(&snap, &r, &mut hits);
+        for &s in audit.slots(idx) {
+            for (v, &h) in verified[s * n..(s + 1) * n].iter_mut().zip(&hits) {
+                *v |= h;
+            }
+        }
+    }
+    let mut cells = vec![false; width];
+    for (pos, &id) in snap.row_ids().iter().enumerate() {
+        for (s, v) in cells.iter_mut().enumerate() {
+            *v = verified[s * n + pos];
+        }
+        audit.grade_row(id, &cells);
+    }
+    Ok(audit.finish(report))
 }
 
 /// [`detect_cached`]; ignores `threads`. Kept for the benchmark harness,

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
 use audit::{quality_map, quality_report, QualityMap, QualityReport};
 use cfd::{CfdError, CfdResult, Consistency};
-use colstore::{detect_cached, ChunkStore, MemChunkStore, SnapshotCache, TableDelta};
+use colstore::{audit_cached, detect_cached, ChunkStore, MemChunkStore, SnapshotCache, TableDelta};
 use detect::{detect_sql, ViolationReport};
 use discovery::{mine_constant_cfds, mine_variable_cfds, CtaneConfig, MinerConfig};
 use explore::{inspect_tuple, CfdRelevance, NavigationSession, ReviewSession};
@@ -146,8 +146,10 @@ impl QualityServer {
         &self.engine
     }
 
-    /// Mutable access to the constraint engine.
+    /// Mutable access to the constraint engine. Drops the cached report:
+    /// it may no longer describe the engine's rules.
     pub fn engine_mut(&mut self) -> &mut ConstraintEngine {
+        self.last_report = None;
         &mut self.engine
     }
 
@@ -307,29 +309,49 @@ impl QualityServer {
         self.last_report.as_ref()
     }
 
-    fn require_report(&mut self) -> CfdResult<ViolationReport> {
-        match &self.last_report {
-            Some(r) => Ok(r.clone()),
-            None => self.detect(),
+    /// Run detection unless a report for the current data is cached.
+    fn ensure_report(&mut self) -> CfdResult<()> {
+        if self.last_report.is_none() {
+            self.detect()?;
         }
+        Ok(())
     }
 
-    /// Data auditor: the Fig. 4 quality report.
+    /// Data auditor: the Fig. 4 quality report over the cached detection
+    /// report (detecting first if none is cached).
+    ///
+    /// Under [`DetectorKind::Columnar`] the report is assembled from the
+    /// snapshot cache's detect memo and snapshot codes
+    /// ([`colstore::audit_cached`]); no row's `Value`s are read. The SQL
+    /// detector keeps no memo, so its audit matches values
+    /// ([`quality_report`]).
     pub fn audit(&mut self) -> CfdResult<QualityReport> {
-        let report = self.require_report()?;
-        quality_report(self.table()?, self.engine.cfds(), &report)
+        let _sp = obs::trace::span("audit.report");
+        self.ensure_report()?;
+        // Disjoint field borrows: the report and the table are read while
+        // the cache is written; nothing is cloned.
+        let report = self.last_report.as_ref().expect("detect caches its report");
+        let table = self.db.table(&self.relation).map_err(db_err)?;
+        match self.config.detector {
+            DetectorKind::Sql => quality_report(table, self.engine.cfds(), report),
+            DetectorKind::Columnar => {
+                audit_cached(&mut self.snapshots, table, self.engine.cfds(), report)
+            }
+        }
     }
 
     /// Data auditor: the Fig. 3 quality map.
     pub fn map(&mut self) -> CfdResult<QualityMap> {
-        let report = self.require_report()?;
-        Ok(quality_map(self.table()?, &report))
+        self.ensure_report()?;
+        let report = self.last_report.as_ref().expect("detect caches its report");
+        Ok(quality_map(self.table()?, report))
     }
 
     /// Data explorer: open the Fig. 2 navigation over the cached report.
     /// (Runs detection first if needed.)
     pub fn navigate(&mut self) -> CfdResult<(ViolationReport, Vec<cfd::Cfd>)> {
-        let report = self.require_report()?;
+        self.ensure_report()?;
+        let report = self.last_report.clone().expect("detect caches its report");
         Ok((report, self.engine.cfds().to_vec()))
     }
 
@@ -346,8 +368,9 @@ impl QualityServer {
 
     /// Data explorer: reverse inspection of one tuple.
     pub fn inspect(&mut self, row: RowId) -> CfdResult<Vec<CfdRelevance>> {
-        let report = self.require_report()?;
-        inspect_tuple(self.table()?, self.engine.cfds(), &report, row)
+        self.ensure_report()?;
+        let report = self.last_report.as_ref().expect("detect caches its report");
+        inspect_tuple(self.table()?, self.engine.cfds(), report, row)
     }
 
     /// Data cleanser: run batch repair; invalidates the cached report.

@@ -3,7 +3,10 @@
 //! default columnar detector), `ShardedQualityServer` (hash and
 //! round-robin routers, shard counts 1/3/5) and `DataMonitor` — and every
 //! backend must produce `normalized()`-equal violation reports, equal
-//! audit dirty fractions and equal row counts at every step.
+//! quality reports (every field) and equal row counts at every step. The
+//! server audits in code space from its detect memo while the cluster and
+//! the monitor match values, so this also pins the two audit paths to
+//! each other on all eight backends.
 //! Repair-capable backends (the server and all six cluster configs)
 //! additionally run the script's `Repair` step, must end with an
 //! all-clean `audit()` and pairwise-equal repaired tables; the monitor
@@ -15,6 +18,7 @@
 use semandaq::api::{
     dispatch, dispatch_line, Mutation, MutationBatch, QualityBackend, Request, Response,
 };
+use semandaq::audit::QualityReport;
 use semandaq::cfd::CfdError;
 use semandaq::cluster::{HashRouter, RoundRobinRouter, ShardRouter, ShardedQualityServer};
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
@@ -109,12 +113,12 @@ fn table_rows(t: &Table) -> TableRows {
     rows
 }
 
-/// One observed step: the normalized report, the audit dirty fraction and
+/// One observed step: the normalized report, the whole quality report and
 /// the row count after the step.
 #[derive(Debug, PartialEq)]
 struct Step {
     report: ViolationReport,
-    dirty_fraction: f64,
+    audit: QualityReport,
     rows: usize,
 }
 
@@ -132,10 +136,10 @@ fn run_script(b: &mut dyn QualityBackend) -> Vec<Step> {
             .expect("report cached after detect")
             .normalized();
         assert_eq!(cached, report, "last_report == detect");
-        let dirty_fraction = b.audit().expect("audit").dirty_fraction();
+        let audit = b.audit().expect("audit");
         steps.push(Step {
             report,
-            dirty_fraction,
+            audit,
             rows: b.len(),
         });
     };
@@ -183,7 +187,7 @@ fn run_script(b: &mut dyn QualityBackend) -> Vec<Step> {
         observe(b);
         let last = steps.last().unwrap();
         assert!(last.report.is_empty(), "all-clean after repair");
-        assert_eq!(last.dirty_fraction, 0.0);
+        assert_eq!(last.audit.dirty_fraction(), 0.0);
     }
     steps
 }
@@ -199,7 +203,7 @@ fn all_backends_agree_on_the_shared_script() {
         !reference[0].report.is_empty(),
         "the workload has violations to find"
     );
-    assert!(reference[0].dirty_fraction > 0.0);
+    assert!(reference[0].audit.dirty_fraction() > 0.0);
     let ref_table = table_rows(&all[0].1.table().expect("server exposes its table"));
     for (label, b) in &mut all[1..] {
         let capable = b.as_dyn().capabilities().repair;

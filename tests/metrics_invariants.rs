@@ -293,6 +293,26 @@ fn one_audit_report_sample_per_audit_dispatch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The columnar audit reads the fragments the last detect left: after a
+/// detect at an unchanged epoch it neither computes nor counts a reuse of
+/// a single fragment — those counters describe detection.
+#[test]
+fn audit_after_detect_touches_no_fragment_counter() {
+    let _g = lock();
+    let computed = semandaq::obs::counter("colstore_detect_fragments_computed_total");
+    let reused = semandaq::obs::counter("colstore_detect_fragments_reused_total");
+    let d = dirty_customers(300, 0.05, 317);
+    let mut s = QualityServer::new(d.db, "customer").unwrap();
+    s.register_cfds(CANONICAL_CFDS).unwrap();
+    s.detect().unwrap();
+    s.detect().unwrap();
+    let (c0, r0) = (computed.get(), reused.get());
+    s.audit().unwrap();
+    s.audit().unwrap();
+    assert_eq!(computed.get() - c0, 0, "audit computes no fragment");
+    assert_eq!(reused.get() - r0, 0, "audit counts no fragment reuse");
+}
+
 #[test]
 fn one_capture_sample_per_published_epoch() {
     let _g = lock();

@@ -4,15 +4,26 @@
 //! patched snapshot's `detect_on_snapshot` report equals a fresh
 //! `detect_native` after *every* step — and a zero-threshold cache, which
 //! re-encodes on every mutation (the delta-threshold fallback path),
-//! produces the identical report at every step too.
+//! produces the identical report at every step too. The audit built from
+//! the same cache (`audit_cached`, the columnar server's `audit()`)
+//! equals the value-space `quality_report` oracle after every step of
+//! random mutation, batch, rule-registration and repair streams, spilled
+//! snapshots included.
 
 mod common;
 
-use common::{arb_cfds, arb_table, COLS};
+use common::{arb_cfds, arb_table, db_with, COLS};
 use proptest::prelude::*;
-use semandaq::colstore::{detect_cached, detect_on_snapshot, SnapshotCache};
+use semandaq::api::{apply_mutation, Mutation, MutationBatch};
+use semandaq::audit::{quality_report, QualityReport};
+use semandaq::cfd::parse::parse_cfds;
+use semandaq::colstore::{
+    audit_cached, detect_cached, detect_on_snapshot, MemChunkStore, SnapshotCache,
+};
+use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
 use semandaq::detect::detect_native;
 use semandaq::minidb::{RowId, Schema, Table, Value};
+use semandaq::system::{QualityServer, ServerConfig};
 
 /// One step of a random update stream. Row/column choices are indexes
 /// reduced modulo the live population at apply time, so every generated
@@ -59,15 +70,18 @@ fn arb_cell() -> impl Strategy<Value = Cell> {
     ]
 }
 
-fn arb_ops(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
-    let op = prop_oneof![
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
         3 => proptest::collection::vec(arb_cell(), 4).prop_map(Op::Insert),
         1 => Just(Op::InsertAllNull),
         2 => (0usize..64).prop_map(Op::Delete),
         4 => ((0usize..64), (0usize..4), arb_cell())
             .prop_map(|(row, col, val)| Op::SetCell { row, col, val }),
-    ];
-    proptest::collection::vec(op, 1..max_ops)
+    ]
+}
+
+fn arb_ops(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(arb_op(), 1..max_ops)
 }
 
 /// Apply `op` to `table`, reporting the mutation to every cache in
@@ -201,7 +215,6 @@ proptest! {
 /// invisible to the consumer.
 #[test]
 fn threshold_crossing_rebuilds_and_stays_correct() {
-    use semandaq::cfd::parse::parse_cfds;
     let mut table = Table::new("r", Schema::of_strings(&COLS));
     for i in 0..40 {
         table
@@ -243,4 +256,262 @@ fn threshold_crossing_rebuilds_and_stays_correct() {
         "600 patches must cross the delta threshold at least once"
     );
     assert!(cache.patches() > 0, "and still patch between rebuilds");
+}
+
+// ------------------------------------------------------------------ audit
+//
+// The columnar server audits from the detect memo and snapshot codes
+// (`colstore::audit_cached`). After every step of a random stream its
+// report must equal the value-space oracle's, field for field.
+
+/// The audit's CFD pool, one rule per line: variable rules with
+/// NULL-prone LHS and RHS columns, constant rules, a constant absent from
+/// every dictionary (`'zz'`), a multi-filter constant LHS, and
+/// filter-only variable rules. Small domains make tied groups (no strict
+/// majority) common.
+const AUDIT_POOL: [&str; 10] = [
+    "r: [A] -> [B]",
+    "r: [A, C] -> [D]",
+    "r: [B] -> [C]",
+    "r: [A='a0'] -> [C='c0']",
+    "r: [B='b1'] -> [D='d1']",
+    "r: [C='c1', D='d2'] -> [A='a1']",
+    "r: [A='zz'] -> [B='b0']",
+    "r: [B='b2'] -> [A='zz']",
+    "r: [C='c0'] -> [D=_]",
+    "r: [D='d0'] -> [B=_]",
+];
+
+/// Field-for-field equality with the oracle: `quality_report` over a
+/// fresh native detect of the same table and rules.
+fn assert_audit_matches_oracle(got: &QualityReport, table: &Table, cfds_text: &str, when: &str) {
+    let cfds = parse_cfds(cfds_text).unwrap();
+    let want = quality_report(table, &cfds, &detect_native(table, &cfds).unwrap()).unwrap();
+    assert_eq!(got.tuples, want.tuples, "tuples {when}");
+    assert_eq!(
+        got.tuple_classes, want.tuple_classes,
+        "tuple_classes {when}"
+    );
+    assert_eq!(got.attributes, want.attributes, "attributes {when}");
+    assert_eq!(got.per_cfd, want.per_cfd, "per_cfd {when}");
+    assert_eq!(got.stats, want.stats, "stats {when}");
+}
+
+/// The server's registered rules as parseable text.
+fn rules_text(s: &QualityServer) -> String {
+    s.engine()
+        .cfds()
+        .iter()
+        .map(|c| c.to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// One step of a server-level stream.
+#[derive(Debug, Clone)]
+enum ServerOp {
+    Row(Op),
+    /// A mutation batch: inserts, deletes and cell sets in one apply.
+    Batch(Vec<Op>),
+    /// Register one more rule from [`AUDIT_POOL`].
+    Register(usize),
+    Repair,
+}
+
+fn arb_server_ops(max_ops: usize) -> impl Strategy<Value = Vec<ServerOp>> {
+    let op = prop_oneof![
+        6 => arb_op().prop_map(ServerOp::Row),
+        2 => arb_ops(6).prop_map(ServerOp::Batch),
+        1 => (0usize..AUDIT_POOL.len()).prop_map(ServerOp::Register),
+        1 => Just(ServerOp::Repair),
+    ];
+    proptest::collection::vec(op, 1..max_ops)
+}
+
+/// Turn generated row ops into server mutations, resolving row picks
+/// against the live ids as the batch will see them (a delete retires its
+/// id, so no later op of the batch targets it).
+fn to_mutations(table: &Table, ops: &[Op], fresh: &mut u32) -> Vec<Mutation> {
+    let mut ids = table.row_ids();
+    let mut out = Vec::new();
+    for op in ops {
+        match op {
+            Op::Insert(cells) => out.push(Mutation::Insert(
+                cells
+                    .iter()
+                    .enumerate()
+                    .map(|(c, cell)| cell.value(c, fresh))
+                    .collect(),
+            )),
+            Op::InsertAllNull => out.push(Mutation::Insert(vec![Value::Null; 4])),
+            Op::Delete(i) if !ids.is_empty() => {
+                let id = ids.swap_remove(i % ids.len());
+                out.push(Mutation::Delete(id));
+            }
+            Op::SetCell { row, col, val } if !ids.is_empty() => out.push(Mutation::SetCell {
+                row: ids[row % ids.len()],
+                col: *col,
+                value: val.value(*col, fresh),
+            }),
+            _ => {}
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The server's code-space audit equals the oracle after every step
+    /// of a random stream of single mutations, batches, rule
+    /// registrations and repairs.
+    #[test]
+    fn cached_audit_equals_oracle_after_every_step(
+        table in arb_table(24),
+        first in proptest::collection::vec(0usize..AUDIT_POOL.len(), 1..5),
+        ops in arb_server_ops(16),
+    ) {
+        let mut server = QualityServer::new(db_with(table), "r").unwrap();
+        for &i in &first {
+            server.register_cfds(AUDIT_POOL[i]).unwrap();
+        }
+        let mut fresh = 0u32;
+        for op in &ops {
+            match op {
+                ServerOp::Row(op) => {
+                    let muts = to_mutations(server.table().unwrap(), std::slice::from_ref(op), &mut fresh);
+                    for m in muts {
+                        apply_mutation(&mut server, m).unwrap();
+                    }
+                }
+                ServerOp::Batch(ops) => {
+                    let mutations = to_mutations(server.table().unwrap(), ops, &mut fresh);
+                    server.apply_batch(MutationBatch { mutations }).unwrap();
+                }
+                ServerOp::Register(i) => {
+                    let already = rules_text(&server).lines().any(|l| l == AUDIT_POOL[*i]);
+                    if !already {
+                        server.register_cfds(AUDIT_POOL[*i]).unwrap();
+                    }
+                }
+                ServerOp::Repair => {
+                    server.repair().unwrap();
+                }
+            }
+            let got = server.audit().unwrap();
+            assert_audit_matches_oracle(&got, server.table().unwrap(), &rules_text(&server), &format!("after {op:?}"));
+        }
+    }
+
+    /// `audit_cached` over a cache that spills every sealed chunk
+    /// (two-row chunks, zero resident budget) and over a cache whose
+    /// every mutation forces a rebuild still equals the oracle.
+    #[test]
+    fn spilled_and_rebuilt_audits_equal_oracle(
+        table in arb_table(24),
+        picks in proptest::collection::vec(0usize..AUDIT_POOL.len(), 1..=AUDIT_POOL.len()),
+        ops in arb_ops(16),
+    ) {
+        let mut picked: Vec<&str> = Vec::new();
+        for i in picks {
+            if !picked.contains(&AUDIT_POOL[i]) {
+                picked.push(AUDIT_POOL[i]);
+            }
+        }
+        let text = picked.join("\n");
+        let cfds = parse_cfds(&text).unwrap();
+        let mut table = table;
+        let mut spilled = SnapshotCache::new()
+            .with_chunk_rows(2)
+            .with_spill(MemChunkStore::shared(), 0);
+        let mut rebuilt = SnapshotCache::new().with_delta_threshold(0.0);
+        let mut fresh = 0u32;
+        let step = |table: &Table, caches: [&mut SnapshotCache; 2], when: &str| {
+            for cache in caches {
+                let report = detect_cached(cache, table, &cfds).unwrap();
+                let got = audit_cached(cache, table, &cfds, &report).unwrap();
+                assert_audit_matches_oracle(&got, table, &text, when);
+            }
+        };
+        step(&table, [&mut spilled, &mut rebuilt], "initially");
+        for op in &ops {
+            if apply(&mut table, &mut [&mut spilled, &mut rebuilt], op, &mut fresh) {
+                step(&table, [&mut spilled, &mut rebuilt], &format!("after {op:?}"));
+            }
+        }
+        if table.len() >= 4 {
+            prop_assert!(spilled.spilled_chunks() > 0, "sealed chunks were spilled");
+        }
+    }
+}
+
+/// The pool is consistent as a whole, so no registration in the streams
+/// above is refused.
+#[test]
+fn audit_pool_is_consistent() {
+    let mut server =
+        QualityServer::new(db_with(Table::new("r", Schema::of_strings(&COLS))), "r").unwrap();
+    let verdict = server.register_cfds(&AUDIT_POOL.join("\n")).unwrap();
+    assert!(verdict.is_consistent());
+}
+
+/// A group split evenly between two RHS values has no strict majority:
+/// every member is dirty on both paths. One more vote flips the majority
+/// side to arguably clean.
+#[test]
+fn tied_group_has_no_majority_on_the_cached_path() {
+    let mut t = Table::new("r", Schema::of_strings(&COLS));
+    for b in ["b0", "b1", "b0", "b1"] {
+        t.insert(vec![
+            Value::str("a0"),
+            Value::str(b),
+            Value::str("c0"),
+            Value::str("d0"),
+        ])
+        .unwrap();
+    }
+    let mut server = QualityServer::new(db_with(t), "r").unwrap();
+    server.register_cfds("r: [A] -> [B]").unwrap();
+    let tied = server.audit().unwrap();
+    assert_eq!(tied.tuple_classes, [0, 0, 0, 4]);
+    assert_audit_matches_oracle(&tied, server.table().unwrap(), "r: [A] -> [B]", "tied");
+    let donor = server.table().unwrap().get(RowId(0)).unwrap().to_vec();
+    server.insert(donor).unwrap();
+    let flipped = server.audit().unwrap();
+    assert_eq!(flipped.tuple_classes, [0, 0, 3, 2]);
+    assert_audit_matches_oracle(
+        &flipped,
+        server.table().unwrap(),
+        "r: [A] -> [B]",
+        "flipped",
+    );
+}
+
+/// The server path over a snapshot whose sealed chunks live in the spill
+/// store (a memory budget far below the data): the audit faults them in
+/// and still equals the oracle, before and after mutations and a repair.
+#[test]
+fn server_audit_over_a_spilled_snapshot_equals_oracle() {
+    let d = dirty_customers(9_000, 0.05, 23);
+    let mut server = QualityServer::new(d.db, "customer")
+        .unwrap()
+        .with_config(ServerConfig {
+            mem_budget: Some(1),
+            ..ServerConfig::default()
+        });
+    server.register_cfds(CANONICAL_CFDS).unwrap();
+    let check = |s: &mut QualityServer, when: &str| {
+        let got = s.audit().unwrap();
+        assert_audit_matches_oracle(&got, s.table().unwrap(), &rules_text(s), when);
+    };
+    check(&mut server, "cold");
+    assert!(server.spilled_chunks() > 0, "the budget forces a spill");
+    let ids = server.table().unwrap().row_ids();
+    server
+        .update_cell(ids[17], 2, Value::str("NOWHERE"))
+        .unwrap();
+    server.delete(ids[4_500]).unwrap();
+    check(&mut server, "after mutations");
+    server.repair().unwrap();
+    check(&mut server, "after repair");
 }

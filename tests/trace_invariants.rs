@@ -243,6 +243,70 @@ fn detect_spans_carry_grouping_path_on_the_request_thread() {
     );
 }
 
+/// Does span `id` sit anywhere below span `ancestor`?
+fn descends_from(report: &TraceReport, id: u64, ancestor: u64) -> bool {
+    let mut at = id;
+    while let Some(s) = report.spans.iter().find(|s| s.id == at) {
+        if s.parent == ancestor {
+            return true;
+        }
+        at = s.parent;
+    }
+    false
+}
+
+/// A single-node Audit over a cached report is one `audit.report` span
+/// under the request with no detection below it: the columnar audit reads
+/// the detect memo instead of re-running it. Without a cached report the
+/// same span carries the detect it needs.
+#[test]
+fn cached_single_node_audit_traces_no_detection() {
+    let _g = lock();
+    let _t = trace_on();
+    let d = dirty_customers(ROWS, 0.05, SEED);
+    let mut s = QualityServer::new(d.db.clone(), "customer").unwrap();
+    dispatch_line(
+        &mut s,
+        &Request::RegisterCfds {
+            text: CANONICAL_CFDS.to_string(),
+        }
+        .encode(),
+    );
+    // Audit with no cached report: the detect runs inside the audit span.
+    dispatch_line(&mut s, &Request::Audit.encode());
+    let cold = trace::last_trace().unwrap();
+    assert_eq!(cold.name, "api.audit");
+    assert_coherent_tree(&cold, "cold audit");
+    let span = cold
+        .spans
+        .iter()
+        .find(|s| s.name == "audit.report")
+        .expect("audit.report span");
+    assert!(
+        cold.spans
+            .iter()
+            .any(|c| c.name == "detect.cfd" && descends_from(&cold, c.id, span.id)),
+        "an audit without a cached report detects under its span"
+    );
+
+    // Audit again: the report and the memo are cached.
+    dispatch_line(&mut s, &Request::Audit.encode());
+    let warm = trace::last_trace().unwrap();
+    assert_eq!(warm.name, "api.audit");
+    assert_coherent_tree(&warm, "cached audit");
+    let spans: Vec<_> = warm
+        .spans
+        .iter()
+        .filter(|s| s.name == "audit.report")
+        .collect();
+    assert_eq!(spans.len(), 1, "exactly one audit.report span");
+    assert_eq!(spans[0].parent, warm.root().unwrap().id);
+    assert!(
+        !warm.spans.iter().any(|c| c.name == "detect.cfd"),
+        "a cached audit runs no detection"
+    );
+}
+
 /// The flight recorder retains exactly the last `ring_capacity()` traces,
 /// oldest evicted first.
 #[test]
