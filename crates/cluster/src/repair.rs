@@ -28,7 +28,7 @@
 //! immediately (point writes keep the loop's reads coherent), while the
 //! snapshot bookkeeping is **batched per shard per round**: each shard
 //! accumulates its round's cell deltas and replays them in one
-//! [`SnapshotCache::note_set_cells`] call before the next detect — every
+//! [`SnapshotCache::note_batch`] call before the next detect — every
 //! shard's cached snapshot stays patched in lock-step, and no round
 //! re-encodes. Active-domain statistics are merged across the shards'
 //! snapshot dictionaries ([`colstore::Column::value_counts`]), decoding
@@ -42,9 +42,10 @@
 //! property).
 //!
 //! [`CellChange`]: repair::CellChange
-//! [`SnapshotCache::note_set_cells`]: colstore::SnapshotCache::note_set_cells
+//! [`SnapshotCache::note_batch`]: colstore::SnapshotCache::note_batch
 
 use cfd::{BoundCfd, Cfd, CfdResult};
+use colstore::TableDelta;
 use detect::fxhash::FxHashMap;
 use detect::ViolationReport;
 use minidb::{RowId, Schema, Value};
@@ -105,22 +106,21 @@ struct ClusterStore<'a> {
     /// Per-shard cell edits applied to the shard *tables* but not yet
     /// replayed into the shard snapshots — the round's per-shard mutation
     /// batch, flushed before anything reads derived state.
-    pending: Vec<Vec<(RowId, usize)>>,
+    pending: Vec<Vec<TableDelta>>,
 }
 
 impl ClusterStore<'_> {
     /// Replay every shard's accumulated cell batch into its snapshot
     /// cache: one epoch-gap check and one patch pass per touched shard
-    /// ([`colstore::SnapshotCache::note_set_cells`]), instead of per-cell
-    /// bookkeeping — the repair-side analogue of `apply_batch`'s
-    /// `note_batch`.
+    /// ([`colstore::SnapshotCache::note_batch`]), the same replay
+    /// `apply_batch` uses.
     fn flush(&mut self) {
         for (sid, cells) in self.pending.iter_mut().enumerate() {
             if cells.is_empty() {
                 continue;
             }
             let shard = &mut self.cluster.shards[sid];
-            shard.cache.note_set_cells(&shard.table, cells);
+            shard.cache.note_batch(&shard.table, cells);
             cells.clear();
         }
     }
@@ -144,7 +144,7 @@ impl RepairStore for ClusterStore<'_> {
         let sid = self.cluster.owning_shard(id)?;
         let shard = &mut self.cluster.shards[sid];
         let old = shard.table.update_cell(id, col, value).map_err(db_err)?;
-        self.pending[sid].push((id, col));
+        self.pending[sid].push(TableDelta::CellSet(id, col));
         self.cluster.last_report = None;
         Ok(old)
     }

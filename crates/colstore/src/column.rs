@@ -247,12 +247,6 @@ impl Column {
     // Dictionaries only grow; codes of values no longer present simply go
     // unreferenced until the owning cache decides on a full rebuild.
 
-    /// Append one cell, interning its value into the existing dictionary.
-    /// O(1): a tail push, sealing the tail into a fresh `Arc` when full.
-    pub(crate) fn push_value(&mut self, v: &Value) {
-        self.appender(1).push(v);
-    }
-
     /// Overwrite the cell at `pos`, interning the new value.
     pub(crate) fn set_value(&mut self, pos: usize, v: &Value) {
         let code = Arc::make_mut(&mut self.dict).intern(v);
@@ -307,9 +301,8 @@ impl Column {
     }
 
     /// Unshare the dictionary **once** and hand out an appender for a
-    /// whole batch of pushes — the per-cell [`Column::push_value`] pays
-    /// the dictionary's copy-on-write check on every call; a bulk path
-    /// pays it here, once.
+    /// whole batch of pushes: the dictionary's copy-on-write check is paid
+    /// here, not per cell.
     pub(crate) fn appender(&mut self, reserve: usize) -> ColumnAppender<'_> {
         let dict = Arc::make_mut(&mut self.dict);
         self.tail
@@ -475,7 +468,7 @@ mod tests {
         let before = c.clone();
         // Appends touch only the (empty) tail: the handed-out clone keeps
         // sharing both sealed chunks, no copy-on-write of existing codes.
-        c.push_value(&Value::str("new"));
+        c.appender(1).push(&Value::str("new"));
         assert_eq!(c.len(), 5);
         assert_eq!(before.len(), 4, "clone unaffected");
         assert_eq!(

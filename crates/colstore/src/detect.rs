@@ -28,7 +28,6 @@
 
 use cfd::{BoundCfd, Cfd, CfdResult, Pattern};
 use detect::exchange::{CfdPartial, GroupPartial};
-use detect::incremental::CfdSeed;
 use detect::{IncrementalDetector, ViolationReport};
 use minidb::{RowId, Table, Value};
 
@@ -403,66 +402,44 @@ impl ConflictState for HashedState {
 /// storage: pass 1 folds every LHS-matching row's RHS code into its key's
 /// state; pass 2 — entered only when some key conflicted — re-labels
 /// conflicted slots with group output indexes on first touch
-/// ([`GROUP_MARK`]) and collects members. Both passes walk the columns
-/// chunk by chunk; recorded positions are global.
-// Parallel chunk slices are indexed by one shared chunk-local position
-// throughout; an enumerate-based rewrite would obscure that.
-#[allow(clippy::needless_range_loop)]
+/// ([`GROUP_MARK`]) and collects members. Both passes are
+/// [`for_each_member`] scans; recorded positions are global.
 fn packed_violating_groups<S: ConflictState>(
     scan: &Scan<'_>,
     rhs: &Column,
     mut state: S,
 ) -> Vec<(Key, Group)> {
-    for ci in 0..rhs.n_chunks() {
-        let guards = scan.at(ci);
-        let cs = guards.scan();
-        let codes = rhs.chunk(ci);
-        for i in 0..codes.len() {
-            let Some(key) = cs.packed_key(i) else {
-                continue;
-            };
-            let rc = codes[i];
-            if rc != NULL_CODE {
-                state.advance(key, rc);
-            }
+    for_each_member(scan, rhs, |cs, i, _, rc| {
+        if let Some(key) = cs.packed_key(i) {
+            state.advance(key, rc);
         }
-    }
+    });
     let mut groups: Vec<(Key, Group)> = Vec::new();
     if !state.any_conflict() {
         return groups;
     }
-    for ci in 0..rhs.n_chunks() {
-        let guards = scan.at(ci);
-        let cs = guards.scan();
-        let codes = rhs.chunk(ci);
-        let base = (ci * rhs.chunk_rows()) as u32;
-        for i in 0..codes.len() {
-            let Some(key) = cs.packed_key(i) else {
-                continue;
-            };
-            let rc = codes[i];
-            if rc == NULL_CODE {
-                continue;
-            }
-            let Some(s) = state.get_state(key) else {
-                continue;
-            };
-            // Conflicted slots are re-labelled with their output index on
-            // first touch (high bit set); dictionary codes never reach the
-            // high bit.
-            let idx = if *s == CONFLICT {
-                let idx = groups.len();
-                groups.push((Key::Packed(key), Group::default()));
-                *s = GROUP_MARK | idx as u32;
-                idx
-            } else if *s & GROUP_MARK != 0 {
-                (*s & !GROUP_MARK) as usize
-            } else {
-                continue; // clean group
-            };
-            groups[idx].1.add(base + i as u32, rc);
-        }
-    }
+    for_each_member(scan, rhs, |cs, i, pos, rc| {
+        let Some(key) = cs.packed_key(i) else {
+            return;
+        };
+        let Some(s) = state.get_state(key) else {
+            return;
+        };
+        // Conflicted slots are re-labelled with their output index on
+        // first touch (high bit set); dictionary codes never reach the
+        // high bit.
+        let idx = if *s == CONFLICT {
+            let idx = groups.len();
+            groups.push((Key::Packed(key), Group::default()));
+            *s = GROUP_MARK | idx as u32;
+            idx
+        } else if *s & GROUP_MARK != 0 {
+            (*s & !GROUP_MARK) as usize
+        } else {
+            return; // clean group
+        };
+        groups[idx].1.add(pos, rc);
+    });
     groups
 }
 
@@ -693,91 +670,71 @@ enum Key {
 /// Row filtering and key packing are [`ChunkScan`]'s — the same
 /// `packed_key` / `wide_key` the detection path scans with, so the
 /// seeding, export, and detection paths group by construction-identical
-/// keys.
-// Parallel chunk slices are indexed by one shared chunk-local position
-// throughout; an enumerate-based rewrite would obscure that.
-#[allow(clippy::needless_range_loop)]
+/// keys. The three group stores (dense, hashed `u64`, wide) differ only in
+/// how a member finds its group; the scan is [`for_each_member`]'s.
 fn group_by_codes(snap: &Snapshot, r: &Resolved) -> Vec<(Key, Group)> {
     let scan = Scan::new(snap, r);
     let rhs = snap.column(r.rhs_col);
-    let chunk_rows = rhs.chunk_rows();
-    let n = snap.n_rows();
-
-    if let Some(total_bits) = scan.packed_bits() {
-        // Dense path: when the packed key space is small relative to the
-        // data, index a plain vector — grouping without any hashing. Group
-        // slots are an order of magnitude wider than the u32 state of the
-        // detection path, so the absolute ceiling is tighter.
-        let slots = 1u64 << total_bits.min(63);
-        if slots <= (2 * n as u64).clamp(4_096, MAX_DENSE_GROUP_SLOTS) {
-            let mut groups: Vec<Group> = Vec::new();
-            groups.resize_with(slots as usize, Group::default);
-            for ci in 0..rhs.n_chunks() {
-                let guards = scan.at(ci);
-                let cs = guards.scan();
-                let codes = rhs.chunk(ci);
-                let base = (ci * chunk_rows) as u32;
-                for i in 0..codes.len() {
-                    let Some(key) = cs.packed_key(i) else {
-                        continue;
-                    };
-                    let rc = codes[i];
-                    if rc == NULL_CODE {
-                        continue; // COUNT(DISTINCT) ignores NULL members
-                    }
-                    groups[key as usize].add(base + i as u32, rc);
-                }
+    let Some(total_bits) = scan.packed_bits() else {
+        let mut groups: FxHashMap<Box<[u32]>, Group> = FxHashMap::default();
+        for_each_member(&scan, rhs, |cs, i, pos, rc| {
+            if let Some(key) = cs.wide_key(i) {
+                groups.entry(key).or_default().add(pos, rc);
             }
-            return groups
-                .into_iter()
-                .enumerate()
-                .filter(|(_, g)| !g.rows.is_empty())
-                .map(|(k, g)| (Key::Packed(k as u64), g))
-                .collect();
-        }
-        // Hashed path: pack the whole key into one u64.
+        });
+        return groups.into_iter().map(|(k, g)| (Key::Wide(k), g)).collect();
+    };
+    // Dense when the packed key space is small relative to the data: a
+    // plain vector, grouping without any hashing. Group slots are an order
+    // of magnitude wider than the u32 state of the detection path, so the
+    // absolute ceiling is tighter.
+    let slots = 1u64 << total_bits.min(63);
+    if slots <= (2 * snap.n_rows() as u64).clamp(4_096, MAX_DENSE_GROUP_SLOTS) {
+        let mut groups: Vec<Group> = Vec::new();
+        groups.resize_with(slots as usize, Group::default);
+        for_each_member(&scan, rhs, |cs, i, pos, rc| {
+            if let Some(key) = cs.packed_key(i) {
+                groups[key as usize].add(pos, rc);
+            }
+        });
+        groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, g)| !g.rows.is_empty())
+            .map(|(k, g)| (Key::Packed(k as u64), g))
+            .collect()
+    } else {
         let mut groups: FxHashMap<u64, Group> = FxHashMap::default();
-        for ci in 0..rhs.n_chunks() {
-            let guards = scan.at(ci);
-            let cs = guards.scan();
-            let codes = rhs.chunk(ci);
-            let base = (ci * chunk_rows) as u32;
-            for i in 0..codes.len() {
-                let Some(key) = cs.packed_key(i) else {
-                    continue;
-                };
-                let rc = codes[i];
-                if rc == NULL_CODE {
-                    continue;
-                }
-                groups.entry(key).or_default().add(base + i as u32, rc);
+        for_each_member(&scan, rhs, |cs, i, pos, rc| {
+            if let Some(key) = cs.packed_key(i) {
+                groups.entry(key).or_default().add(pos, rc);
             }
-        }
+        });
         groups
             .into_iter()
             .map(|(k, g)| (Key::Packed(k), g))
             .collect()
-    } else {
-        // Wide path: materialize the code key (NULL-RHS rows are skipped
-        // before the key allocation).
-        let mut groups: FxHashMap<Box<[u32]>, Group> = FxHashMap::default();
-        for ci in 0..rhs.n_chunks() {
-            let guards = scan.at(ci);
-            let cs = guards.scan();
-            let codes = rhs.chunk(ci);
-            let base = (ci * chunk_rows) as u32;
-            for i in 0..codes.len() {
-                let rc = codes[i];
-                if rc == NULL_CODE {
-                    continue;
-                }
-                let Some(key) = cs.wide_key(i) else {
-                    continue;
-                };
-                groups.entry(key).or_default().add(base + i as u32, rc);
+    }
+}
+
+/// The grouping scan, written once: call `visit(chunk, i, pos, rhs_code)`
+/// for every row whose RHS is non-NULL (`COUNT(DISTINCT)` ignores NULL
+/// members), chunk by chunk — `i` is the chunk-local position `chunk`'s
+/// key methods take, `pos` the global snapshot position. The visitor
+/// applies the LHS filters through the key it builds.
+fn for_each_member<F>(scan: &Scan<'_>, rhs: &Column, mut visit: F)
+where
+    F: FnMut(&ChunkScan<'_>, usize, u32, u32),
+{
+    for ci in 0..rhs.n_chunks() {
+        let guards = scan.at(ci);
+        let cs = guards.scan();
+        let base = (ci * rhs.chunk_rows()) as u32;
+        for (i, &rc) in rhs.chunk(ci).iter().enumerate() {
+            if rc != NULL_CODE {
+                visit(&cs, i, base + i as u32, rc);
             }
         }
-        groups.into_iter().map(|(k, g)| (Key::Wide(k), g)).collect()
     }
 }
 
@@ -820,16 +777,6 @@ fn decode_key(snap: &Snapshot, b: &BoundCfd, r: &Resolved, key: &Key) -> Vec<Val
                 snap.column(col).dictionary().decode(code)
             }
         })
-        .collect()
-}
-
-/// Decode group members without multiplicity counting — the seeding path
-/// materializes every group (violating or not) and never needs `own`.
-fn decode_members_only(snap: &Snapshot, r: &Resolved, g: &Group) -> Vec<(RowId, Value)> {
-    let dict = snap.column(r.rhs_col).dictionary();
-    g.rows
-        .iter()
-        .map(|&(pos, code)| (snap.row_id(pos as usize), dict.decode(code)))
         .collect()
 }
 
@@ -930,60 +877,15 @@ fn export_partial(
 
 /// Build an [`IncrementalDetector`] by seeding its per-CFD state from one
 /// columnar pass instead of the row-at-a-time insert loop — the full-rescan
-/// fallback of the data monitor.
+/// fallback of the data monitor. The state travels in the cluster's
+/// exchange format: one [`cfd_partial_one`] export per CFD.
 pub fn seed_incremental(snap: &Snapshot, cfds: &[Cfd]) -> CfdResult<IncrementalDetector> {
     let bound: Vec<BoundCfd> = cfds
         .iter()
         .map(|c| c.bind(snap.schema()))
         .collect::<CfdResult<_>>()?;
-    let mut seeds = Vec::with_capacity(bound.len());
-    for b in &bound {
-        let seed = match resolve(snap, b) {
-            None => {
-                // No row matches the LHS pattern: empty state of either kind.
-                if b.cfd.rhs_pat.is_wild() {
-                    CfdSeed::Variable { groups: Vec::new() }
-                } else {
-                    CfdSeed::Constant {
-                        violating: Vec::new(),
-                    }
-                }
-            }
-            Some(r) => {
-                if b.cfd.rhs_pat.is_wild() {
-                    let groups = group_by_codes(snap, &r)
-                        .into_iter()
-                        .map(|(key, g)| {
-                            (
-                                decode_key(snap, b, &r, &key),
-                                decode_members_only(snap, &r, &g),
-                            )
-                        })
-                        .collect();
-                    CfdSeed::Variable { groups }
-                } else {
-                    let mut report = ViolationReport::default();
-                    detect_constant(snap, 0, &r, &mut report);
-                    CfdSeed::Constant {
-                        violating: report.dirty_rows(),
-                    }
-                }
-            }
-        };
-        seeds.push(seed);
-    }
-    Ok(IncrementalDetector::from_parts(bound, seeds))
-}
-
-/// [`seed_incremental`] from a table (snapshot built internally, projected
-/// onto the columns the CFD set mentions).
-pub fn build_incremental(table: &Table, cfds: &[Cfd]) -> CfdResult<IncrementalDetector> {
-    let bound: Vec<BoundCfd> = cfds
-        .iter()
-        .map(|c| c.bind(table.schema()))
-        .collect::<CfdResult<_>>()?;
-    let snap = Snapshot::projected(table, &needed_columns(&bound));
-    seed_incremental(&snap, cfds)
+    let partials = bound.iter().map(|b| cfd_partial_one(snap, b)).collect();
+    Ok(IncrementalDetector::from_partials(bound, partials))
 }
 
 #[cfg(test)]
@@ -1044,48 +946,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn absent_constant_short_circuits() {
+    /// Conditional rules over an LHS constant ('zz') absent from column A:
+    /// they match nothing.
+    fn absent_lhs_constant() -> (Table, Vec<Cfd>) {
         let mut t = Table::new("r", Schema::of_strings(&["A", "B"]));
         t.insert(vec![Value::str("x"), Value::str("1")]).unwrap();
         t.insert(vec![Value::str("x"), Value::str("2")]).unwrap();
-        // 'zz' never occurs in column A: the conditional rules match nothing.
         let cfds = parse_cfds("r: [A='zz'] -> [B='1']\nr: [A='zz'] -> [B=_]").unwrap();
-        let r = detect_columnar(&t, &cfds).unwrap();
-        assert!(r.is_empty());
-        assert_equivalent(&t, &cfds);
+        (t, cfds)
     }
 
-    #[test]
-    fn absent_rhs_constant_flags_all_matching_rows() {
+    /// An RHS constant ('target') absent from B's dictionary: every
+    /// non-NULL B of a matching row violates.
+    fn absent_rhs_constant() -> (Table, Vec<Cfd>) {
         let mut t = Table::new("r", Schema::of_strings(&["A", "B"]));
         t.insert(vec![Value::str("x"), Value::str("1")]).unwrap();
         t.insert(vec![Value::str("x"), Value::Null]).unwrap();
-        // 'target' is absent from B's dictionary: every non-NULL B violates.
         let cfds = parse_cfds("r: [A='x'] -> [B='target']").unwrap();
-        let r = detect_columnar(&t, &cfds).unwrap();
-        assert_eq!(r.len(), 1, "NULL RHS is never a single-tuple violation");
-        assert_equivalent(&t, &cfds);
+        (t, cfds)
     }
 
-    #[test]
-    fn all_null_column_groups_as_one() {
+    /// An all-NULL LHS: one group under strong equality, two distinct B.
+    fn all_null_lhs() -> (Table, Vec<Cfd>) {
         let mut t = Table::new("r", Schema::of_strings(&["A", "B"]));
         for v in ["1", "2", "2"] {
             t.insert(vec![Value::Null, Value::str(v)]).unwrap();
         }
-        // All-NULL LHS: one group under strong equality, two distinct B.
-        let cfds = parse_cfds("r: [A] -> [B]").unwrap();
-        let r = detect_columnar(&t, &cfds).unwrap();
-        assert_eq!(r.len(), 1);
-        assert_equivalent(&t, &cfds);
+        (t, parse_cfds("r: [A] -> [B]").unwrap())
     }
 
-    #[test]
-    fn wide_keys_fall_back_beyond_64_bits() {
-        // 17 LHS columns of cardinality >= 8 (4 bits each incl. NULL code)
-        // exceed the packed budget only with enough distinct values; use a
-        // high-cardinality instance to force > 64 key bits.
+    /// 17 LHS columns of high cardinality: more than 64 key bits, so
+    /// grouping falls back to wide keys.
+    fn wide_keys() -> (Table, Vec<Cfd>) {
         let names: Vec<String> = (0..17).map(|i| format!("C{i}")).collect();
         let mut cols: Vec<&str> = names.iter().map(String::as_str).collect();
         cols.push("RHS");
@@ -1098,16 +990,13 @@ mod tests {
             t.insert(vals).unwrap();
         }
         let rule = format!("wide: [{}] -> [RHS]", names.join(", "));
-        let cfds = parse_cfds(&rule).unwrap();
-        assert_equivalent(&t, &cfds);
+        (t, parse_cfds(&rule).unwrap())
     }
 
-    #[test]
-    fn hashed_u64_path_beyond_dense_cap() {
-        // Force the packed-but-hashed branch: two ~140-distinct columns give
-        // a 16-bit key (65 536 slots), above clamp(64 * 300, 4096, 2^24) for
-        // dense state at 300 rows — so grouping must hash u64 keys. Seed
-        // conflicts via duplicated (A, B) pairs with disagreeing RHS.
+    /// Two ~140-distinct columns give a 16-bit key (65 536 slots), above
+    /// the dense caps at 280 rows — so grouping must hash `u64` keys.
+    /// Duplicated (A, B) pairs disagree on RHS for every i % 3 == 0.
+    fn hashed_u64_keys() -> (Table, Vec<Cfd>) {
         let mut t = Table::new("r", Schema::of_strings(&["A", "B", "RHS"]));
         for i in 0..140 {
             t.insert(vec![
@@ -1118,7 +1007,6 @@ mod tests {
             .unwrap();
         }
         for i in 0..140 {
-            // Duplicate keys; every third pair disagrees on RHS.
             let rhs = if i % 3 == 0 { "diff" } else { "same" };
             t.insert(vec![
                 Value::str(format!("a{i}")),
@@ -1127,7 +1015,42 @@ mod tests {
             ])
             .unwrap();
         }
-        let cfds = parse_cfds("r: [A, B] -> [RHS]").unwrap();
+        (t, parse_cfds("r: [A, B] -> [RHS]").unwrap())
+    }
+
+    #[test]
+    fn absent_constant_short_circuits() {
+        let (t, cfds) = absent_lhs_constant();
+        let r = detect_columnar(&t, &cfds).unwrap();
+        assert!(r.is_empty());
+        assert_equivalent(&t, &cfds);
+    }
+
+    #[test]
+    fn absent_rhs_constant_flags_all_matching_rows() {
+        let (t, cfds) = absent_rhs_constant();
+        let r = detect_columnar(&t, &cfds).unwrap();
+        assert_eq!(r.len(), 1, "NULL RHS is never a single-tuple violation");
+        assert_equivalent(&t, &cfds);
+    }
+
+    #[test]
+    fn all_null_column_groups_as_one() {
+        let (t, cfds) = all_null_lhs();
+        let r = detect_columnar(&t, &cfds).unwrap();
+        assert_eq!(r.len(), 1);
+        assert_equivalent(&t, &cfds);
+    }
+
+    #[test]
+    fn wide_keys_fall_back_beyond_64_bits() {
+        let (t, cfds) = wide_keys();
+        assert_equivalent(&t, &cfds);
+    }
+
+    #[test]
+    fn hashed_u64_path_beyond_dense_cap() {
+        let (t, cfds) = hashed_u64_keys();
         let r = detect_columnar(&t, &cfds).unwrap();
         assert_eq!(r.len(), 47, "every i % 3 == 0 group conflicts");
         assert_equivalent(&t, &cfds);
@@ -1179,13 +1102,31 @@ mod tests {
     #[test]
     fn seeded_incremental_matches_classic_build() {
         let d = dirty_customers(300, 0.05, 24);
-        let t = d.db.table("customer").unwrap();
-        let classic = IncrementalDetector::build(t, &d.cfds).unwrap();
-        let seeded = build_incremental(t, &d.cfds).unwrap();
-        assert_eq!(classic.report().normalized(), seeded.report().normalized());
-        assert_eq!(classic.total_violations(), seeded.total_violations());
-        for (id, _) in t.iter() {
-            assert_eq!(classic.vio_of(id), seeded.vio_of(id));
+        let customers = (d.db.table("customer").unwrap().clone(), d.cfds);
+        let cases = [
+            ("customers", customers),
+            ("absent LHS constant", absent_lhs_constant()),
+            ("absent RHS constant", absent_rhs_constant()),
+            ("all-NULL LHS", all_null_lhs()),
+            ("hashed u64 keys", hashed_u64_keys()),
+            ("wide keys", wide_keys()),
+        ];
+        for (name, (t, cfds)) in &cases {
+            let classic = IncrementalDetector::build(t, cfds).unwrap();
+            let seeded = seed_incremental(&Snapshot::of(t), cfds).unwrap();
+            assert_eq!(
+                classic.report().normalized(),
+                seeded.report().normalized(),
+                "{name}"
+            );
+            assert_eq!(
+                classic.total_violations(),
+                seeded.total_violations(),
+                "{name}"
+            );
+            for (id, _) in t.iter() {
+                assert_eq!(classic.vio_of(id), seeded.vio_of(id), "{name}: {id:?}");
+            }
         }
     }
 
@@ -1193,7 +1134,7 @@ mod tests {
     fn seeded_incremental_stays_consistent_under_updates() {
         let d = dirty_customers(200, 0.05, 25);
         let t = d.db.table("customer").unwrap();
-        let mut det = build_incremental(t, &d.cfds).unwrap();
+        let mut det = seed_incremental(&Snapshot::of(t), &d.cfds).unwrap();
         let mut table = t.clone();
         // Mutate through the incremental interface, then cross-check batch.
         let ids = table.row_ids();

@@ -5,24 +5,31 @@
 //! answers from the cache when the epochs match (zero encode work for
 //! repeat detects over an unchanged table) and re-encodes otherwise. For
 //! callers that *know* their deltas — the data monitor's update stream, the
-//! repair loop's cell edits — the `note_*` methods patch the cached
-//! snapshot in lock-step with the table instead of re-encoding:
+//! repair loops' cell edits, a server's ingest batches — the cache patches
+//! the snapshot in lock-step with the table instead of re-encoding. Each
+//! mutation is reported as a [`TableDelta`], one at a time (`note_insert`,
+//! `note_delete`, `note_set_cell`) or as a batch
+//! ([`SnapshotCache::note_batch`]), and one routine applies them all:
 //!
-//! * `note_insert` appends the encoded row, interning novel values into the
-//!   existing per-column dictionaries;
-//! * `note_delete` swap-removes the row's snapshot position (detection is
+//! * an insert appends the encoded row, interning novel values into the
+//!   existing per-column dictionaries (a run of inserts appends in one
+//!   pass);
+//! * a delete swap-removes the row's snapshot position (detection is
 //!   order-insensitive after `normalized()`);
-//! * `note_set_cell` re-encodes the single touched cell.
+//! * a cell overwrite re-encodes the single touched cell.
+//!
+//! Deletes and cell overwrites find their row through a `RowId → position`
+//! index, built on first use after each full encode and maintained across
+//! patches.
 //!
 //! Patches are cheap but monotone — dictionaries only grow, and a long
 //! patch history accumulates codes no live row references. Past a delta
 //! threshold (a fraction of the snapshot's rows) the cache drops the
 //! snapshot and the next access pays one full re-encode, resetting the
-//! bookkeeping. Every `note_*` verifies the table is exactly one epoch
-//! ahead of the snapshot (`note_set_cells` replays a batch of k edits
-//! against a k-epoch gap); any other gap — a mutation the caller didn't
-//! report — invalidates the cache, so it can never silently serve stale
-//! data.
+//! bookkeeping. Every report verifies the table is exactly as many epochs
+//! ahead of the snapshot as it carries deltas (one per mutation); any
+//! other gap — a mutation the caller didn't report — invalidates the
+//! cache, so it can never silently serve stale data.
 //!
 //! On top of the snapshot the cache keeps **per-column epochs** (when did
 //! this column's content last change? when did the row set last change?)
@@ -86,10 +93,10 @@ fn cache_obs() -> &'static CacheObs {
     })
 }
 
-/// One reported mutation of the observed table — the unit of
-/// [`SnapshotCache::note_batch`]. Mirrors the `note_insert` /
-/// `note_delete` / `note_set_cell` calls, but carried as data so a whole
-/// ingest batch can be replayed in one pass.
+/// One reported mutation of the observed table — the unit every
+/// `note_*` method hands to the cache's patch routine. `note_insert`,
+/// `note_delete` and `note_set_cell` report one; [`SnapshotCache::note_batch`]
+/// replays a slice of them (an ingest batch, a repair round's edits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableDelta {
     /// A row was inserted.
@@ -112,8 +119,8 @@ struct Cached {
     snap: Arc<Snapshot>,
     /// Table epoch the snapshot mirrors.
     epoch: u64,
-    /// `RowId → snapshot position`, built lazily at the first patch and
-    /// maintained across swap-removes.
+    /// `RowId → snapshot position`, built lazily by the first delete or
+    /// cell overwrite and maintained across appends and swap-removes.
     pos: Option<FxHashMap<RowId, u32>>,
     /// Patches applied since the last full encode.
     patched: usize,
@@ -139,6 +146,59 @@ impl Cached {
                 .collect()
         });
         index.get(&id).copied()
+    }
+
+    /// Apply the leading delta of `deltas` — or its leading run of
+    /// inserts, appended in one pass — at `table`'s epoch. Returns how
+    /// many deltas were consumed and how many patches they made, or
+    /// `None` when the stream cannot be replayed: a target row the
+    /// snapshot does not hold, or an inserted row the table no longer has.
+    fn patch(&mut self, table: &Table, deltas: &[TableDelta]) -> Option<(usize, usize)> {
+        let epoch = table.epoch();
+        match deltas[0] {
+            TableDelta::Inserted(_) => {
+                let mut rows: Vec<(RowId, &[Value])> = Vec::new();
+                for d in deltas {
+                    let TableDelta::Inserted(id) = *d else {
+                        break;
+                    };
+                    rows.push((id, table.get(id).ok()?));
+                }
+                if let Some(ix) = &mut self.pos {
+                    let base = self.snap.n_rows() as u32;
+                    for (off, (id, _)) in rows.iter().enumerate() {
+                        ix.insert(*id, base + off as u32);
+                    }
+                }
+                Arc::make_mut(&mut self.snap).append_rows(&rows);
+                self.rows_epoch = epoch;
+                Some((rows.len(), rows.len()))
+            }
+            TableDelta::Deleted(id) => {
+                let pos = self.position(id)?;
+                let moved = Arc::make_mut(&mut self.snap).swap_remove_row(pos as usize);
+                // Only the swapped-in last row changes position.
+                let ix = self.pos.as_mut().expect("index built by position()");
+                ix.remove(&id);
+                if let Some(m) = moved {
+                    ix.insert(m, pos);
+                }
+                self.rows_epoch = epoch;
+                Some((1, 1))
+            }
+            TableDelta::CellSet(id, col) => {
+                let pos = self.position(id)?;
+                if let Some(e) = self.col_epochs.get_mut(col) {
+                    *e = epoch;
+                }
+                if !self.snap.has_column(col) {
+                    return Some((1, 0));
+                }
+                let value = table.cell(id, col).ok()?;
+                Arc::make_mut(&mut self.snap).set_cell(pos as usize, col, value);
+                Some((1, 1))
+            }
+        }
     }
 }
 
@@ -398,46 +458,13 @@ impl SnapshotCache {
     /// Record that `id` was just inserted into `table` (call *after* the
     /// insert): appends the encoded row to the cached snapshot.
     pub fn note_insert(&mut self, table: &Table, id: RowId) {
-        let Some(c) = patchable(&mut self.cached, self.delta_threshold, table, 1) else {
-            return;
-        };
-        let Ok(row) = table.get(id) else {
-            self.cached = None;
-            return;
-        };
-        let pos = c.snap.n_rows() as u32;
-        Arc::make_mut(&mut c.snap).append_row(id, row);
-        if let Some(ix) = &mut c.pos {
-            ix.insert(id, pos);
-        }
-        c.epoch = table.epoch();
-        c.rows_epoch = table.epoch();
-        c.patched += 1;
-        self.patches += 1;
-        cache_obs().patches.inc();
+        self.apply(table, &[TableDelta::Inserted(id)]);
     }
 
     /// Record that `id` was just deleted from `table` (call *after* the
     /// delete): swap-removes the row's snapshot position.
     pub fn note_delete(&mut self, table: &Table, id: RowId) {
-        let Some(c) = patchable(&mut self.cached, self.delta_threshold, table, 1) else {
-            return;
-        };
-        let Some(pos) = c.position(id) else {
-            self.cached = None; // unknown row: the stream missed an insert
-            return;
-        };
-        let moved = Arc::make_mut(&mut c.snap).swap_remove_row(pos as usize);
-        let ix = c.pos.as_mut().expect("index built by position()");
-        ix.remove(&id);
-        if let Some(m) = moved {
-            ix.insert(m, pos);
-        }
-        c.epoch = table.epoch();
-        c.rows_epoch = table.epoch();
-        c.patched += 1;
-        self.patches += 1;
-        cache_obs().patches.inc();
+        self.apply(table, &[TableDelta::Deleted(id)]);
     }
 
     /// Record that cell (`id`, `col`) of `table` was just overwritten (call
@@ -446,204 +473,49 @@ impl SnapshotCache {
     /// projection advance the epoch without patch work — the snapshot never
     /// claimed to represent them.
     pub fn note_set_cell(&mut self, table: &Table, id: RowId, col: usize) {
-        self.note_set_cells(table, &[(id, col)]);
+        self.apply(table, &[TableDelta::CellSet(id, col)]);
     }
 
-    /// Record a *batch* of cell overwrites applied since the snapshot was
-    /// last in sync — the replay path for a repair pass whose edits were
-    /// not reported one by one. The table must be exactly `cells.len()`
-    /// epochs ahead of the snapshot (one epoch per overwrite); any other
-    /// gap means unreported mutations and invalidates the cache.
-    pub fn note_set_cells(&mut self, table: &Table, cells: &[(RowId, usize)]) {
-        if cells.is_empty() {
-            return;
-        }
-        let steps = cells.len() as u64;
-        let Some(c) = patchable(&mut self.cached, self.delta_threshold, table, steps) else {
-            return;
-        };
-        for &(id, col) in cells {
-            let Some(pos) = c.position(id) else {
-                self.cached = None;
-                return;
-            };
-            if let Some(e) = c.col_epochs.get_mut(col) {
-                *e = table.epoch();
-            }
-            if c.snap.has_column(col) {
-                let Ok(value) = table.cell(id, col) else {
-                    self.cached = None;
-                    return;
-                };
-                Arc::make_mut(&mut c.snap).set_cell(pos as usize, col, value);
-                c.patched += 1;
-                self.patches += 1;
-                cache_obs().patches.inc();
-            }
-        }
-        c.epoch = table.epoch();
-    }
-
-    /// Replay a whole mutation batch against the cached snapshot in one
-    /// pass — the batch-ingest entry point behind
-    /// `QualityBackend::apply_batch`.
+    /// Replay a whole mutation batch against the cached snapshot — the
+    /// entry point behind `QualityBackend::apply_batch` and the repair
+    /// loops' per-round replays. The table must be exactly `deltas.len()`
+    /// epochs ahead of the snapshot (one epoch per delta); the batch pays
+    /// one epoch-gap check, and each run of inserts is appended with one
+    /// copy-on-write unsharing and one reservation per column
+    /// (`Snapshot::append_rows`).
     ///
-    /// Semantically equal to calling the per-mutation `note_*` methods in
-    /// `deltas` order (the table must be exactly `deltas.len()` epochs
-    /// ahead of the snapshot), but the bookkeeping is amortized:
-    ///
-    /// * one epoch-gap check for the whole batch;
-    /// * insert runs appended with one copy-on-write unsharing and one
-    ///   reservation per column (`Snapshot::append_rows`);
-    /// * **batch-local position resolution**: the batch knows every row
-    ///   it touches up front, so when the cache's persistent `RowId → pos`
-    ///   index was never built, the targets are resolved in a single scan
-    ///   of the snapshot's row ids instead of building (and then
-    ///   maintaining) the full index — per-row application cannot do
-    ///   this, because it never sees past its current mutation.
-    ///
-    /// The replay reads the table's *current* values. A row inserted and
-    /// deleted within the same batch leaves no value to read, so that
-    /// (rare) shape invalidates the cache and the next access re-encodes
-    /// — never a correctness hazard, exactly the unreported-mutation
-    /// fallback.
+    /// The replay reads the table's *current* values. A row the batch
+    /// inserts or overwrites and then deletes leaves no value to read, so
+    /// that (rare) shape invalidates the cache and the next access
+    /// re-encodes — never a correctness hazard, exactly the
+    /// unreported-mutation fallback.
     pub fn note_batch(&mut self, table: &Table, deltas: &[TableDelta]) {
         if deltas.is_empty() {
             return;
         }
         cache_obs().batch_rows.record(deltas.len() as u64);
+        self.apply(table, deltas);
+    }
+
+    /// The one patch routine behind every `note_*` method: apply `deltas`
+    /// in order, or invalidate the cache when they cannot be replayed.
+    fn apply(&mut self, table: &Table, deltas: &[TableDelta]) {
         let steps = deltas.len() as u64;
         let Some(c) = patchable(&mut self.cached, self.delta_threshold, table, steps) else {
             return;
         };
-        let epoch = table.epoch();
-
-        // Where does each targeted row sit? Ride (and maintain) the
-        // persistent index when it exists; otherwise resolve exactly the
-        // batch's targets in one scan. `u32::MAX` marks a target not in
-        // the pre-batch snapshot — it must be appended by an earlier
-        // insert of this batch, or the stream missed a mutation.
-        const UNRESOLVED: u32 = u32::MAX;
-        let use_shared = c.pos.is_some();
-        let mut local: FxHashMap<RowId, u32> = FxHashMap::default();
-        if !use_shared {
-            for d in deltas {
-                if let TableDelta::Deleted(id) | TableDelta::CellSet(id, _) = d {
-                    local.insert(*id, UNRESOLVED);
-                }
-            }
-            if !local.is_empty() {
-                for (p, id) in c.snap.row_ids().iter().enumerate() {
-                    if let Some(slot) = local.get_mut(id) {
-                        *slot = p as u32;
-                    }
-                }
-            }
+        let mut rest = deltas;
+        while !rest.is_empty() {
+            let Some((consumed, patched)) = c.patch(table, rest) else {
+                self.cached = None;
+                return;
+            };
+            rest = &rest[consumed..];
+            c.patched += patched;
+            self.patches += patched as u64;
+            cache_obs().patches.add(patched as u64);
         }
-
-        let mut i = 0;
-        while i < deltas.len() {
-            match deltas[i] {
-                TableDelta::Inserted(_) => {
-                    // Maximal insert run → one bulk append.
-                    let start = i;
-                    while let Some(TableDelta::Inserted(_)) = deltas.get(i) {
-                        i += 1;
-                    }
-                    let mut rows: Vec<(RowId, &[Value])> = Vec::with_capacity(i - start);
-                    for d in &deltas[start..i] {
-                        let TableDelta::Inserted(id) = *d else {
-                            unreachable!("run holds only inserts");
-                        };
-                        let Ok(row) = table.get(id) else {
-                            // Inserted and deleted within one batch: the
-                            // values are unrecoverable, fall back.
-                            self.cached = None;
-                            return;
-                        };
-                        rows.push((id, row));
-                    }
-                    let base = c.snap.n_rows() as u32;
-                    if use_shared {
-                        let ix = c.pos.as_mut().expect("use_shared checked");
-                        for (off, (id, _)) in rows.iter().enumerate() {
-                            ix.insert(*id, base + off as u32);
-                        }
-                    } else if !local.is_empty() {
-                        // A later delta may target a row this run appends.
-                        for (off, (id, _)) in rows.iter().enumerate() {
-                            if let Some(slot) = local.get_mut(id) {
-                                *slot = base + off as u32;
-                            }
-                        }
-                    }
-                    Arc::make_mut(&mut c.snap).append_rows(&rows);
-                    c.rows_epoch = epoch;
-                    c.patched += rows.len();
-                    self.patches += rows.len() as u64;
-                    cache_obs().patches.add(rows.len() as u64);
-                }
-                TableDelta::Deleted(id) => {
-                    i += 1;
-                    let pos = if use_shared {
-                        c.position(id)
-                    } else {
-                        local.get(&id).copied().filter(|&p| p != UNRESOLVED)
-                    };
-                    let Some(pos) = pos else {
-                        self.cached = None;
-                        return;
-                    };
-                    let moved = Arc::make_mut(&mut c.snap).swap_remove_row(pos as usize);
-                    // Only the swapped-in last row changes position;
-                    // track it in whichever resolver is active.
-                    if use_shared {
-                        let ix = c.pos.as_mut().expect("use_shared checked");
-                        ix.remove(&id);
-                        if let Some(m) = moved {
-                            ix.insert(m, pos);
-                        }
-                    } else {
-                        local.insert(id, UNRESOLVED);
-                        if let Some(m) = moved {
-                            if let Some(slot) = local.get_mut(&m) {
-                                *slot = pos;
-                            }
-                        }
-                    }
-                    c.rows_epoch = epoch;
-                    c.patched += 1;
-                    self.patches += 1;
-                    cache_obs().patches.inc();
-                }
-                TableDelta::CellSet(id, col) => {
-                    i += 1;
-                    let pos = if use_shared {
-                        c.position(id)
-                    } else {
-                        local.get(&id).copied().filter(|&p| p != UNRESOLVED)
-                    };
-                    let Some(pos) = pos else {
-                        self.cached = None;
-                        return;
-                    };
-                    if let Some(e) = c.col_epochs.get_mut(col) {
-                        *e = epoch;
-                    }
-                    if c.snap.has_column(col) {
-                        let Ok(value) = table.cell(id, col) else {
-                            self.cached = None;
-                            return;
-                        };
-                        Arc::make_mut(&mut c.snap).set_cell(pos as usize, col, value);
-                        c.patched += 1;
-                        self.patches += 1;
-                        cache_obs().patches.inc();
-                    }
-                }
-            }
-        }
-        c.epoch = epoch;
+        c.epoch = table.epoch();
     }
 }
 

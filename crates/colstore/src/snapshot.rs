@@ -192,22 +192,12 @@ impl Snapshot {
     // touched chunk; only the shared row-id vector still pays a full
     // copy-on-write clone on the first patch.
 
-    /// Append one encoded row. Columns outside the projection stay absent.
-    pub(crate) fn append_row(&mut self, id: RowId, row: &[Value]) {
-        Arc::make_mut(&mut self.row_ids).push(id);
-        for (c, slot) in self.columns.iter_mut().enumerate() {
-            if let Some(col) = slot {
-                col.push_value(&row[c]);
-            }
-        }
-    }
-
-    /// Append a run of encoded rows in one pass — the bulk-ingest
-    /// counterpart of [`Snapshot::append_row`]. Each encoded column
-    /// unshares its dictionary and reserves **once** for the whole run
-    /// ([`Column::appender`]); the rows themselves are walked in a
-    /// single interleaved pass (row-major, like the serial encoder: every
-    /// row is dereferenced once, not once per column).
+    /// Append a run of encoded rows in one pass; columns outside the
+    /// projection stay absent. Each encoded column unshares its dictionary
+    /// and reserves **once** for the whole run ([`Column::appender`]); the
+    /// rows themselves are walked in a single interleaved pass (row-major,
+    /// like the serial encoder: every row is dereferenced once, not once
+    /// per column).
     pub(crate) fn append_rows(&mut self, rows: &[(RowId, &[Value])]) {
         let ids = Arc::make_mut(&mut self.row_ids);
         ids.reserve(rows.len());

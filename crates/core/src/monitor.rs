@@ -3,11 +3,13 @@
 //! database has not been cleansed; or (2) invokes incremental repair …
 //! otherwise".
 //!
-//! Alongside the [`IncrementalDetector`] the monitor maintains a columnar
-//! snapshot of the relation in lock-step with the update stream (append on
-//! insert, swap-remove on delete, single-cell re-encode on set-cell), so
-//! [`DataMonitor::snapshot`] and [`DataMonitor::detect`] are always
-//! current without ever re-encoding the table in steady state.
+//! One columnar encode seeds both derived structures: the snapshot cache
+//! and, through the cluster's per-group partial format
+//! ([`detect::CfdPartial`]), the [`IncrementalDetector`]. From then on the
+//! monitor reports every update, and every cell repair-on-arrival writes,
+//! to the snapshot cache as a [`TableDelta`], so [`DataMonitor::snapshot`]
+//! and [`DataMonitor::detect`] are always current without ever
+//! re-encoding the table in steady state.
 
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use api::{Capabilities, Mutation, QualityBackend};
 use audit::{quality_report, QualityReport};
 use cfd::parse::parse_cfds;
 use cfd::{Cfd, CfdError, CfdResult};
-use colstore::{detect_cached, seed_incremental, Snapshot, SnapshotCache};
+use colstore::{detect_cached, seed_incremental, Snapshot, SnapshotCache, TableDelta};
 use detect::{IncrementalDetector, ViolationReport};
 use minidb::{Database, DbError, RowId, Value};
 use repair::{incremental_repair, RepairConfig};
@@ -203,10 +205,13 @@ impl DataMonitor {
                     // Replay the repair into the snapshot: one cell patch
                     // per applied change (the table advanced exactly one
                     // epoch per change).
-                    let cells: Vec<(RowId, usize)> =
-                        result.changes.iter().map(|c| (c.row, c.col)).collect();
+                    let cells: Vec<TableDelta> = result
+                        .changes
+                        .iter()
+                        .map(|c| TableDelta::CellSet(c.row, c.col))
+                        .collect();
                     let table = self.db.table(&self.relation).map_err(db_err)?;
-                    self.snapshots.note_set_cells(table, &cells);
+                    self.snapshots.note_batch(table, &cells);
                     // Replay the repair into the detector: reconstruct each
                     // touched row's pre-repair state (earliest `old` per
                     // cell wins) and apply a single update per row.

@@ -16,6 +16,7 @@ use std::collections::HashMap;
 use cfd::{BoundCfd, Cfd, CfdResult};
 use minidb::{RowId, Table, Value};
 
+use crate::exchange::{CfdPartial, GroupPartial};
 use crate::violation::ViolationReport;
 
 /// A group of LHS-matching tuples: membership plus persistent per-value
@@ -70,27 +71,6 @@ struct VarState {
     groups: HashMap<Vec<Value>, Group>,
 }
 
-/// Bulk-seed state for one CFD, produced by a columnar full scan (see
-/// `colstore::seed_incremental`): either the violating rows of a
-/// constant-RHS CFD or the complete LHS-group index of a variable CFD.
-#[derive(Debug, Clone)]
-pub enum CfdSeed {
-    /// Constant-RHS CFD: the rows currently violating it.
-    Constant {
-        /// Violating rows.
-        violating: Vec<RowId>,
-    },
-    /// Variable CFD: every LHS group (violating or not), with its non-NULL
-    /// RHS members — exactly the state incremental maintenance needs.
-    Variable {
-        /// `(LHS key, members)` pairs; members hold non-NULL RHS values.
-        groups: SeedGroups,
-    },
-}
-
-/// The group list of a variable-CFD seed: `(LHS key, members)` pairs.
-pub type SeedGroups = Vec<(Vec<Value>, Vec<(RowId, Value)>)>;
-
 /// Incrementally maintained detector state for a fixed CFD set and table.
 #[derive(Debug, Clone)]
 pub struct IncrementalDetector {
@@ -143,26 +123,29 @@ impl IncrementalDetector {
     }
 
     /// Assemble a detector from per-CFD bulk state, skipping the
-    /// row-at-a-time insert loop of [`IncrementalDetector::build`]. `seeds`
-    /// is parallel to `bound`; each seed's kind must match its CFD's RHS
-    /// pattern (variable seeds for wildcard RHS, constant seeds otherwise).
+    /// row-at-a-time insert loop of [`IncrementalDetector::build`].
+    /// `partials` is parallel to `bound` and in the cluster's exchange
+    /// format ([`CfdPartial`]): a constant CFD's violating rows, or every
+    /// LHS group of a variable CFD (violating or not) with its distinct
+    /// non-NULL RHS values and members. Each partial's kind must match its
+    /// CFD's RHS pattern.
     ///
     /// This is the fast full-rescan path: `colstore::seed_incremental`
-    /// computes the seeds from a dictionary-encoded snapshot in one
-    /// vectorized pass and hands them over here.
-    pub fn from_parts(bound: Vec<BoundCfd>, seeds: Vec<CfdSeed>) -> IncrementalDetector {
-        assert_eq!(bound.len(), seeds.len(), "one seed per bound CFD");
+    /// exports the partials of a whole dictionary-encoded snapshot and
+    /// hands them over here.
+    pub fn from_partials(bound: Vec<BoundCfd>, partials: Vec<CfdPartial>) -> IncrementalDetector {
+        assert_eq!(bound.len(), partials.len(), "one partial per bound CFD");
         let mut slots = Vec::with_capacity(bound.len());
         let mut const_violations: Vec<HashMap<RowId, ()>> = Vec::new();
         let mut var_state: Vec<VarState> = Vec::new();
         let mut vio: HashMap<RowId, i64> = HashMap::new();
         let mut total = 0i64;
-        for (b, seed) in bound.iter().zip(seeds) {
-            match seed {
-                CfdSeed::Constant { violating } => {
+        for (b, partial) in bound.iter().zip(partials) {
+            match partial {
+                CfdPartial::Constant { violating } => {
                     assert!(
                         !b.cfd.rhs_pat.is_wild(),
-                        "constant seed for a variable CFD {}",
+                        "constant partial for a variable CFD {}",
                         b.cfd
                     );
                     slots.push((false, const_violations.len()));
@@ -175,21 +158,27 @@ impl IncrementalDetector {
                     }
                     const_violations.push(rows);
                 }
-                CfdSeed::Variable { groups } => {
+                CfdPartial::Variable { groups } => {
                     assert!(
                         b.cfd.rhs_pat.is_wild(),
-                        "variable seed for a constant CFD {}",
+                        "variable partial for a constant CFD {}",
                         b.cfd
                     );
                     slots.push((true, var_state.len()));
                     let mut state = VarState {
                         groups: HashMap::with_capacity(groups.len()),
                     };
-                    for (key, members) in groups {
+                    for GroupPartial {
+                        key,
+                        values,
+                        members,
+                    } in groups
+                    {
                         let mut group = Group::default();
-                        for (id, v) in members {
-                            debug_assert!(!v.is_null(), "members carry non-NULL RHS values");
-                            group.add(id, v);
+                        for (id, i) in members {
+                            let v = &values[i as usize].0;
+                            debug_assert!(!v.is_null(), "partials carry non-NULL RHS values");
+                            group.add(id, v.clone());
                         }
                         for (r, n) in group.contribution() {
                             *vio.entry(r).or_default() += n as i64;

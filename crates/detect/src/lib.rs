@@ -28,7 +28,7 @@ pub mod sqlgen;
 pub mod violation;
 
 pub use exchange::{merge_cfd_partials, CfdPartial, GroupPartial};
-pub use incremental::{CfdSeed, IncrementalDetector};
+pub use incremental::IncrementalDetector;
 pub use native::detect_native;
 pub use sql_detector::{detect_sql, detect_sql_per_pattern};
 pub use violation::{VioTally, Violation, ViolationKind, ViolationReport};

@@ -137,3 +137,36 @@ fn mode_switch_midstream_is_safe() {
         .normalized();
     assert_eq!(batch, m.report().normalized());
 }
+
+#[test]
+fn reregistering_rules_reseeds_from_the_patched_snapshot() {
+    use semandaq::api::QualityBackend;
+    use semandaq::cfd::parse::parse_cfds;
+
+    let mut m = monitor(200, MonitorMode::DetectOnly);
+    let mut rng = StdRng::seed_from_u64(83);
+    for step in 0..80 {
+        if let Some(u) = random_update(&m, &mut rng, step) {
+            m.apply(u).unwrap();
+        }
+    }
+    // A different rule set: new variable and constant rules over other
+    // columns, re-seeded from the snapshot the stream kept patched.
+    let text = "customer: [ZIP] -> [CITY]\n\
+                customer: [CC, AC] -> [CNT]\n\
+                customer: [CNT='UK'] -> [CC='44']";
+    assert_eq!(QualityBackend::register_cfds(&mut m, text).unwrap(), 3);
+    let cfds = parse_cfds(text).unwrap();
+    let want = detect_native(m.database().table("customer").unwrap(), &cfds)
+        .unwrap()
+        .normalized();
+    assert!(!want.is_empty(), "stream must violate the new rules");
+    assert_eq!(m.report().normalized(), want, "re-seeded incremental state");
+    assert_eq!(want.len() as u64, m.violations());
+    assert_eq!(QualityBackend::detect(&mut m).unwrap().normalized(), want);
+    assert_eq!(
+        m.snapshot_encodes(),
+        1,
+        "re-seeding rode the patched snapshot"
+    );
+}

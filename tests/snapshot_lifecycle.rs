@@ -18,7 +18,7 @@ use semandaq::api::{apply_mutation, Mutation, MutationBatch};
 use semandaq::audit::{quality_report, QualityReport};
 use semandaq::cfd::parse::parse_cfds;
 use semandaq::colstore::{
-    audit_cached, detect_cached, detect_on_snapshot, MemChunkStore, SnapshotCache,
+    audit_cached, detect_cached, detect_on_snapshot, MemChunkStore, SnapshotCache, TableDelta,
 };
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
 use semandaq::detect::detect_native;
@@ -84,10 +84,9 @@ fn arb_ops(max_ops: usize) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(arb_op(), 1..max_ops)
 }
 
-/// Apply `op` to `table`, reporting the mutation to every cache in
-/// `caches`. Returns `false` when the op was inapplicable (e.g. delete on
-/// an empty table) and was skipped.
-fn apply(table: &mut Table, caches: &mut [&mut SnapshotCache], op: &Op, fresh: &mut u32) -> bool {
+/// Apply `op` to `table` and return the mutation it made, or `None` when
+/// the op was inapplicable (e.g. delete on an empty table) and was skipped.
+fn mutate(table: &mut Table, op: &Op, fresh: &mut u32) -> Option<TableDelta> {
     match op {
         Op::Insert(cells) => {
             let row: Vec<Value> = cells
@@ -95,41 +94,59 @@ fn apply(table: &mut Table, caches: &mut [&mut SnapshotCache], op: &Op, fresh: &
                 .enumerate()
                 .map(|(c, cell)| cell.value(c, fresh))
                 .collect();
-            let id = table.insert(row).unwrap();
-            for cache in caches {
-                cache.note_insert(table, id);
-            }
+            Some(TableDelta::Inserted(table.insert(row).unwrap()))
         }
-        Op::InsertAllNull => {
-            let id = table.insert(vec![Value::Null; 4]).unwrap();
-            for cache in caches {
-                cache.note_insert(table, id);
-            }
-        }
+        Op::InsertAllNull => Some(TableDelta::Inserted(
+            table.insert(vec![Value::Null; 4]).unwrap(),
+        )),
         Op::Delete(i) => {
-            let ids = table.row_ids();
-            if ids.is_empty() {
-                return false;
-            }
-            let id = ids[i % ids.len()];
+            let id = pick(table, *i)?;
             table.delete(id).unwrap();
-            for cache in caches {
-                cache.note_delete(table, id);
-            }
+            Some(TableDelta::Deleted(id))
         }
         Op::SetCell { row, col, val } => {
-            let ids = table.row_ids();
-            if ids.is_empty() {
-                return false;
-            }
-            let id = ids[row % ids.len()];
+            let id = pick(table, *row)?;
             table.update_cell(id, *col, val.value(*col, fresh)).unwrap();
-            for cache in caches {
-                cache.note_set_cell(table, id, *col);
-            }
+            Some(TableDelta::CellSet(id, *col))
+        }
+    }
+}
+
+/// The live row an op's row index selects (modulo the live population).
+fn pick(table: &Table, i: usize) -> Option<RowId> {
+    let ids = table.row_ids();
+    (!ids.is_empty()).then(|| ids[i % ids.len()])
+}
+
+/// Apply `op` to `table`, reporting the mutation to every cache in
+/// `caches` one at a time. Returns `false` when the op was inapplicable
+/// and was skipped.
+fn apply(table: &mut Table, caches: &mut [&mut SnapshotCache], op: &Op, fresh: &mut u32) -> bool {
+    let Some(delta) = mutate(table, op, fresh) else {
+        return false;
+    };
+    for cache in caches {
+        match delta {
+            TableDelta::Inserted(id) => cache.note_insert(table, id),
+            TableDelta::Deleted(id) => cache.note_delete(table, id),
+            TableDelta::CellSet(id, col) => cache.note_set_cell(table, id, col),
         }
     }
     true
+}
+
+/// Every `(row id, values)` pair of a snapshot, sorted by row id.
+fn snapshot_rows(snap: &semandaq::colstore::Snapshot) -> Vec<(RowId, Vec<Value>)> {
+    let mut rows: Vec<(RowId, Vec<Value>)> = (0..snap.n_rows())
+        .map(|p| {
+            (
+                snap.row_id(p),
+                (0..4).map(|c| snap.column(c).value_at(p)).collect(),
+            )
+        })
+        .collect();
+    rows.sort_by_key(|(id, _)| *id);
+    rows
 }
 
 proptest! {
@@ -182,31 +199,67 @@ proptest! {
 
     /// Snapshot row order is an implementation detail: a patched snapshot
     /// (swap-removed, append-ordered) and a fresh arena-ordered encode
-    /// carry the same rows and values.
+    /// carry the same rows and values — whether the stream was reported
+    /// one mutation at a time or replayed through `note_batch` in
+    /// random-length chunks from right after the encode, before any
+    /// position index exists. Both detect like a fresh scan.
     #[test]
     fn patched_snapshot_content_matches_fresh_encode(
         table in arb_table(16),
+        cfds in arb_cfds(),
         ops in arb_ops(16),
+        chunks in proptest::collection::vec(1usize..6, 1..8),
     ) {
         use semandaq::colstore::Snapshot;
         let mut table = table;
+        let mut batch_table = table.clone();
         let mut cache = SnapshotCache::new();
         cache.snapshot(&table);
         let mut fresh = 0u32;
         for op in &ops {
             apply(&mut table, &mut [&mut cache], op, &mut fresh);
         }
+
+        // The batch arm: the same stream over a twin table, replayed in
+        // chunks. A replay reads the table's current values, so a chunk
+        // never carries a row it then deletes (that shape falls back to a
+        // re-encode by contract); such a delete starts the next chunk.
+        let mut batched = SnapshotCache::new();
+        batched.snapshot(&batch_table);
+        let mut fresh = 0u32;
+        let mut lens = chunks.iter().cycle();
+        let mut room = *lens.next().unwrap();
+        let mut pending: Vec<TableDelta> = Vec::new();
+        for op in &ops {
+            let target = match op {
+                Op::Delete(i) => pick(&batch_table, *i),
+                _ => None,
+            };
+            let touches = |d: &TableDelta| match *d {
+                TableDelta::Inserted(id) | TableDelta::CellSet(id, _) => Some(id) == target,
+                TableDelta::Deleted(_) => false,
+            };
+            if pending.len() == room || pending.iter().any(touches) {
+                batched.note_batch(&batch_table, &pending);
+                pending.clear();
+                room = *lens.next().unwrap();
+            }
+            pending.extend(mutate(&mut batch_table, op, &mut fresh));
+        }
+        batched.note_batch(&batch_table, &pending);
+
         let patched = cache.snapshot(&table);
+        let batch_snap = batched.snapshot(&batch_table);
+        prop_assert_eq!(batched.encodes(), 1, "every chunk was patched, not re-encoded");
         let reference = Snapshot::of(&table);
         prop_assert_eq!(patched.n_rows(), reference.n_rows());
-        let mut patched_rows: Vec<(RowId, Vec<Value>)> = (0..patched.n_rows())
-            .map(|p| (patched.row_id(p), (0..4).map(|c| patched.column(c).value_at(p)).collect()))
-            .collect();
-        patched_rows.sort_by_key(|(id, _)| *id);
-        let reference_rows: Vec<(RowId, Vec<Value>)> = (0..reference.n_rows())
-            .map(|p| (reference.row_id(p), (0..4).map(|c| reference.column(c).value_at(p)).collect()))
-            .collect();
-        prop_assert_eq!(patched_rows, reference_rows);
+        prop_assert_eq!(snapshot_rows(&patched), snapshot_rows(&reference));
+        prop_assert_eq!(snapshot_rows(&batch_snap), snapshot_rows(&reference));
+        let want = detect_native(&table, &cfds).unwrap().normalized();
+        let per_row = detect_on_snapshot(&patched, &cfds).unwrap().normalized();
+        let batch = detect_on_snapshot(&batch_snap, &cfds).unwrap().normalized();
+        prop_assert_eq!(&per_row, &want);
+        prop_assert_eq!(&batch, &want);
     }
 }
 
