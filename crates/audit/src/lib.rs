@@ -10,7 +10,8 @@
 //! * [`report`] — the assembled Fig. 4 report (attribute bar chart +
 //!   per-CFD pie + headline numbers), counted in one pass over the
 //!   violations and one over the live rows by a [`ReportBuilder`] that
-//!   the columnar auditor fills from codes instead of values;
+//!   the columnar server and the sharded cluster fill from codes instead
+//!   of values;
 //! * [`charts`] — plain-text bar / stacked-bar / pie renderers.
 
 #![warn(missing_docs)]
@@ -23,7 +24,5 @@ pub mod stats;
 
 pub use classify::{classify, Classification, CleanClass};
 pub use quality_map::{quality_map, QualityMap};
-pub use report::{
-    quality_report, quality_report_rows, AttributeBreakdown, QualityReport, ReportBuilder,
-};
+pub use report::{quality_report, AttributeBreakdown, QualityReport, ReportBuilder};
 pub use stats::{violation_stats, ViolationStats};

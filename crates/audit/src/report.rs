@@ -10,11 +10,14 @@
 //!   constant-RHS CFD verified, decides its class; the class counts
 //!   become the report.
 //!
-//! [`quality_report_rows`] fills both halves from `Value`s: it hashes each
+//! [`quality_report`] fills both halves from `Value`s: it hashes each
 //! group's RHS values to find the majority and matches the constant CFDs
-//! against every live row. It is the oracle. The columnar server fills the
-//! same builder from its detect memo and snapshot codes instead
-//! (`colstore::audit_cached`), so the taxonomy itself exists once.
+//! against every live row. It is the oracle, and it serves the data
+//! monitor and the SQL detector. The columnar server fills the same
+//! builder from its detect memo and snapshot codes instead
+//! (`colstore::audit_cached`), and the sharded cluster from its merge and
+//! its shards' snapshots (`cluster::ShardedQualityServer::audit`), so the
+//! taxonomy itself exists once.
 
 use std::collections::HashMap;
 use std::iter::once;
@@ -255,28 +258,7 @@ pub fn quality_report(
     cfds: &[Cfd],
     report: &ViolationReport,
 ) -> CfdResult<QualityReport> {
-    quality_report_rows(
-        table.schema(),
-        table.arena_size(),
-        table.iter(),
-        cfds,
-        report,
-    )
-}
-
-/// [`quality_report`] over the live `rows` of one relation, given in any
-/// order — a sharded relation passes its shards' rows chained together.
-/// `arena` bounds the live row ids (it is the next id the relation would
-/// assign); report members at or beyond it cannot be live and are
-/// ignored.
-pub fn quality_report_rows<'a>(
-    schema: &Schema,
-    arena: usize,
-    rows: impl IntoIterator<Item = (RowId, &'a [Value])>,
-    cfds: &[Cfd],
-    report: &ViolationReport,
-) -> CfdResult<QualityReport> {
-    let mut audit = ReportBuilder::new(schema, arena, cfds)?;
+    let mut audit = ReportBuilder::new(table.schema(), table.arena_size(), cfds)?;
 
     // Pass 1: involvement from the violation members; each group's
     // majority found by counting its RHS values.
@@ -307,7 +289,7 @@ pub fn quality_report_rows<'a>(
         .filter(|&i| audit.bound()[i].cfd.rhs_pat.constant().is_some())
         .collect();
     let mut verified = vec![false; audit.width()];
-    for (id, row) in rows {
+    for (id, row) in table.iter() {
         verified.fill(false);
         for &i in &constant {
             let b = &audit.bound()[i];

@@ -45,6 +45,7 @@
 //! [`SnapshotCache::note_batch`]: colstore::SnapshotCache::note_batch
 
 use cfd::{BoundCfd, Cfd, CfdResult};
+use colstore::detect::needed_columns;
 use colstore::TableDelta;
 use detect::fxhash::FxHashMap;
 use detect::ViolationReport;
@@ -71,12 +72,7 @@ impl ShardedQualityServer {
         // The same projection the scatter export builds per shard — so the
         // store's dictionary reads are cache hits on the snapshots the
         // round's detect just used, never fresh encodes.
-        let mut needed: Vec<usize> = bound
-            .iter()
-            .flat_map(|b| b.lhs_cols.iter().copied().chain([b.rhs_col]))
-            .collect();
-        needed.sort_unstable();
-        needed.dedup();
+        let needed = needed_columns(&bound);
 
         let pending = vec![Vec::new(); self.shards.len()];
         let mut store = ClusterStore {
@@ -89,7 +85,7 @@ impl ShardedQualityServer {
                        // Parity with the single-node server: repair invalidates the
                        // cached report, the next detect/audit recomputes (riding the
                        // still-fresh partial memos).
-        self.last_report = None;
+        self.drop_report();
         Ok(result)
     }
 }
@@ -145,7 +141,7 @@ impl RepairStore for ClusterStore<'_> {
         let shard = &mut self.cluster.shards[sid];
         let old = shard.table.update_cell(id, col, value).map_err(db_err)?;
         self.pending[sid].push(TableDelta::CellSet(id, col));
-        self.cluster.last_report = None;
+        self.cluster.drop_report();
         Ok(old)
     }
 

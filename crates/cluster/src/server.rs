@@ -20,25 +20,35 @@
 //!    columns are untouched since the last detect ships the same `Arc`
 //!    again.
 //! 2. **Gather** — the coordinator merges the partials
-//!    ([`merge_cfd_partials`]): singles concatenate, groups union by LHS
-//!    key, and any merged group with ≥ 2 distinct RHS values becomes a
-//!    violation — whether the disagreement sat inside one shard or only
-//!    exists across shards.
+//!    ([`merge_cfd_partials_majority`]): singles concatenate, groups union
+//!    by LHS key, and any merged group with ≥ 2 distinct RHS values
+//!    becomes a violation — whether the disagreement sat inside one shard
+//!    or only exists across shards. The merge also keeps one flag per
+//!    violating-group member: does its RHS value hold the merged group's
+//!    strict majority?
 //!
 //! The merged [`ViolationReport`] is `normalized()`-equal to single-node
 //! [`colstore::detect_columnar`] over the union of the rows, for every
 //! router and shard count (`tests/sharded_cluster.rs` pins this by
 //! property).
+//!
+//! The audit ([`ShardedQualityServer::audit`]) grades in code space,
+//! reading no `Value`: the report's members are marked majority or
+//! minority from the merge's flags, then each shard's cached snapshot is
+//! graded under its global row ids ([`colstore::grade_snapshot`]). After a
+//! detect at the same epoch it runs no detection and encodes nothing.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
-use audit::{quality_report_rows, QualityReport};
+use audit::{QualityReport, ReportBuilder};
 use cfd::parse::parse_cfds;
 use cfd::{BoundCfd, Cfd, CfdError, CfdResult};
-use colstore::{cfd_partial_one, SnapshotCache, TableDelta};
-use detect::exchange::{merge_cfd_partials, CfdPartial};
+use colstore::detect::needed_columns;
+use colstore::{cfd_partial_one, grade_snapshot, SnapshotCache, TableDelta};
+use detect::exchange::{merge_cfd_partials_majority, CfdPartial};
+use detect::violation::ViolationKind;
 use detect::ViolationReport;
 use minidb::{DbError, RowId, Schema, Table, Value};
 
@@ -191,7 +201,12 @@ pub struct ShardedQualityServer {
     next_row: u64,
     stats: DetectStats,
     /// The most recent scatter/gather report; dropped by any mutation.
-    pub(crate) last_report: Option<ViolationReport>,
+    last_report: Option<ViolationReport>,
+    /// One flag per multi-tuple violation member of `last_report`, in
+    /// report order: the member holds its group's strict RHS majority.
+    /// One flat buffer, refilled by every detect and cleared with the
+    /// report.
+    majority: Vec<bool>,
 }
 
 impl ShardedQualityServer {
@@ -215,6 +230,7 @@ impl ShardedQualityServer {
             next_row: 0,
             stats: DetectStats::default(),
             last_report: None,
+            majority: Vec::new(),
         }
     }
 
@@ -276,7 +292,7 @@ impl ShardedQualityServer {
             s.memo = vec![None; cfds.len()];
         }
         self.cfds = cfds;
-        self.last_report = None;
+        self.drop_report();
         Ok(())
     }
 
@@ -362,7 +378,7 @@ impl ShardedQualityServer {
         shard.cache.note_insert(&shard.table, id);
         self.set_shard(id, sid);
         self.next_row += 1;
-        self.last_report = None;
+        self.drop_report();
         Ok(id)
     }
 
@@ -373,7 +389,7 @@ impl ShardedQualityServer {
         let old = shard.table.delete(id).map_err(db_err)?;
         shard.cache.note_delete(&shard.table, id);
         self.clear_shard(id);
-        self.last_report = None;
+        self.drop_report();
         Ok(old)
     }
 
@@ -383,7 +399,7 @@ impl ShardedQualityServer {
         let shard = &mut self.shards[sid];
         let old = shard.table.update_cell(id, col, value).map_err(db_err)?;
         shard.cache.note_set_cell(&shard.table, id, col);
-        self.last_report = None;
+        self.drop_report();
         Ok(old)
     }
 
@@ -534,11 +550,17 @@ impl ShardedQualityServer {
                 failed = Some(db_err(e));
             }
         }
-        self.last_report = None;
+        self.drop_report();
         match failed {
             None => Ok(outcome),
             Some(e) => Err(e),
         }
+    }
+
+    /// Forget the cached report and its majority flags: the data changed.
+    pub(crate) fn drop_report(&mut self) {
+        self.last_report = None;
+        self.majority.clear();
     }
 
     pub(crate) fn owning_shard(&self, id: RowId) -> CfdResult<usize> {
@@ -562,9 +584,7 @@ impl ShardedQualityServer {
             .iter()
             .map(|b| b.lhs_cols.iter().copied().chain([b.rhs_col]).collect())
             .collect();
-        let mut needed: Vec<usize> = cols.iter().flatten().copied().collect();
-        needed.sort_unstable();
-        needed.dedup();
+        let needed = needed_columns(&bound);
 
         // Scatter: `min(shards, cores)` scoped workers pull shards off one
         // shared iterator; the caller only joins. Each worker installs the
@@ -614,11 +634,23 @@ impl ShardedQualityServer {
         let merge_span = obs::trace::span("cluster.merge");
         merge_span.attr("shards", exports.len());
         let mut report = ViolationReport::default();
+        let exported_members: u64 = exports
+            .iter()
+            .flat_map(|e| &e.partials)
+            .map(|p| p.n_members() as u64)
+            .sum();
+        // At most one flag per exported member: reserving that bound up
+        // front keeps the buffer in one allocation across detects. Grown
+        // flag by flag among the merge's own allocations, it fragmented
+        // the heap and raised the service's peak RSS.
+        self.majority.clear();
+        self.majority.reserve(exported_members as usize);
         for idx in 0..bound.len() {
-            merge_cfd_partials(
+            merge_cfd_partials_majority(
                 idx,
                 exports.iter().map(|e| e.partials[idx].as_ref()),
                 &mut report,
+                &mut self.majority,
             );
             cluster_obs().partials_merged.add(exports.len() as u64);
         }
@@ -636,11 +668,7 @@ impl ShardedQualityServer {
                 .flat_map(|e| &e.partials)
                 .map(|p| p.n_groups() as u64)
                 .sum(),
-            exported_members: exports
-                .iter()
-                .flat_map(|e| &e.partials)
-                .map(|p| p.n_members() as u64)
-                .sum(),
+            exported_members,
             partials_computed: exports.iter().map(|e| e.computed).sum(),
             partials_reused: exports.iter().map(|e| e.reused).sum(),
         };
@@ -655,30 +683,55 @@ impl ShardedQualityServer {
     }
 
     /// Data auditor over the sharded relation: the Fig. 4 quality report,
-    /// built on the merged scatter/gather detection report (runs a detect
-    /// first if no report is cached) over the shards' rows in place. Rows
-    /// keep their global ids, so this is the single-node audit of the
-    /// same data, field for field.
+    /// graded in code space from the merged scatter/gather report (runs a
+    /// detect first if no report is cached). Rows keep their global ids,
+    /// so this is the single-node audit of the same data, field for field.
+    ///
+    /// No `Value` is read or hashed:
+    ///
+    /// * **pass 1** marks each single-tuple violator, and each violating
+    ///   group's members majority or minority from the flags the merge
+    ///   kept;
+    /// * **pass 2** grades each shard's snapshot
+    ///   ([`colstore::grade_snapshot`]), which the detect left fresh, so
+    ///   nothing is encoded. It runs serially on the caller's thread.
     pub fn audit(&mut self) -> CfdResult<QualityReport> {
         let _sp = obs::trace::span("audit.report");
         if self.last_report.is_none() {
             self.detect()?;
         }
         let report = self.last_report.as_ref().expect("detect caches its report");
-        quality_report_rows(
-            &self.schema,
-            self.next_row as usize,
-            self.shards.iter().flat_map(|s| s.table.iter()),
-            &self.cfds,
-            report,
-        )
+        let mut audit = ReportBuilder::new(&self.schema, self.next_row as usize, &self.cfds)?;
+        // Pass 1: the merge left one majority flag per group member, in
+        // report order.
+        let mut at = 0;
+        for v in &report.violations {
+            match &v.kind {
+                ViolationKind::SingleTuple { row } => audit.mark_single(v.cfd_idx, *row),
+                ViolationKind::MultiTuple { rows, .. } => {
+                    let flags = &self.majority[at..at + rows.len()];
+                    at += rows.len();
+                    for ((row, _), &m) in rows.iter().zip(flags) {
+                        audit.mark_member(v.cfd_idx, *row, m);
+                    }
+                }
+            }
+        }
+        assert_eq!(at, self.majority.len(), "one majority flag per member");
+        // Pass 2: every shard's rows, graded under their global ids.
+        let needed = needed_columns(audit.bound());
+        for shard in &mut self.shards {
+            let snap = shard.cache.snapshot_projected(&shard.table, &needed);
+            grade_snapshot(&snap, &mut audit);
+        }
+        Ok(audit.finish(report))
     }
 
     /// Materialize the union of the shards as one table, every row under
     /// its global id — exactly the table a single-node server over the
     /// same data would hold. O(rows); used by conformance checks, not
     /// by detection (which exchanges compact per-group partials) or the
-    /// auditor (which reads the shards' rows in place).
+    /// auditor (which grades the shards' snapshots in code space).
     pub fn merged_table(&self) -> CfdResult<Table> {
         let mut rows: Vec<(RowId, &[Value])> =
             self.shards.iter().flat_map(|s| s.table.iter()).collect();
@@ -779,7 +832,7 @@ impl QualityBackend for ShardedQualityServer {
         shard.cache.note_insert(&shard.table, id);
         self.set_shard(id, sid);
         self.next_row = self.next_row.max(id.0 + 1);
-        self.last_report = None;
+        self.drop_report();
         Ok(())
     }
 

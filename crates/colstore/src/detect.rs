@@ -66,7 +66,7 @@ fn detect_obs() -> &'static DetectObs {
 /// The columns a CFD set touches — the snapshot projection the detector
 /// needs. High-cardinality columns outside every rule (free-text names,
 /// ids) are never encoded.
-pub(crate) fn needed_columns(bound: &[BoundCfd]) -> Vec<usize> {
+pub fn needed_columns(bound: &[BoundCfd]) -> Vec<usize> {
     let mut cols: Vec<usize> = bound
         .iter()
         .flat_map(|b| b.lhs_cols.iter().copied().chain([b.rhs_col]))

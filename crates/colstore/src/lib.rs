@@ -34,7 +34,8 @@
 //!   `DataMonitor` and `batch_repair`.
 //! * [`audit_cached`] — the columnar server's auditor: the Fig. 4 quality
 //!   report assembled from the detect memo and snapshot codes, equal to
-//!   `audit::quality_report` field for field.
+//!   `audit::quality_report` field for field. Its second pass,
+//!   [`grade_snapshot`], also grades the sharded cluster's shards.
 
 #![warn(missing_docs)]
 
@@ -53,7 +54,7 @@ pub use self::detect::{
 };
 pub use self::dictionary::{Dictionary, NULL_CODE};
 pub use self::lifecycle::{
-    audit_cached, detect_cached, detect_cached_threads, SnapshotCache, TableDelta,
+    audit_cached, detect_cached, detect_cached_threads, grade_snapshot, SnapshotCache, TableDelta,
 };
 pub use self::snapshot::Snapshot;
 pub use self::spill::{ChunkGuard, ChunkStore, MemChunkStore, PageHandle};

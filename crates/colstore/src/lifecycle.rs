@@ -42,9 +42,11 @@
 //! The same memo serves the auditor. [`audit_cached`] builds the Fig. 4
 //! quality report from the fragments the last detect left — each
 //! constant CFD's violating rows, each violating group's members with
-//! their RHS multiplicities — plus one code scan per constant CFD over
-//! the snapshot for the rows it verifies. It reads no `Value` row and
-//! hashes no `Value`, and its memo hits are not counted as detection.
+//! their RHS multiplicities — plus [`grade_snapshot`], one code scan per
+//! constant CFD over the snapshot for the rows it verifies. It reads no
+//! `Value` row and hashes no `Value`, and its memo hits are not counted
+//! as detection. The sharded cluster grades its shards' snapshots with
+//! the same [`grade_snapshot`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -692,9 +694,7 @@ fn refresh_memo(
 ///   violating group's members majority or minority from their
 ///   multiplicities — member `i` holds the strict majority iff
 ///   `own[i] * 2 > len`;
-/// * **pass 2** builds a per-position "verified" cell mask with one
-///   chunked code scan per constant CFD, then grades every snapshot
-///   position.
+/// * **pass 2** is [`grade_snapshot`] over the cached snapshot.
 pub fn audit_cached(
     cache: &mut SnapshotCache,
     table: &Table,
@@ -715,8 +715,22 @@ pub fn audit_cached(
             }
         }
     }
-    // Pass 2: one "verified" flag per (cell slot, position), slot-major,
-    // ORed in from one code scan per constant CFD.
+    grade_snapshot(&snap, &mut audit);
+    Ok(audit.finish(report))
+}
+
+/// Pass 2 of a code-space audit: grade every row of `snap` under its row
+/// id. A per-position "verified" cell mask is ORed in from one chunked
+/// code scan per constant-RHS CFD of `audit` (through [`ChunkGuard`]s,
+/// so spilled chunks fault in), then each position is graded. The
+/// snapshot must project every column of `audit`'s CFDs.
+///
+/// A sharded relation grades each shard's snapshot into one builder:
+/// shards store rows under their global ids.
+///
+/// [`ChunkGuard`]: crate::ChunkGuard
+pub fn grade_snapshot(snap: &Snapshot, audit: &mut ReportBuilder) {
+    // One "verified" flag per (cell slot, position), slot-major.
     let (width, n) = (audit.width(), snap.n_rows());
     let mut verified = vec![false; width * n];
     let mut hits = vec![false; n];
@@ -725,11 +739,11 @@ pub fn audit_cached(
             continue;
         }
         // An LHS constant absent from its column verifies no row.
-        let Some(r) = resolve(&snap, b) else {
+        let Some(r) = resolve(snap, b) else {
             continue;
         };
         hits.fill(false);
-        verify_constant(&snap, &r, &mut hits);
+        verify_constant(snap, &r, &mut hits);
         for &s in audit.slots(idx) {
             for (v, &h) in verified[s * n..(s + 1) * n].iter_mut().zip(&hits) {
                 *v |= h;
@@ -743,7 +757,6 @@ pub fn audit_cached(
         }
         audit.grade_row(id, &cells);
     }
-    Ok(audit.finish(report))
 }
 
 /// [`detect_cached`]; ignores `threads`. Kept for the benchmark harness,

@@ -38,6 +38,8 @@
 //! values — computing each member's conflict-partner count from the merged
 //! value counts, so the resulting [`ViolationReport`] carries the same
 //! `vio(t)` tallies a single-node detect would have produced.
+//! [`merge_cfd_partials_majority`] also reports, per member, whether its
+//! value holds the merged group's strict majority: the auditor's input.
 
 use minidb::{RowId, Value};
 
@@ -177,6 +179,23 @@ pub fn merge_cfd_partials<'a, I>(cfd_idx: usize, parts: I, report: &mut Violatio
 where
     I: IntoIterator<Item = &'a CfdPartial>,
 {
+    merge_cfd_partials_majority(cfd_idx, parts, report, &mut Vec::new());
+}
+
+/// [`merge_cfd_partials`], also appending one flag per member of each
+/// merged violating group to `majority`, in the order the members land in
+/// `report.violations`: set iff the member's RHS value holds the group's
+/// strict majority (`own * 2 > len`, from the merged value counts). The
+/// auditor grades from these flags instead of re-hashing the members'
+/// `Value`s.
+pub fn merge_cfd_partials_majority<'a, I>(
+    cfd_idx: usize,
+    parts: I,
+    report: &mut ViolationReport,
+    majority: &mut Vec<bool>,
+) where
+    I: IntoIterator<Item = &'a CfdPartial>,
+{
     let mut singles: Vec<RowId> = Vec::new();
     let mut variable: Vec<&'a [GroupPartial]> = Vec::new();
     for part in parts {
@@ -191,6 +210,8 @@ where
         report.push_single(cfd_idx, row);
     }
     for (key, rows, own) in merge_variable_partials(variable) {
+        let len = own.len() as u64;
+        majority.extend(own.iter().map(|&n| n * 2 > len));
         report.push_multi_prepared(cfd_idx, key, rows, &own);
     }
 }
@@ -238,6 +259,21 @@ mod tests {
         assert_eq!(report.len(), 1);
         assert_eq!(report.vio_of(RowId(1)), 1, "one conflict partner (b)");
         assert_eq!(report.vio_of(RowId(3)), 2, "two conflict partners (a, a)");
+    }
+
+    #[test]
+    fn majority_flags_follow_the_merged_counts() {
+        // {a, a} + {b}: the majority exists only after the merge. A tie
+        // {a} + {b} has none. Flags land in report member order.
+        let s0 = variable(vec![partial(&[(1, "a"), (2, "a")])]);
+        let s1 = variable(vec![partial(&[(3, "b")])]);
+        let mut report = ViolationReport::default();
+        let mut majority = Vec::new();
+        merge_cfd_partials_majority(0, [&s0, &s1], &mut report, &mut majority);
+        assert_eq!(majority, [true, true, false]);
+        let tie = variable(vec![partial(&[(4, "a")])]);
+        merge_cfd_partials_majority(1, [&tie, &s1], &mut report, &mut majority);
+        assert_eq!(majority, [true, true, false, false, false]);
     }
 
     #[test]

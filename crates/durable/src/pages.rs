@@ -13,6 +13,18 @@
 //! and evicting the first frame found clear. Eviction only drops the
 //! pool's `Arc` — a detect scan still reading the page keeps it alive
 //! through its `ChunkGuard`, so eviction can never invalidate a reader.
+//!
+//! Every page is checksummed: `store` computes the CRC-32 of the bytes it
+//! writes and keeps it in memory (four bytes per page, indexed by page
+//! id), and every fault-in from the file checks the bytes it read against
+//! it. A mismatch — a flipped bit on disk, a torn or foreign write — is an
+//! `io::ErrorKind::InvalidData` error naming the page and its byte
+//! offset, which `ChunkGuard::fault` turns into a named panic: a corrupt
+//! page is never decoded into codes, so it can never become a wrong
+//! violation report. A pool hit serves bytes that were already checked
+//! and skips the check. The checksums live only as long as the store,
+//! which is as long as the spill file means anything: it is truncated at
+//! every `create`.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -21,6 +33,8 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use colstore::ChunkStore;
+
+use crate::crc::crc32;
 
 struct PageObs {
     faults: Arc<obs::Counter>,
@@ -56,6 +70,8 @@ struct Inner {
     allocated: u64,
     /// Freed page ids available for reuse.
     free: Vec<u64>,
+    /// CRC-32 of each page's stored bytes, indexed by page id.
+    crcs: Vec<u32>,
     frames: Vec<Frame>,
     /// `page id → frame index` for pooled pages.
     map: HashMap<u64, usize>,
@@ -96,6 +112,7 @@ impl PagedStore {
                 file,
                 allocated: 0,
                 free: Vec::new(),
+                crcs: Vec::new(),
                 frames: Vec::new(),
                 map: HashMap::new(),
                 hand: 0,
@@ -199,6 +216,11 @@ impl ChunkStore for PagedStore {
         let offset = page * self.page_codes as u64 * 4;
         inner.file.seek(SeekFrom::Start(offset))?;
         inner.file.write_all(&bytes)?;
+        let slot = page as usize;
+        if slot >= inner.crcs.len() {
+            inner.crcs.resize(slot + 1, 0);
+        }
+        inner.crcs[slot] = crc32(&bytes);
         page_obs().writes.inc();
         // Freshly spilled chunks are *cold* by definition — do not cache
         // them; the pool is for read traffic.
@@ -217,6 +239,17 @@ impl ChunkStore for PagedStore {
         inner.file.seek(SeekFrom::Start(offset))?;
         let mut bytes = vec![0u8; len * 4];
         inner.file.read_exact(&mut bytes)?;
+        let (want, got) = (inner.crcs.get(page as usize).copied(), crc32(&bytes));
+        if want != Some(got) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "spill page {page} at byte offset {offset}: checksum mismatch \
+                     (stored {}, read {got:08x})",
+                    want.map_or("none".to_string(), |c| format!("{c:08x}"))
+                ),
+            ));
+        }
         let codes: Vec<u32> = bytes
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -295,6 +328,46 @@ mod tests {
         let first = s.load(last, 4).unwrap();
         let second = s.load(last, 4).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "pool hit shares the Arc");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_flipped_bit_fails_the_fault_in() {
+        let (s, dir) = store("crc", 4, 2);
+        let codes = [7u32, 0, 0xDEAD_BEEF, 42];
+        // The page under test sits past page 0, at a nonzero offset.
+        s.store(&[1, 2, 3, 4]).unwrap();
+        let page = s.store(&codes).unwrap();
+        let path = dir.join("spill.pages");
+        let flip = |byte: u64, bit: u8| {
+            let mut f = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap();
+            let mut b = [0u8];
+            f.seek(SeekFrom::Start(byte)).unwrap();
+            f.read_exact(&mut b).unwrap();
+            b[0] ^= 1 << bit;
+            f.seek(SeekFrom::Start(byte)).unwrap();
+            f.write_all(&b).unwrap();
+        };
+        let offset = page * 4 * 4;
+        for byte in offset..offset + 16 {
+            for bit in 0..8 {
+                flip(byte, bit);
+                let err = s.load(page, 4).expect_err("a flipped bit must not load");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{byte}:{bit}");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(&format!("page {page} at byte offset {offset}")),
+                    "names the page and its offset: {msg}"
+                );
+                flip(byte, bit);
+            }
+        }
+        assert_eq!(s.pooled_pages(), 0, "a failed fault-in pools nothing");
+        assert_eq!(s.load(page, 4).unwrap().as_slice(), &codes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
 //! Sharded quality cluster demo: a HOSP-style relation partitioned four
 //! ways, a dirty update stream routed through the cluster, scatter/gather
-//! detection whose merged report equals single-node detection exactly —
-//! and a repair epilogue where the cluster fixes a conflict that *no*
+//! detection whose merged report equals single-node detection exactly, a
+//! code-space audit equal to the single-node audit — and a repair epilogue where the cluster fixes a conflict that *no*
 //! shard can even see locally.
 //!
 //! ```sh
@@ -100,8 +100,20 @@ fn main() {
 
     // The merged report is exactly single-node detection.
     let single = detect_columnar(&reference, &cfds).expect("single-node detect");
-    assert_eq!(merged.clone().normalized(), single.normalized());
+    assert_eq!(merged.clone().normalized(), single.clone().normalized());
     println!("\nmerged == single-node columnar detection  ✓");
+    // The cluster grades its audit in code space (majority flags from the
+    // merge, verified cells from the shard snapshots); the value-space
+    // report over the single-node table is the oracle.
+    let audit = cluster.audit().expect("audit");
+    assert_eq!(
+        audit,
+        semandaq::audit::quality_report(&reference, &cfds, &single).expect("oracle audit")
+    );
+    println!(
+        "merged audit == single-node audit ✓ ({} tuples, {} dirty)",
+        audit.tuples, audit.tuple_classes[3]
+    );
     println!(
         "exchange: {} groups / {} members shipped; {} partials reused, {} recomputed",
         stats.exported_groups,

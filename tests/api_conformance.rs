@@ -4,9 +4,10 @@
 //! round-robin routers, shard counts 1/3/5) and `DataMonitor` — and every
 //! backend must produce `normalized()`-equal violation reports, equal
 //! quality reports (every field) and equal row counts at every step. The
-//! server audits in code space from its detect memo while the cluster and
-//! the monitor match values, so this also pins the two audit paths to
-//! each other on all eight backends.
+//! server audits in code space from its detect memo and the cluster from
+//! its merge and its shards' snapshots, while only the monitor matches
+//! values, so this also pins the code-space audits to the value-space one
+//! on all eight backends.
 //! Repair-capable backends (the server and all six cluster configs)
 //! additionally run the script's `Repair` step, must end with an
 //! all-clean `audit()` and pairwise-equal repaired tables; the monitor

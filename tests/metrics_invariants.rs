@@ -313,6 +313,37 @@ fn audit_after_detect_touches_no_fragment_counter() {
     assert_eq!(reused.get() - r0, 0, "audit counts no fragment reuse");
 }
 
+/// The cluster audit grades from the merge's majority flags and the
+/// shards' cached snapshots: after a detect at an unchanged epoch it
+/// computes and reuses no partial, encodes nothing, and records one
+/// `audit_report_ns` sample per call.
+#[test]
+fn cluster_audit_after_detect_exports_and_encodes_nothing() {
+    let _g = lock();
+    let computed = semandaq::obs::counter("cluster_partials_computed_total");
+    let reused = semandaq::obs::counter("cluster_partials_reused_total");
+    let report_ns = semandaq::obs::histogram("audit_report_ns");
+    let d = dirty_customers(300, 0.05, 318);
+    let t = d.db.table("customer").unwrap();
+    let mut cluster =
+        ShardedQualityServer::partition(t, 3, Box::new(RoundRobinRouter::default())).unwrap();
+    cluster.register_cfds(d.cfds.clone()).unwrap();
+    cluster.detect().unwrap();
+    cluster.detect().unwrap();
+    let (c0, r0, e0, n0) = (
+        computed.get(),
+        reused.get(),
+        cluster.snapshot_encodes(),
+        report_ns.count(),
+    );
+    cluster.audit().unwrap();
+    cluster.audit().unwrap();
+    assert_eq!(computed.get() - c0, 0, "audit computes no partial");
+    assert_eq!(reused.get() - r0, 0, "audit replays no partial");
+    assert_eq!(cluster.snapshot_encodes() - e0, 0, "audit encodes nothing");
+    assert_eq!(report_ns.count() - n0, 2, "one sample per audit");
+}
+
 #[test]
 fn one_capture_sample_per_published_epoch() {
     let _g = lock();

@@ -1,19 +1,22 @@
 //! Property: the sharded quality cluster computes exactly single-node
 //! columnar detection — for every table, CFD set (constant + variable,
 //! all-NULL and single-group edges included), router, shard count 1–8,
-//! and any routed update stream applied after partitioning. Its audit
-//! equals the single-node server's, field for field.
+//! and any routed update stream applied after partitioning. Its audit,
+//! graded in code space, equals the value-space oracle and the single-node
+//! server's audit, field for field.
 
 mod common;
 
 use common::{arb_cfds, arb_table, cfd_pool, COLS};
 use proptest::prelude::*;
 use semandaq::api::QualityBackend;
-use semandaq::audit::QualityReport;
+use semandaq::audit::{quality_report, QualityReport};
 use semandaq::cfd::parse::parse_cfds;
+use semandaq::cfd::Cfd;
 use semandaq::cluster::{HashRouter, RoundRobinRouter, ShardRouter, ShardedQualityServer};
-use semandaq::colstore::detect_columnar;
+use semandaq::colstore::{detect_columnar, MemChunkStore};
 use semandaq::datagen::customer::CANONICAL_CFDS;
+use semandaq::detect::detect_native;
 use semandaq::minidb::{RowId, Schema, Table, Value};
 use semandaq::system::QualityServer;
 
@@ -85,6 +88,12 @@ fn apply(single: &mut Table, cluster: &mut ShardedQualityServer, op: &Op) {
     }
 }
 
+/// The value-space audit of a single-node table: the oracle the cluster's
+/// code-space audit must equal.
+fn oracle(table: &Table, cfds: &[Cfd]) -> QualityReport {
+    quality_report(table, cfds, &detect_native(table, cfds).unwrap()).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -102,10 +111,12 @@ proptest! {
         cluster.register_cfds(cfds.clone()).unwrap();
         prop_assert_eq!(cluster.len(), single.len());
 
-        // Fresh partition detects like single-node.
+        // Fresh partition detects like single-node, and audits like the
+        // value-space oracle.
         let sharded = cluster.detect().unwrap().normalized();
         let reference = detect_columnar(&single, &cfds).unwrap().normalized();
         prop_assert_eq!(sharded, reference);
+        prop_assert_eq!(cluster.audit().unwrap(), oracle(&single, &cfds));
 
         // ... and stays exact under a routed post-partition update stream.
         for op in &ops {
@@ -114,6 +125,7 @@ proptest! {
         let sharded = cluster.detect().unwrap().normalized();
         let reference = detect_columnar(&single, &cfds).unwrap().normalized();
         prop_assert_eq!(sharded, reference);
+        prop_assert_eq!(cluster.audit().unwrap(), oracle(&single, &cfds));
 
         // Steady state: a repeat detect with no interleaved mutation does
         // zero encode work and replays every shard's partials.
@@ -285,4 +297,65 @@ fn sharded_audit_of_an_empty_relation() {
             .unwrap();
         assert_same_audit(&c.audit().unwrap(), &single, &format!("s{shards}"));
     }
+}
+
+/// Two shards of one `[A] -> [B]` group, round-robin placed, so row `i`
+/// lands on shard `i % 2`.
+fn two_shard_group(values: &[&str]) -> (Table, Vec<Cfd>, ShardedQualityServer) {
+    let cfds = parse_cfds("r: [A] -> [B]").unwrap();
+    let mut t = Table::new("r", Schema::of_strings(&["A", "B"]));
+    for v in values {
+        t.insert(vec![Value::str("k"), Value::str(*v)]).unwrap();
+    }
+    let mut c =
+        ShardedQualityServer::partition(&t, 2, Box::new(RoundRobinRouter::default())).unwrap();
+    c.register_cfds(cfds.clone()).unwrap();
+    (t, cfds, c)
+}
+
+#[test]
+fn cross_shard_tie_has_no_majority() {
+    // {a} on shard 0, {b} on shard 1: neither value holds a strict
+    // majority, so both members are minority, hence dirty.
+    let (t, cfds, mut c) = two_shard_group(&["a", "b"]);
+    let audit = c.audit().unwrap();
+    assert_eq!(audit.tuple_classes, [0, 0, 0, 2]);
+    assert_eq!(audit, oracle(&t, &cfds));
+}
+
+#[test]
+fn majority_that_exists_only_after_the_merge() {
+    // {a, a} on shard 0, {b} on shard 1: each shard is clean alone; the
+    // merged group's majority is `a`, so the `a` rows are arguably clean
+    // and the `b` row is dirty.
+    let (t, cfds, mut c) = two_shard_group(&["a", "b", "a"]);
+    assert_eq!(c.shard_table(0).len(), 2);
+    let audit = c.audit().unwrap();
+    assert_eq!(audit.tuple_classes, [0, 0, 2, 1]);
+    assert_eq!(audit, oracle(&t, &cfds));
+}
+
+#[test]
+fn spilled_cluster_audits_like_the_oracle() {
+    // Two shards of ~4.5k rows each seal a full default-size chunk per
+    // column, and a one-byte budget spills every sealed chunk, so pass 2
+    // reads its codes back through the store.
+    let d = semandaq::datagen::dirty_customers(9_000, 0.05, 50);
+    let t = d.db.table("customer").unwrap();
+    let donor = t.get(RowId(1)).unwrap().to_vec();
+    let mut c = ShardedQualityServer::partition(t, 2, Box::new(RoundRobinRouter::default()))
+        .unwrap()
+        .with_spill(MemChunkStore::shared(), 1);
+    c.register_cfds(d.cfds.clone()).unwrap();
+    assert_eq!(c.audit().unwrap(), oracle(t, &d.cfds));
+    assert!(c.spilled_chunks() > 0, "the budget must force evictions");
+    mutate(&mut c, &donor);
+    assert_eq!(
+        c.audit().unwrap(),
+        oracle(&c.merged_table().unwrap(), &d.cfds)
+    );
+    c.repair().unwrap();
+    let repaired = c.audit().unwrap();
+    assert_eq!(repaired, oracle(&c.merged_table().unwrap(), &d.cfds));
+    assert_eq!(repaired.tuple_classes[3], 0, "repair leaves nothing dirty");
 }

@@ -307,6 +307,63 @@ fn cached_single_node_audit_traces_no_detection() {
     );
 }
 
+/// The cluster's mirror of the test above: an Audit over a cached report
+/// is one `audit.report` span with no scatter, export or detection below
+/// it, since the audit grades from the merge's majority flags and the
+/// shards' cached snapshots. A cold Audit carries the scatter it needs.
+#[test]
+fn cached_cluster_audit_traces_no_detection() {
+    let _g = lock();
+    let _t = trace_on();
+    let d = dirty_customers(ROWS, 0.05, SEED);
+    let mut c = ShardedQualityServer::partition(
+        d.db.table("customer").unwrap(),
+        3,
+        Box::new(HashRouter::new(vec![1])),
+    )
+    .unwrap();
+    dispatch_line(
+        &mut c,
+        &Request::RegisterCfds {
+            text: CANONICAL_CFDS.to_string(),
+        }
+        .encode(),
+    );
+    dispatch_line(&mut c, &Request::Audit.encode());
+    let cold = trace::last_trace().unwrap();
+    assert_eq!(cold.name, "api.audit");
+    assert_coherent_tree(&cold, "cold cluster audit");
+    let span = cold
+        .spans
+        .iter()
+        .find(|s| s.name == "audit.report")
+        .expect("audit.report span");
+    assert!(
+        cold.spans
+            .iter()
+            .any(|c| c.name == "cluster.scatter" && descends_from(&cold, c.id, span.id)),
+        "an audit without a cached report scatters under its span"
+    );
+
+    dispatch_line(&mut c, &Request::Audit.encode());
+    let warm = trace::last_trace().unwrap();
+    assert_eq!(warm.name, "api.audit");
+    assert_coherent_tree(&warm, "cached cluster audit");
+    let spans: Vec<_> = warm
+        .spans
+        .iter()
+        .filter(|s| s.name == "audit.report")
+        .collect();
+    assert_eq!(spans.len(), 1, "exactly one audit.report span");
+    assert_eq!(spans[0].parent, warm.root().unwrap().id);
+    for name in ["cluster.scatter", "shard.export", "detect.cfd"] {
+        assert!(
+            !warm.spans.iter().any(|c| c.name == name),
+            "a cached cluster audit runs no {name}"
+        );
+    }
+}
+
 /// The flight recorder retains exactly the last `ring_capacity()` traces,
 /// oldest evicted first.
 #[test]
