@@ -13,7 +13,8 @@
 //!   [`colstore::SnapshotCache`] patched in lock-step; `detect()` scatters
 //!   per-CFD partial export across shards (scoped workers pulling shards
 //!   off one shared queue, per-shard memoization against column epochs)
-//!   and gathers with the partial-group merge of [`detect::exchange`].
+//!   and gathers with the partial-group merge of [`detect::exchange`],
+//!   kept per CFD between detects so only changed groups re-merge.
 //! * [`ShardedQualityServer::repair`] — cross-shard repair (see
 //!   [`repair`]): each round detects through the exchange, builds
 //!   **global** equivalence classes over the merged per-group

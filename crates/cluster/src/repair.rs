@@ -82,9 +82,10 @@ impl ShardedQualityServer {
         };
         let result = repair_rounds(&mut store, &cfds, cfg)?;
         store.flush(); // the final residual detect already flushed; defensive
-                       // Parity with the single-node server: repair invalidates the
-                       // cached report, the next detect/audit recomputes (riding the
-                       // still-fresh partial memos).
+
+        // Parity with the single-node server: repair invalidates the
+        // cached report, the next detect/audit recomputes (riding the
+        // still-fresh partial memos and the coordinator's kept merges).
         self.drop_report();
         Ok(result)
     }

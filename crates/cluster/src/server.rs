@@ -19,13 +19,16 @@
 //!    the cache's per-column epochs — a shard whose rows and relevant
 //!    columns are untouched since the last detect ships the same `Arc`
 //!    again.
-//! 2. **Gather** — the coordinator merges the partials
-//!    ([`merge_cfd_partials_majority`]): singles concatenate, groups union
-//!    by LHS key, and any merged group with ≥ 2 distinct RHS values
-//!    becomes a violation — whether the disagreement sat inside one shard
-//!    or only exists across shards. The merge also keeps one flag per
-//!    violating-group member: does its RHS value hold the merged group's
-//!    strict majority?
+//! 2. **Gather** — the coordinator keeps one [`MergedCfd`] per CFD
+//!    between detects: singles concatenate, groups union by LHS key, and
+//!    any merged group with ≥ 2 distinct RHS values becomes a violation —
+//!    whether the disagreement sat inside one shard or only exists across
+//!    shards. A partial that is the same `Arc` as last time costs nothing;
+//!    a changed one is compared with the last one group by group, and only
+//!    the LHS keys whose shard groups changed, appeared or vanished are
+//!    re-merged. The report is assembled from the kept per-key member
+//!    lists, one refcount bump each, with one flag per violating-group
+//!    member: does its RHS value hold the merged group's strict majority?
 //!
 //! The merged [`ViolationReport`] is `normalized()`-equal to single-node
 //! [`colstore::detect_columnar`] over the union of the rows, for every
@@ -47,7 +50,7 @@ use cfd::parse::parse_cfds;
 use cfd::{BoundCfd, Cfd, CfdError, CfdResult};
 use colstore::detect::needed_columns;
 use colstore::{cfd_partial_one, grade_snapshot, SnapshotCache, TableDelta};
-use detect::exchange::{merge_cfd_partials_majority, CfdPartial};
+use detect::exchange::{CfdPartial, MergedCfd};
 use detect::violation::ViolationKind;
 use detect::ViolationReport;
 use minidb::{DbError, RowId, Schema, Table, Value};
@@ -70,6 +73,7 @@ struct ClusterObs {
     partials_merged: Arc<obs::Counter>,
     partials_computed: Arc<obs::Counter>,
     partials_reused: Arc<obs::Counter>,
+    groups_remerged: Arc<obs::Counter>,
     exported_groups: Arc<obs::Counter>,
     exported_members: Arc<obs::Counter>,
     detects: Arc<obs::Counter>,
@@ -85,6 +89,7 @@ fn cluster_obs() -> &'static ClusterObs {
         partials_merged: obs::counter("cluster_partials_merged_total"),
         partials_computed: obs::counter("cluster_partials_computed_total"),
         partials_reused: obs::counter("cluster_partials_reused_total"),
+        groups_remerged: obs::counter("cluster_groups_remerged_total"),
         exported_groups: obs::counter("cluster_exported_groups_total"),
         exported_members: obs::counter("cluster_exported_members_total"),
         detects: obs::counter("cluster_detects_total"),
@@ -168,7 +173,9 @@ pub struct DetectStats {
     /// Wall time of the scatter phase (snapshot + partial export, all
     /// shards, including thread fan-out overhead).
     pub scatter_ns: u64,
-    /// Wall time of the coordinator merge.
+    /// Wall time of the coordinator merge: re-merging the LHS keys whose
+    /// shard groups changed, plus assembling the report from every CFD's
+    /// kept groups.
     pub merge_ns: u64,
     /// LHS groups shipped across the exchange.
     pub exported_groups: u64,
@@ -179,6 +186,9 @@ pub struct DetectStats {
     pub partials_computed: u64,
     /// Partials replayed from a shard memo (rows and columns untouched).
     pub partials_reused: u64,
+    /// LHS keys re-merged at the coordinator: those whose group changed,
+    /// appeared or vanished on some shard since the last detect.
+    pub groups_remerged: u64,
 }
 
 /// Sentinel in the dense owner map: this arena slot holds no live row.
@@ -200,6 +210,9 @@ pub struct ShardedQualityServer {
     /// have assigned, which is what makes sharded reports id-compatible.
     next_row: u64,
     stats: DetectStats,
+    /// Per CFD, the cross-shard merge kept between detects; reset by
+    /// `register_cfds`.
+    merged: Vec<MergedCfd>,
     /// The most recent scatter/gather report; dropped by any mutation.
     last_report: Option<ViolationReport>,
     /// One flag per multi-tuple violation member of `last_report`, in
@@ -229,6 +242,7 @@ impl ShardedQualityServer {
             shard_of: Vec::new(),
             next_row: 0,
             stats: DetectStats::default(),
+            merged: Vec::new(),
             last_report: None,
             majority: Vec::new(),
         }
@@ -283,7 +297,8 @@ impl ShardedQualityServer {
 
     /// Register the CFD set to detect (bound-checked against the schema
     /// now, so a later `detect` cannot fail on a bad rule). Replaces any
-    /// previous set and drops every shard's partial memo.
+    /// previous set and drops every shard's partial memo and the
+    /// coordinator's kept merges.
     pub fn register_cfds(&mut self, cfds: Vec<Cfd>) -> CfdResult<()> {
         for c in &cfds {
             c.bind(&self.schema)?;
@@ -291,6 +306,9 @@ impl ShardedQualityServer {
         for s in &mut self.shards {
             s.memo = vec![None; cfds.len()];
         }
+        self.merged = std::iter::repeat_with(MergedCfd::default)
+            .take(cfds.len())
+            .collect();
         self.cfds = cfds;
         self.drop_report();
         Ok(())
@@ -571,7 +589,8 @@ impl ShardedQualityServer {
     // ---------------------------------------------------------- detection
 
     /// Scatter/gather detection: shard-local partial export (parallel
-    /// across shards) followed by the coordinator merge. The result is
+    /// across shards) followed by the coordinator merge, which re-merges
+    /// only the LHS keys whose shard groups changed. The result is
     /// `normalized()`-equal to single-node columnar detection over the
     /// union of the shards' rows.
     pub fn detect(&mut self) -> CfdResult<ViolationReport> {
@@ -628,8 +647,9 @@ impl ShardedQualityServer {
         drop(scatter_span);
         let scatter_ns = t0.elapsed().as_nanos() as u64;
 
-        // Gather: merge per CFD across shards. Each pass consumes one
-        // partial per shard, so merges consumed == partials exported.
+        // Gather: fold each CFD's partials into its kept merge. Each pass
+        // consumes one partial per shard (a partial skipped as unchanged
+        // is consumed too), so merges consumed == partials exported.
         let t1 = Instant::now();
         let merge_span = obs::trace::span("cluster.merge");
         merge_span.attr("shards", exports.len());
@@ -645,10 +665,11 @@ impl ShardedQualityServer {
         // the heap and raised the service's peak RSS.
         self.majority.clear();
         self.majority.reserve(exported_members as usize);
-        for idx in 0..bound.len() {
-            merge_cfd_partials_majority(
+        let mut groups_remerged = 0;
+        for (idx, merged) in self.merged.iter_mut().enumerate() {
+            groups_remerged += merged.merge(
                 idx,
-                exports.iter().map(|e| e.partials[idx].as_ref()),
+                exports.iter().map(|e| &e.partials[idx]),
                 &mut report,
                 &mut self.majority,
             );
@@ -660,6 +681,7 @@ impl ShardedQualityServer {
         o.detects.inc();
         o.scatter_ns.record(scatter_ns);
         o.merge_ns.record(merge_ns);
+        o.groups_remerged.add(groups_remerged);
         self.stats = DetectStats {
             scatter_ns,
             merge_ns,
@@ -671,6 +693,7 @@ impl ShardedQualityServer {
             exported_members,
             partials_computed: exports.iter().map(|e| e.computed).sum(),
             partials_reused: exports.iter().map(|e| e.reused).sum(),
+            groups_remerged,
         };
         self.last_report = Some(report.clone());
         Ok(report)
@@ -945,6 +968,28 @@ mod tests {
             "shard 1 untouched"
         );
         assert!(third.partials_computed < 2 * cfds.len() as u64);
+    }
+
+    #[test]
+    fn register_cfds_resets_the_kept_merges() {
+        let (t, cfds) = single_node(200, 0.06, 53);
+        let mut c =
+            ShardedQualityServer::partition(&t, 3, Box::new(HashRouter::new(vec![1]))).unwrap();
+        c.register_cfds(cfds.clone()).unwrap();
+        c.detect().unwrap();
+        let cold = c.last_detect_stats().groups_remerged;
+        assert!(cold > 0, "a cold detect merges every key");
+        c.detect().unwrap();
+        assert_eq!(c.last_detect_stats().groups_remerged, 0, "nothing changed");
+        // The same number of rules, in another order: each index now names
+        // another CFD, and the kept merges start over.
+        let reversed: Vec<Cfd> = cfds.iter().rev().cloned().collect();
+        c.register_cfds(reversed.clone()).unwrap();
+        assert_eq!(
+            c.detect().unwrap().normalized(),
+            detect_columnar(&t, &reversed).unwrap().normalized()
+        );
+        assert_eq!(c.last_detect_stats().groups_remerged, cold);
     }
 
     #[test]

@@ -27,7 +27,9 @@ pub mod sql_detector;
 pub mod sqlgen;
 pub mod violation;
 
-pub use exchange::{merge_cfd_partials, merge_cfd_partials_majority, CfdPartial, GroupPartial};
+pub use exchange::{
+    merge_cfd_partials, merge_cfd_partials_majority, CfdPartial, GroupPartial, MergedCfd,
+};
 pub use incremental::IncrementalDetector;
 pub use native::detect_native;
 pub use sql_detector::{detect_sql, detect_sql_per_pattern};

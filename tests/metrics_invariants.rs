@@ -7,7 +7,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use semandaq::api::{dispatch, QualityBackend, Request, Response};
-use semandaq::cluster::{RoundRobinRouter, ShardedQualityServer};
+use semandaq::cluster::{HashRouter, RoundRobinRouter, ShardedQualityServer};
 use semandaq::colstore::{detect_cached, detect_columnar, SnapshotCache};
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
 use semandaq::durable::Durable;
@@ -106,6 +106,75 @@ fn cluster_exports_equal_merges_consumed() {
     // 3 detects × 4 shards × n_cfds partials each (memoized or not, the
     // partial is still shipped and merged).
     assert_eq!(shipped, 3 * 4 * d.cfds.len() as u64);
+}
+
+/// The coordinator keeps each CFD's merge between detects: a repeat
+/// detect with no mutation re-merges nothing, and a partial skipped as
+/// unchanged still counts as consumed.
+#[test]
+fn repeat_cluster_detect_remerges_no_group() {
+    let _g = lock();
+    let remerged = semandaq::obs::counter("cluster_groups_remerged_total");
+    let exported = semandaq::obs::counter("cluster_partials_exported_total");
+    let merged = semandaq::obs::counter("cluster_partials_merged_total");
+    let d = dirty_customers(300, 0.05, 319);
+    let t = d.db.table("customer").unwrap();
+    let mut cluster =
+        ShardedQualityServer::partition(t, 3, Box::new(HashRouter::new(vec![1]))).unwrap();
+    cluster.register_cfds(d.cfds.clone()).unwrap();
+    let m0 = remerged.get();
+    cluster.detect().unwrap();
+    let cold = remerged.get() - m0;
+    assert!(cold > 0, "a cold detect merges every key");
+    assert_eq!(cold, cluster.last_detect_stats().groups_remerged);
+    let (m1, x1, g1) = (remerged.get(), exported.get(), merged.get());
+    cluster.detect().unwrap();
+    cluster.detect().unwrap();
+    assert_eq!(remerged.get() - m1, 0, "nothing changed, nothing re-merged");
+    assert_eq!(cluster.last_detect_stats().groups_remerged, 0);
+    assert_eq!(
+        exported.get() - x1,
+        merged.get() - g1,
+        "skipped partials are consumed too"
+    );
+    assert_eq!(exported.get() - x1, 2 * 3 * d.cfds.len() as u64);
+}
+
+/// A one-cell update moves one row out of one group and into another, so
+/// it re-merges at most two groups per CFD that mentions the column, and
+/// none for a column no CFD mentions.
+#[test]
+fn one_cell_update_remerges_at_most_two_groups_per_cfd() {
+    let _g = lock();
+    let remerged = semandaq::obs::counter("cluster_groups_remerged_total");
+    let d = dirty_customers(400, 0.05, 320);
+    let t = d.db.table("customer").unwrap();
+    let mut cluster =
+        ShardedQualityServer::partition(t, 3, Box::new(HashRouter::new(vec![1]))).unwrap();
+    cluster.register_cfds(d.cfds.clone()).unwrap();
+    cluster.detect().unwrap();
+    let bound: Vec<_> = d.cfds.iter().map(|c| c.bind(t.schema()).unwrap()).collect();
+    let ids = t.row_ids();
+    for col in 0..t.schema().arity() {
+        let mentioning = bound
+            .iter()
+            .filter(|b| b.rhs_col == col || b.lhs_cols.contains(&col))
+            .count() as u64;
+        for (i, &row) in ids.iter().take(6).enumerate() {
+            // Take another row's value, so the row joins an existing group.
+            let donor = ids[ids.len() - 1 - i * 17];
+            let v = t.get(donor).unwrap()[col].clone();
+            cluster.update_cell(row, col, v).unwrap();
+            let m0 = remerged.get();
+            cluster.detect().unwrap();
+            let n = remerged.get() - m0;
+            assert_eq!(n, cluster.last_detect_stats().groups_remerged);
+            assert!(
+                n <= 2 * mentioning,
+                "column {col}: {n} groups re-merged, {mentioning} CFDs mention it"
+            );
+        }
+    }
 }
 
 /// The cluster scatter exports every shard exactly once per detect, so

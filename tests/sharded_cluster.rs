@@ -3,13 +3,15 @@
 //! all-NULL and single-group edges included), router, shard count 1–8,
 //! and any routed update stream applied after partitioning. Its audit,
 //! graded in code space, equals the value-space oracle and the single-node
-//! server's audit, field for field.
+//! server's audit, field for field. Both hold after every step of a stream
+//! of single mutations, batches and repairs, which is what the
+//! coordinator's kept merges must survive.
 
 mod common;
 
 use common::{arb_cfds, arb_table, cfd_pool, COLS};
 use proptest::prelude::*;
-use semandaq::api::QualityBackend;
+use semandaq::api::{Mutation, MutationBatch, QualityBackend};
 use semandaq::audit::{quality_report, QualityReport};
 use semandaq::cfd::parse::parse_cfds;
 use semandaq::cfd::Cfd;
@@ -47,14 +49,34 @@ fn cell(col: usize, digit: u8) -> Value {
     }
 }
 
-fn arb_ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
-    let op = prop_oneof![
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
         2 => proptest::collection::vec(0u8..4, 4).prop_map(Op::Insert),
         1 => (0usize..1024).prop_map(Op::Delete),
         4 => ((0usize..1024), 0usize..4, 0u8..4)
             .prop_map(|(row, col, digit)| Op::Set { row, col, digit }),
+    ]
+}
+
+fn arb_ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(arb_op(), 0..max)
+}
+
+/// One step of a stream: a routed mutation, a batch, or a repair.
+#[derive(Clone, Debug)]
+enum Step {
+    One(Op),
+    Batch(Vec<Op>),
+    Repair,
+}
+
+fn arb_steps(max: usize) -> impl Strategy<Value = Vec<Step>> {
+    let step = prop_oneof![
+        6 => arb_op().prop_map(Step::One),
+        2 => proptest::collection::vec(arb_op(), 1..6).prop_map(Step::Batch),
+        1 => Just(Step::Repair),
     ];
-    proptest::collection::vec(op, 0..max)
+    proptest::collection::vec(step, 0..max)
 }
 
 /// Apply `op` identically to the single-node table and the cluster; the
@@ -83,6 +105,70 @@ fn apply(single: &mut Table, cluster: &mut ShardedQualityServer, op: &Op) {
                 let v = cell(*col, *digit);
                 single.update_cell(id, *col, v.clone()).expect("live row");
                 cluster.update_cell(id, *col, v).expect("cluster update");
+            }
+        }
+    }
+}
+
+/// Apply `op` to the single-node table alone and return it as the
+/// mutation a batch carries (`None` when the table has no live row to
+/// pick).
+fn plan(single: &mut Table, op: &Op) -> Option<Mutation> {
+    let ids = single.row_ids();
+    match op {
+        Op::Insert(digits) => {
+            let row: Vec<Value> = digits
+                .iter()
+                .enumerate()
+                .map(|(c, &d)| cell(c, d))
+                .collect();
+            single.insert(row.clone()).expect("row fits schema");
+            Some(Mutation::Insert(row))
+        }
+        Op::Delete(k) => {
+            let &id = ids.get(k % ids.len().max(1))?;
+            single.delete(id).expect("live row");
+            Some(Mutation::Delete(id))
+        }
+        Op::Set { row, col, digit } => {
+            let &id = ids.get(row % ids.len().max(1))?;
+            let value = cell(*col, *digit);
+            single
+                .update_cell(id, *col, value.clone())
+                .expect("live row");
+            Some(Mutation::SetCell {
+                row: id,
+                col: *col,
+                value,
+            })
+        }
+    }
+}
+
+/// Apply `step` to both sides. A batch goes to the cluster in one
+/// `apply_batch`; a repair runs on the cluster, and its changes are
+/// replayed onto the single-node table.
+fn apply_step(single: &mut Table, cluster: &mut ShardedQualityServer, step: &Step) {
+    match step {
+        Step::One(op) => apply(single, cluster, op),
+        Step::Batch(ops) => {
+            let next = single.arena_size() as u64;
+            let mutations: Vec<Mutation> = ops.iter().filter_map(|op| plan(single, op)).collect();
+            let inserts = mutations
+                .iter()
+                .filter(|m| matches!(m, Mutation::Insert(_)))
+                .count() as u64;
+            let out = cluster
+                .apply_batch(MutationBatch { mutations })
+                .expect("every planned mutation applies");
+            let ids: Vec<RowId> = (next..next + inserts).map(RowId).collect();
+            assert_eq!(out.inserted, ids, "batch ids mirror single-node");
+        }
+        Step::Repair => {
+            for change in cluster.repair().expect("cluster repair").changes {
+                single
+                    .update_cell(change.row, change.col, change.new)
+                    .expect("repaired rows are live");
             }
         }
     }
@@ -135,6 +221,31 @@ proptest! {
         prop_assert_eq!(again, reference);
         prop_assert_eq!(cluster.snapshot_encodes(), encodes);
         prop_assert_eq!(cluster.last_detect_stats().partials_computed, 0);
+    }
+
+    #[test]
+    fn sharded_equals_single_node_after_every_step(
+        table in arb_table(40),
+        cfds in arb_cfds(),
+        shards in 1usize..=8,
+        steps in arb_steps(16),
+    ) {
+        for router_kind in 0..3 {
+            let mut single = table.clone();
+            let mut cluster =
+                ShardedQualityServer::partition(&table, shards, router(router_kind)).unwrap();
+            cluster.register_cfds(cfds.clone()).unwrap();
+            for (i, step) in std::iter::once(None).chain(steps.iter().map(Some)).enumerate() {
+                if let Some(step) = step {
+                    apply_step(&mut single, &mut cluster, step);
+                }
+                let label = format!("router {router_kind}, step {i}: {step:?}");
+                let sharded = cluster.detect().unwrap().normalized();
+                let reference = detect_columnar(&single, &cfds).unwrap().normalized();
+                prop_assert_eq!(sharded, reference, "{}", label);
+                prop_assert_eq!(cluster.audit().unwrap(), oracle(&single, &cfds), "{}", label);
+            }
+        }
     }
 }
 
