@@ -12,12 +12,14 @@
 //!
 //! [`quality_report`] fills both halves from `Value`s: it hashes each
 //! group's RHS values to find the majority and matches the constant CFDs
-//! against every live row. It is the oracle, and it serves the data
-//! monitor and the SQL detector. The columnar server fills the same
-//! builder from its detect memo and snapshot codes instead
-//! (`colstore::audit_cached`), and the sharded cluster from its merge and
-//! its shards' snapshots (`cluster::ShardedQualityServer::audit`), so the
-//! taxonomy itself exists once.
+//! against every live row. It is the oracle the code-space audits are
+//! tested against, and the benchmark harness's probe. Every server audits
+//! in code space instead: [`ReportBuilder::mark_report`] reads each
+//! group's majority off the value counts its violation carries, and the
+//! grading scans snapshot codes — `colstore::audit_cached` for the
+//! columnar server and the data monitor, the shards' snapshots for the
+//! sharded cluster (`cluster::ShardedQualityServer::audit`). The taxonomy
+//! itself exists once.
 
 use std::collections::HashMap;
 use std::iter::once;
@@ -183,14 +185,31 @@ impl ReportBuilder {
     }
 
     /// Pass 1: `row` violates constant CFD `cfd_idx` on its own.
-    pub fn mark_single(&mut self, cfd_idx: usize, row: RowId) {
+    fn mark_single(&mut self, cfd_idx: usize, row: RowId) {
         self.mark(cfd_idx, row, SINGLE);
     }
 
     /// Pass 1: `row` is a member of a violating group of CFD `cfd_idx`,
     /// on the side of the group's strict RHS majority or not.
-    pub fn mark_member(&mut self, cfd_idx: usize, row: RowId, majority: bool) {
+    fn mark_member(&mut self, cfd_idx: usize, row: RowId, majority: bool) {
         self.mark(cfd_idx, row, if majority { MAJORITY } else { MINORITY });
+    }
+
+    /// Pass 1 in code space: mark every violation of `report`. A group
+    /// member holds the strict majority when more than half the group
+    /// shares its RHS value (`own * 2 > len`); no `Value` is compared.
+    pub fn mark_report(&mut self, report: &ViolationReport) {
+        for v in &report.violations {
+            match &v.kind {
+                ViolationKind::SingleTuple { row } => self.mark_single(v.cfd_idx, *row),
+                ViolationKind::MultiTuple { rows, own, .. } => {
+                    let len = rows.len() as u64;
+                    for ((row, _), &n) in rows.iter().zip(own.iter()) {
+                        self.mark_member(v.cfd_idx, *row, n * 2 > len);
+                    }
+                }
+            }
+        }
     }
 
     /// Pass 2: grade one live row. `verified` holds one flag per cell
@@ -261,7 +280,8 @@ pub fn quality_report(
     let mut audit = ReportBuilder::new(table.schema(), table.arena_size(), cfds)?;
 
     // Pass 1: involvement from the violation members; each group's
-    // majority found by counting its RHS values.
+    // majority found by counting its RHS values, independently of the
+    // counts the report carries.
     let mut counts: HashMap<&Value, usize> = HashMap::new();
     for v in &report.violations {
         match &v.kind {
@@ -283,9 +303,14 @@ pub fn quality_report(
         }
     }
 
-    // Pass 2: per live row, positive verification by the constant-RHS
-    // CFDs matched against its values, then its grade.
-    let constant: Vec<usize> = (0..cfds.len())
+    grade_table(table, &mut audit);
+    Ok(audit.finish(report))
+}
+
+/// Pass 2 in value space: per live row, positive verification by the
+/// constant-RHS CFDs matched against its values, then its grade.
+fn grade_table(table: &Table, audit: &mut ReportBuilder) {
+    let constant: Vec<usize> = (0..audit.bound().len())
         .filter(|&i| audit.bound()[i].cfd.rhs_pat.constant().is_some())
         .collect();
     let mut verified = vec![false; audit.width()];
@@ -301,7 +326,6 @@ pub fn quality_report(
         }
         audit.grade_row(id, &verified);
     }
-    Ok(audit.finish(report))
 }
 
 impl QualityReport {
@@ -369,8 +393,37 @@ impl QualityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfd::parse::parse_cfds;
     use datagen::dirty_customers;
     use detect::detect_native;
+
+    #[test]
+    fn mark_report_reads_the_majority_off_the_counts() {
+        // [A] -> [B]: a 2:1 group (a1) and a tie (a2). [C='c0'] -> [B='x']:
+        // a single-tuple violation (a3) and a verified row (a4).
+        let mut t = Table::new("r", Schema::of_strings(&["A", "B", "C"]));
+        for row in [
+            ["a1", "x", "c1"],
+            ["a1", "x", "c1"],
+            ["a1", "y", "c1"],
+            ["a2", "x", "c1"],
+            ["a2", "z", "c1"],
+            ["a3", "w", "c0"],
+            ["a4", "x", "c0"],
+        ] {
+            t.insert(row.map(Value::str).to_vec()).unwrap();
+        }
+        let cfds = parse_cfds("r: [A] -> [B]\nr: [C='c0'] -> [B='x']").unwrap();
+        let det = detect_native(&t, &cfds).unwrap();
+        let mut audit = ReportBuilder::new(t.schema(), t.arena_size(), &cfds).unwrap();
+        audit.mark_report(&det);
+        grade_table(&t, &mut audit);
+        let want = quality_report(&t, &cfds, &det).unwrap();
+        assert_eq!(audit.finish(&det), want);
+        // Majority members are arguably clean; the minority, both tied
+        // members and the single violator are dirty.
+        assert_eq!(want.tuple_classes, [1, 0, 2, 4]);
+    }
 
     #[test]
     fn report_on_dirty_customers() {

@@ -27,8 +27,7 @@
 //!    a changed one is compared with the last one group by group, and only
 //!    the LHS keys whose shard groups changed, appeared or vanished are
 //!    re-merged. The report is assembled from the kept per-key member
-//!    lists, one refcount bump each, with one flag per violating-group
-//!    member: does its RHS value hold the merged group's strict majority?
+//!    lists and their merged RHS value counts, one refcount bump each.
 //!
 //! The merged [`ViolationReport`] is `normalized()`-equal to single-node
 //! [`colstore::detect_columnar`] over the union of the rows, for every
@@ -37,9 +36,11 @@
 //!
 //! The audit ([`ShardedQualityServer::audit`]) grades in code space,
 //! reading no `Value`: the report's members are marked majority or
-//! minority from the merge's flags, then each shard's cached snapshot is
-//! graded under its global row ids ([`colstore::grade_snapshot`]). After a
-//! detect at the same epoch it runs no detection and encodes nothing.
+//! minority from their merged value counts
+//! ([`audit::ReportBuilder::mark_report`]), then each shard's cached
+//! snapshot is graded under its global row ids
+//! ([`colstore::grade_snapshot`]). After a detect at the same epoch it
+//! runs no detection and encodes nothing.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -51,7 +52,6 @@ use cfd::{BoundCfd, Cfd, CfdError, CfdResult};
 use colstore::detect::needed_columns;
 use colstore::{cfd_partial_one, grade_snapshot, SnapshotCache, TableDelta};
 use detect::exchange::{CfdPartial, MergedCfd};
-use detect::violation::ViolationKind;
 use detect::ViolationReport;
 use minidb::{DbError, RowId, Schema, Table, Value};
 
@@ -215,11 +215,6 @@ pub struct ShardedQualityServer {
     merged: Vec<MergedCfd>,
     /// The most recent scatter/gather report; dropped by any mutation.
     last_report: Option<ViolationReport>,
-    /// One flag per multi-tuple violation member of `last_report`, in
-    /// report order: the member holds its group's strict RHS majority.
-    /// One flat buffer, refilled by every detect and cleared with the
-    /// report.
-    majority: Vec<bool>,
 }
 
 impl ShardedQualityServer {
@@ -244,7 +239,6 @@ impl ShardedQualityServer {
             stats: DetectStats::default(),
             merged: Vec::new(),
             last_report: None,
-            majority: Vec::new(),
         }
     }
 
@@ -575,10 +569,9 @@ impl ShardedQualityServer {
         }
     }
 
-    /// Forget the cached report and its majority flags: the data changed.
+    /// Forget the cached report: the data changed.
     pub(crate) fn drop_report(&mut self) {
         self.last_report = None;
-        self.majority.clear();
     }
 
     pub(crate) fn owning_shard(&self, id: RowId) -> CfdResult<usize> {
@@ -659,20 +652,10 @@ impl ShardedQualityServer {
             .flat_map(|e| &e.partials)
             .map(|p| p.n_members() as u64)
             .sum();
-        // At most one flag per exported member: reserving that bound up
-        // front keeps the buffer in one allocation across detects. Grown
-        // flag by flag among the merge's own allocations, it fragmented
-        // the heap and raised the service's peak RSS.
-        self.majority.clear();
-        self.majority.reserve(exported_members as usize);
         let mut groups_remerged = 0;
         for (idx, merged) in self.merged.iter_mut().enumerate() {
-            groups_remerged += merged.merge(
-                idx,
-                exports.iter().map(|e| &e.partials[idx]),
-                &mut report,
-                &mut self.majority,
-            );
+            groups_remerged +=
+                merged.merge(idx, exports.iter().map(|e| &e.partials[idx]), &mut report);
             cluster_obs().partials_merged.add(exports.len() as u64);
         }
         drop(merge_span);
@@ -713,8 +696,8 @@ impl ShardedQualityServer {
     /// No `Value` is read or hashed:
     ///
     /// * **pass 1** marks each single-tuple violator, and each violating
-    ///   group's members majority or minority from the flags the merge
-    ///   kept;
+    ///   group's members majority or minority from the merged value
+    ///   counts the report carries ([`ReportBuilder::mark_report`]);
     /// * **pass 2** grades each shard's snapshot
     ///   ([`colstore::grade_snapshot`]), which the detect left fresh, so
     ///   nothing is encoded. It runs serially on the caller's thread.
@@ -725,22 +708,7 @@ impl ShardedQualityServer {
         }
         let report = self.last_report.as_ref().expect("detect caches its report");
         let mut audit = ReportBuilder::new(&self.schema, self.next_row as usize, &self.cfds)?;
-        // Pass 1: the merge left one majority flag per group member, in
-        // report order.
-        let mut at = 0;
-        for v in &report.violations {
-            match &v.kind {
-                ViolationKind::SingleTuple { row } => audit.mark_single(v.cfd_idx, *row),
-                ViolationKind::MultiTuple { rows, .. } => {
-                    let flags = &self.majority[at..at + rows.len()];
-                    at += rows.len();
-                    for ((row, _), &m) in rows.iter().zip(flags) {
-                        audit.mark_member(v.cfd_idx, *row, m);
-                    }
-                }
-            }
-        }
-        assert_eq!(at, self.majority.len(), "one majority flag per member");
+        audit.mark_report(report);
         // Pass 2: every shard's rows, graded under their global ids.
         let needed = needed_columns(audit.bound());
         for shard in &mut self.shards {

@@ -177,9 +177,14 @@ pub fn detect_on_snapshot_threads(
     detect_on_snapshot(snap, cfds)
 }
 
-/// A decoded violating group: LHS key, members (shared — the lifecycle
-/// memo replays them into many reports), per-member multiplicities.
-pub(crate) type DecodedGroup = (Vec<Value>, std::sync::Arc<Vec<(RowId, Value)>>, Vec<u64>);
+/// A decoded violating group: LHS key, members and per-member
+/// multiplicities (both shared — the lifecycle memo replays them into many
+/// reports).
+pub(crate) type DecodedGroup = (
+    Vec<Value>,
+    std::sync::Arc<Vec<(RowId, Value)>>,
+    std::sync::Arc<Vec<u64>>,
+);
 
 /// Evaluate one bound CFD against the snapshot, appending to `report`.
 pub fn detect_one_columnar(
@@ -195,7 +200,7 @@ pub fn detect_one_columnar(
         detect_constant(snap, cfd_idx, &r, report);
     } else {
         for (key, rows, own) in violating_groups(snap, b, &r) {
-            report.push_multi_shared(cfd_idx, key, rows, &own);
+            report.push_multi_shared(cfd_idx, key, rows, own);
         }
     }
 }
@@ -490,8 +495,10 @@ pub(crate) fn violating_groups(snap: &Snapshot, b: &BoundCfd, r: &Resolved) -> V
         .into_iter()
         .map(|(key, g)| {
             let first_pos = g.rows.first().map(|(p, _)| *p).unwrap_or(0);
-            let (members, own) = decode_members(snap, r, &g);
-            (first_pos, (decode_key(snap, b, r, &key), members, own))
+            (
+                first_pos,
+                decode_group(snap, r, decode_key(snap, b, r, &key), &g),
+            )
         })
         .collect();
     out.sort_by_key(|(first, _)| *first);
@@ -780,14 +787,10 @@ fn decode_key(snap: &Snapshot, b: &BoundCfd, r: &Resolved, key: &Key) -> Vec<Val
         .collect()
 }
 
-/// Decode group members into `(RowId, Value)` pairs, plus each member's
-/// value multiplicity within the group — counted over codes, so the report
-/// layer never compares values.
-fn decode_members(
-    snap: &Snapshot,
-    r: &Resolved,
-    g: &Group,
-) -> (std::sync::Arc<Vec<(RowId, Value)>>, Vec<u64>) {
+/// Decode group members into `(RowId, Value)` pairs under the decoded
+/// LHS `key`, plus each member's value multiplicity within the group —
+/// counted over codes, so the report layer never compares values.
+fn decode_group(snap: &Snapshot, r: &Resolved, key: Vec<Value>, g: &Group) -> DecodedGroup {
     let dict = snap.column(r.rhs_col).dictionary();
     let mut counter: DistinctCounter<u32> = DistinctCounter::new();
     let idxs: Vec<u32> = g.rows.iter().map(|&(_, code)| counter.add(code)).collect();
@@ -797,7 +800,7 @@ fn decode_members(
         .map(|&(pos, code)| (snap.row_id(pos as usize), dict.decode(code)))
         .collect();
     let own = idxs.into_iter().map(|i| counter.count_at(i)).collect();
-    (std::sync::Arc::new(members), own)
+    (key, std::sync::Arc::new(members), std::sync::Arc::new(own))
 }
 
 /// Export the partial detection state of every CFD over `snap` — the

@@ -32,8 +32,9 @@
 //!   caller reports its deltas, with a delta-threshold fallback to full
 //!   re-encode. The steady-state engine under `QualityServer::detect`,
 //!   `DataMonitor` and `batch_repair`.
-//! * [`audit_cached`] — the columnar server's auditor: the Fig. 4 quality
-//!   report assembled from the detect memo and snapshot codes, equal to
+//! * [`audit_cached`] — the code-space auditor of the server and the data
+//!   monitor: the Fig. 4 quality report assembled from the detection
+//!   report's per-member value counts and the snapshot codes, equal to
 //!   `audit::quality_report` field for field. Its second pass,
 //!   [`grade_snapshot`], also grades the sharded cluster's shards.
 

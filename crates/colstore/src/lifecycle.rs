@@ -39,14 +39,13 @@
 //! so a monitoring loop that mutates one column re-scans one rule, not
 //! the whole constraint set.
 //!
-//! The same memo serves the auditor. [`audit_cached`] builds the Fig. 4
-//! quality report from the fragments the last detect left — each
-//! constant CFD's violating rows, each violating group's members with
-//! their RHS multiplicities — plus [`grade_snapshot`], one code scan per
-//! constant CFD over the snapshot for the rows it verifies. It reads no
-//! `Value` row and hashes no `Value`, and its memo hits are not counted
-//! as detection. The sharded cluster grades its shards' snapshots with
-//! the same [`grade_snapshot`].
+//! The auditor needs no memo of its own. [`audit_cached`] builds the
+//! Fig. 4 quality report from the detection report — each violating
+//! group carries its members' RHS value counts, so the majority side is
+//! read off them — plus [`grade_snapshot`], one code scan per constant
+//! CFD over the cached snapshot for the rows it verifies. It reads no
+//! `Value` row and hashes no `Value`. The sharded cluster grades its
+//! shards' snapshots with the same [`grade_snapshot`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -599,7 +598,7 @@ impl MemoEntry {
             report.push_single(cfd_idx, row);
         }
         for (key, rows, own) in &self.groups {
-            report.push_multi_shared(cfd_idx, key.clone(), Arc::clone(rows), own);
+            report.push_multi_shared(cfd_idx, key.clone(), Arc::clone(rows), Arc::clone(own));
         }
     }
 }
@@ -611,6 +610,10 @@ impl MemoEntry {
 /// evaluation replays its memoized fragment instead of re-scanning.
 /// Output is `normalized()`-equal to [`crate::detect_columnar`] and
 /// [`detect::detect_native`].
+///
+/// Afterwards `cache.memo[i]` is the fresh fragment of `cfds[i]`. A stale
+/// or missing fragment is recomputed, a fresh one replayed; both are
+/// counted and traced as a `detect.cfd` span.
 pub fn detect_cached(
     cache: &mut SnapshotCache,
     table: &Table,
@@ -621,27 +624,7 @@ pub fn detect_cached(
         .map(|c| c.bind(table.schema()))
         .collect::<CfdResult<_>>()?;
     let mut report = ViolationReport::default();
-    refresh_memo(cache, table, cfds, &bound, Some(&mut report));
-    Ok(report)
-}
-
-/// Bring the memo in line with `cfds` at `table`'s current epoch and
-/// return the snapshot it describes: afterwards `cache.memo[i]` is the
-/// fresh fragment of `cfds[i]`. A stale or missing fragment is recomputed
-/// (counted and traced as a `detect.cfd` span); a fresh one is kept.
-///
-/// Detection passes its report in: every fragment, hit or recompute, is
-/// replayed into it, and hits are counted and traced too. The auditor
-/// passes `None` — its hits read a fragment the last detect already
-/// accounted for, so they leave no trace.
-fn refresh_memo(
-    cache: &mut SnapshotCache,
-    table: &Table,
-    cfds: &[Cfd],
-    bound: &[BoundCfd],
-    mut report: Option<&mut ViolationReport>,
-) -> Arc<Snapshot> {
-    let snap = cache.snapshot_projected(table, &needed_columns(bound));
+    let snap = cache.snapshot_projected(table, &needed_columns(&bound));
     let epoch = table.epoch();
     // The memo is rebuilt per call: fresh entries for this CFD set carry
     // over, everything else (stale fragments, CFDs no longer checked) is
@@ -652,10 +635,6 @@ fn refresh_memo(
         let fresh = old
             .iter()
             .position(|e| e.cfd == cfds[idx] && cache.fragment_fresh(e.epoch, &cols));
-        if let (Some(p), None) = (fresh, &report) {
-            cache.memo.push(old.swap_remove(p));
-            continue;
-        }
         let sp = obs::trace::span("detect.cfd");
         sp.attr("cfd", idx);
         let entry = match fresh {
@@ -672,29 +651,25 @@ fn refresh_memo(
                 MemoEntry::compute(&snap, &cfds[idx], b, epoch)
             }
         };
-        if let Some(report) = report.as_deref_mut() {
-            entry.replay(idx, report);
-        }
+        entry.replay(idx, &mut report);
         cache.memo.push(entry);
     }
-    snap
+    Ok(report)
 }
 
-/// The Fig. 4 quality report of `table` under `cfds`, assembled in code
-/// space from what the last [`detect_cached`] left in the cache: the same
-/// report [`audit::quality_report`] builds from `Value`s, field for field.
-/// `report` is that detect's output; it supplies only the per-CFD counts
-/// and the statistics.
+/// The Fig. 4 quality report of `table` under `cfds` and its detection
+/// `report`, assembled in code space: the same report
+/// [`audit::quality_report`] builds from `Value`s, field for field.
+/// `report` must describe `table` as it is now — any detector's report
+/// will do.
 ///
-/// Fragments missing or stale for this epoch and CFD set are recomputed
-/// exactly as detection would; after a detect at the same epoch there are
-/// none. Then, with no `Value` read or hashed:
+/// No `Value` is read or hashed:
 ///
-/// * **pass 1** marks each constant CFD's violating rows single, and each
-///   violating group's members majority or minority from their
-///   multiplicities — member `i` holds the strict majority iff
-///   `own[i] * 2 > len`;
-/// * **pass 2** is [`grade_snapshot`] over the cached snapshot.
+/// * **pass 1** is [`ReportBuilder::mark_report`], which reads each
+///   violating group's majority off its members' value counts;
+/// * **pass 2** is [`grade_snapshot`] over the cached snapshot, which a
+///   [`detect_cached`] at the same epoch left fresh (otherwise it is
+///   patched or encoded here).
 pub fn audit_cached(
     cache: &mut SnapshotCache,
     table: &Table,
@@ -702,19 +677,8 @@ pub fn audit_cached(
     report: &ViolationReport,
 ) -> CfdResult<QualityReport> {
     let mut audit = ReportBuilder::new(table.schema(), table.arena_size(), cfds)?;
-    let snap = refresh_memo(cache, table, cfds, audit.bound(), None);
-    // Pass 1: involvement straight from the fragments, no hashing.
-    for (idx, entry) in cache.memo.iter().enumerate() {
-        for &row in &entry.singles {
-            audit.mark_single(idx, row);
-        }
-        for (_, members, own) in &entry.groups {
-            let len = members.len() as u64;
-            for (&(row, _), &count) in members.iter().zip(own) {
-                audit.mark_member(idx, row, count * 2 > len);
-            }
-        }
-    }
+    audit.mark_report(report);
+    let snap = cache.snapshot_projected(table, &needed_columns(audit.bound()));
     grade_snapshot(&snap, &mut audit);
     Ok(audit.finish(report))
 }

@@ -9,15 +9,20 @@
 //! monitor reports every update, and every cell repair-on-arrival writes,
 //! to the snapshot cache as a [`TableDelta`], so [`DataMonitor::snapshot`]
 //! and [`DataMonitor::detect`] are always current without ever
-//! re-encoding the table in steady state.
+//! re-encoding the table in steady state. The audit grades the
+//! incremental report over that snapshot in code space
+//! ([`colstore::audit_cached`]), reading the majority off the report's
+//! value counts.
 
 use std::sync::Arc;
 
 use api::{Capabilities, Mutation, QualityBackend};
-use audit::{quality_report, QualityReport};
+use audit::QualityReport;
 use cfd::parse::parse_cfds;
 use cfd::{Cfd, CfdError, CfdResult};
-use colstore::{detect_cached, seed_incremental, Snapshot, SnapshotCache, TableDelta};
+use colstore::{
+    audit_cached, detect_cached, seed_incremental, Snapshot, SnapshotCache, TableDelta,
+};
 use detect::{IncrementalDetector, ViolationReport};
 use minidb::{Database, DbError, RowId, Value};
 use repair::{incremental_repair, RepairConfig};
@@ -299,11 +304,8 @@ impl QualityBackend for DataMonitor {
 
     fn audit(&mut self) -> CfdResult<QualityReport> {
         let report = self.detector.report();
-        quality_report(
-            self.db.table(&self.relation).map_err(db_err)?,
-            &self.cfds,
-            &report,
-        )
+        let table = self.db.table(&self.relation).map_err(db_err)?;
+        audit_cached(&mut self.snapshots, table, &self.cfds, &report)
     }
 
     fn last_report(&self) -> Option<ViolationReport> {

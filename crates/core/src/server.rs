@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
-use audit::{quality_map, quality_report, QualityMap, QualityReport};
+use audit::{quality_map, QualityMap, QualityReport};
 use cfd::{CfdError, CfdResult, Consistency};
 use colstore::{audit_cached, detect_cached, ChunkStore, MemChunkStore, SnapshotCache, TableDelta};
 use detect::{detect_sql, ViolationReport};
@@ -320,11 +320,11 @@ impl QualityServer {
     /// Data auditor: the Fig. 4 quality report over the cached detection
     /// report (detecting first if none is cached).
     ///
-    /// Under [`DetectorKind::Columnar`] the report is assembled from the
-    /// snapshot cache's detect memo and snapshot codes
-    /// ([`colstore::audit_cached`]); no row's `Value`s are read. The SQL
-    /// detector keeps no memo, so its audit matches values
-    /// ([`quality_report`]).
+    /// The report is assembled in code space from the detection report's
+    /// per-member value counts and the snapshot cache's codes
+    /// ([`colstore::audit_cached`]), whichever detector produced it; no
+    /// row's `Value`s are read. Under [`DetectorKind::Sql`] the first
+    /// audit encodes the snapshot.
     pub fn audit(&mut self) -> CfdResult<QualityReport> {
         let _sp = obs::trace::span("audit.report");
         self.ensure_report()?;
@@ -332,12 +332,7 @@ impl QualityServer {
         // the cache is written; nothing is cloned.
         let report = self.last_report.as_ref().expect("detect caches its report");
         let table = self.db.table(&self.relation).map_err(db_err)?;
-        match self.config.detector {
-            DetectorKind::Sql => quality_report(table, self.engine.cfds(), report),
-            DetectorKind::Columnar => {
-                audit_cached(&mut self.snapshots, table, self.engine.cfds(), report)
-            }
-        }
+        audit_cached(&mut self.snapshots, table, self.engine.cfds(), report)
     }
 
     /// Data auditor: the Fig. 3 quality map.
@@ -566,6 +561,19 @@ mod tests {
     fn sql_detector_agrees_with_native_via_config() {
         let (report, oracle) = report_and_oracle(DetectorKind::Sql, 150, 72);
         assert_eq!(report, oracle);
+    }
+
+    #[test]
+    fn sql_server_audits_in_code_space() {
+        let mut s = server(150, 0.06, 73).with_config(ServerConfig {
+            detector: DetectorKind::Sql,
+            ..ServerConfig::default()
+        });
+        let got = s.audit().unwrap();
+        let report = s.last_report().unwrap();
+        let want = audit::quality_report(s.table().unwrap(), s.engine.cfds(), report).unwrap();
+        assert!(got.dirty_fraction() > 0.0);
+        assert_eq!(got, want);
     }
 
     #[test]

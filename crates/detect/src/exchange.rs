@@ -45,13 +45,12 @@
 //! count from the merged value counts, so the resulting
 //! [`ViolationReport`] carries the same `vio(t)` tallies a single-node
 //! detect would have produced. The report is then assembled from the
-//! stored per-key member lists, one refcount bump each, with one flag per
-//! member: does its value hold the merged group's strict majority (the
-//! auditor's input)?
+//! stored per-key member lists and their merged value counts, one refcount
+//! bump each; the auditor reads each group's majority off those counts.
 //!
-//! [`merge_cfd_partials`] and [`merge_cfd_partials_majority`] merge a set
-//! of partials from scratch with the same re-mapping; they are the oracle
-//! the maintained merge is tested against.
+//! [`merge_cfd_partials`] merges a set of partials from scratch with the
+//! same re-mapping; it is the oracle the maintained merge is tested
+//! against.
 
 use std::sync::Arc;
 
@@ -204,23 +203,6 @@ pub fn merge_cfd_partials<'a, I>(cfd_idx: usize, parts: I, report: &mut Violatio
 where
     I: IntoIterator<Item = &'a CfdPartial>,
 {
-    merge_cfd_partials_majority(cfd_idx, parts, report, &mut Vec::new());
-}
-
-/// [`merge_cfd_partials`], also appending one flag per member of each
-/// merged violating group to `majority`, in the order the members land in
-/// `report.violations`: set iff the member's RHS value holds the group's
-/// strict majority (`own * 2 > len`, from the merged value counts). The
-/// auditor grades from these flags instead of re-hashing the members'
-/// `Value`s.
-pub fn merge_cfd_partials_majority<'a, I>(
-    cfd_idx: usize,
-    parts: I,
-    report: &mut ViolationReport,
-    majority: &mut Vec<bool>,
-) where
-    I: IntoIterator<Item = &'a CfdPartial>,
-{
     let mut singles: Vec<RowId> = Vec::new();
     let mut variable: Vec<&'a [GroupPartial]> = Vec::new();
     for part in parts {
@@ -233,8 +215,7 @@ pub fn merge_cfd_partials_majority<'a, I>(
         report.push_single(cfd_idx, row);
     }
     for (key, rows, own) in merge_variable_partials(variable) {
-        push_flags(&own, majority);
-        report.push_multi_prepared(cfd_idx, key, rows, &own);
+        report.push_multi_shared(cfd_idx, key, Arc::new(rows), Arc::new(own));
     }
 }
 
@@ -254,24 +235,17 @@ fn groups_of(part: &CfdPartial) -> &[GroupPartial] {
     }
 }
 
-/// One majority flag per member of a violating group: its value holds
-/// the group's strict majority.
-fn push_flags(own: &[u64], majority: &mut Vec<bool>) {
-    let len = own.len() as u64;
-    majority.extend(own.iter().map(|&n| n * 2 > len));
-}
-
 /// Sentinel in [`KeyState::at`]: the shard's partial holds no group under
 /// the key.
 const ABSENT: u32 = u32::MAX;
 
 /// A merged violating group, kept between detects: the members with their
-/// RHS values (shared with every report the group lands in) and each
-/// member's merged value count.
+/// RHS values and each member's merged value count, both shared with
+/// every report the group lands in.
 #[derive(Debug, Default)]
 struct Materialized {
     rows: Arc<Vec<(RowId, Value)>>,
-    own: Vec<u64>,
+    own: Arc<Vec<u64>>,
 }
 
 /// One LHS key of a [`MergedCfd`].
@@ -288,10 +262,9 @@ struct KeyState {
 /// One CFD's cross-shard merge, maintained across detects: the
 /// coordinator re-merges only the LHS keys whose shard groups changed.
 ///
-/// [`MergedCfd::merge`] produces what [`merge_cfd_partials_majority`]
-/// produces over the same partials — a `normalized()`-equal report and
-/// the same majority flag per member — whatever partials it was handed
-/// before. It decides what changed by comparing partials, never by
+/// [`MergedCfd::merge`] produces what [`merge_cfd_partials`] produces
+/// over the same partials — a `normalized()`-equal report, value counts
+/// included — whatever partials it was handed before. It decides what changed by comparing partials, never by
 /// trusting an epoch, so a partial recomputed with the same content costs
 /// a comparison and no re-merge. Each violating group's members are kept
 /// in row order.
@@ -314,19 +287,12 @@ pub struct MergedCfd {
 impl MergedCfd {
     /// Fold one detect's partials — one per shard, in shard order — into
     /// the merge, then append the CFD's violations under `cfd_idx` to
-    /// `report` and one majority flag per group member to `majority`, in
-    /// report order. A partial that is the same `Arc` as last time costs
+    /// `report`. A partial that is the same `Arc` as last time costs
     /// nothing; a changed one is compared group by group with its
     /// predecessor. Returns the number of LHS keys re-merged: those whose
     /// group changed, appeared or vanished on some shard. A different
     /// shard count than last time starts the merge afresh.
-    pub fn merge<'a, I>(
-        &mut self,
-        cfd_idx: usize,
-        parts: I,
-        report: &mut ViolationReport,
-        majority: &mut Vec<bool>,
-    ) -> u64
+    pub fn merge<'a, I>(&mut self, cfd_idx: usize, parts: I, report: &mut ViolationReport) -> u64
     where
         I: IntoIterator<Item = &'a Arc<CfdPartial>>,
     {
@@ -366,8 +332,8 @@ impl MergedCfd {
         }
         for k in &self.keys {
             if let Some(m) = &k.violation {
-                push_flags(&m.own, majority);
-                report.push_multi_shared(cfd_idx, k.key.clone(), Arc::clone(&m.rows), &m.own);
+                let (rows, own) = (Arc::clone(&m.rows), Arc::clone(&m.own));
+                report.push_multi_shared(cfd_idx, k.key.clone(), rows, own);
             }
         }
         dirty.len() as u64
@@ -470,15 +436,20 @@ impl MergedCfd {
         // fragmented the service's heap: `svc_cluster_mixed` peaked at
         // 72.8 MiB that way, 66.6 MiB with the refill.
         let m = k.violation.get_or_insert_with(Materialized::default);
-        if Arc::get_mut(&mut m.rows).is_none() {
-            m.rows = Arc::default();
-        }
-        let rows = Arc::get_mut(&mut m.rows).expect("unshared after the check above");
-        rows.clear();
-        rows.extend(merged.rows());
-        m.own.clear();
-        m.own.extend(merged.own());
+        refill(&mut m.rows, merged.rows());
+        refill(&mut m.own, merged.own());
     }
+}
+
+/// Refill a kept list in place, or in a fresh allocation if a report
+/// still shares it.
+fn refill<T>(list: &mut Arc<Vec<T>>, items: impl Iterator<Item = T>) {
+    if Arc::get_mut(list).is_none() {
+        *list = Arc::default();
+    }
+    let list = Arc::get_mut(list).expect("unshared after the check above");
+    list.clear();
+    list.extend(items);
 }
 
 #[cfg(test)]
@@ -531,19 +502,26 @@ mod tests {
         assert_eq!(report.vio_of(RowId(3)), 2, "two conflict partners (a, a)");
     }
 
+    /// Each violating group's member value counts, in report order.
+    fn counts(report: &ViolationReport) -> Vec<Vec<u64>> {
+        let own = |v: &crate::violation::Violation| match &v.kind {
+            ViolationKind::MultiTuple { own, .. } => Some(own.to_vec()),
+            ViolationKind::SingleTuple { .. } => None,
+        };
+        report.violations.iter().filter_map(own).collect()
+    }
+
     #[test]
     fn majority_flags_follow_the_merged_counts() {
-        // {a, a} + {b}: the majority exists only after the merge. A tie
-        // {a} + {b} has none. Flags land in report member order.
+        // {a, a} + {b}: the majority (a count above half the group)
+        // exists only after the merge. A tie {a} + {b} has none.
         let s0 = variable(vec![partial(&[(1, "a"), (2, "a")])]);
         let s1 = variable(vec![partial(&[(3, "b")])]);
         let mut report = ViolationReport::default();
-        let mut majority = Vec::new();
-        merge_cfd_partials_majority(0, [&s0, &s1], &mut report, &mut majority);
-        assert_eq!(majority, [true, true, false]);
+        merge_cfd_partials(0, [&s0, &s1], &mut report);
         let tie = variable(vec![partial(&[(4, "a")])]);
-        merge_cfd_partials_majority(1, [&tie, &s1], &mut report, &mut majority);
-        assert_eq!(majority, [true, true, false, false, false]);
+        merge_cfd_partials(1, [&tie, &s1], &mut report);
+        assert_eq!(counts(&report), [vec![2, 2, 1], vec![1, 1]]);
     }
 
     #[test]
@@ -626,42 +604,17 @@ mod tests {
         Arc::new(variable(groups))
     }
 
-    /// Majority flags by `(cfd, row)`: the two merges order their reports
-    /// differently.
-    fn flags_by_row(report: &ViolationReport, majority: &[bool]) -> BTreeMap<(usize, RowId), bool> {
-        let mut flags = majority.iter();
-        let mut out = BTreeMap::new();
-        for v in &report.violations {
-            if let ViolationKind::MultiTuple { rows, .. } = &v.kind {
-                for (r, _) in rows.iter() {
-                    out.insert((v.cfd_idx, *r), *flags.next().expect("a flag per member"));
-                }
-            }
-        }
-        assert!(flags.next().is_none(), "one flag per member");
-        out
-    }
-
-    /// Merge `shards` through `m` and from scratch, assert the two agree,
-    /// and return the keys `m` re-merged, the report and its flags.
-    fn merge_both(
-        m: &mut MergedCfd,
-        shards: &[Arc<CfdPartial>],
-    ) -> (u64, ViolationReport, BTreeMap<(usize, RowId), bool>) {
-        let (mut kept, mut kept_flags) = (ViolationReport::default(), Vec::new());
-        let remerged = m.merge(2, shards, &mut kept, &mut kept_flags);
-        let (mut fresh, mut fresh_flags) = (ViolationReport::default(), Vec::new());
-        merge_cfd_partials_majority(
-            2,
-            shards.iter().map(|p| p.as_ref()),
-            &mut fresh,
-            &mut fresh_flags,
-        );
-        let flags = flags_by_row(&kept, &kept_flags);
-        assert_eq!(flags, flags_by_row(&fresh, &fresh_flags));
+    /// Merge `shards` through `m` and from scratch, assert the two agree
+    /// (value counts included), and return the keys `m` re-merged and the
+    /// normalized report.
+    fn merge_both(m: &mut MergedCfd, shards: &[Arc<CfdPartial>]) -> (u64, ViolationReport) {
+        let mut kept = ViolationReport::default();
+        let remerged = m.merge(2, shards, &mut kept);
+        let mut fresh = ViolationReport::default();
+        merge_cfd_partials(2, shards.iter().map(|p| p.as_ref()), &mut fresh);
         let kept = kept.normalized();
         assert_eq!(kept, fresh.normalized());
-        (remerged, kept, flags)
+        (remerged, kept)
     }
 
     #[test]
@@ -684,13 +637,13 @@ mod tests {
         assert_eq!(merge_both(&mut m, &[s0.clone(), s1]).1.len(), 1);
         // Shard 1's piece of k is gone: k is clean, j untouched.
         let s1 = shared(vec![keyed("j", &[(4, "x")])]);
-        let (remerged, report, _) = merge_both(&mut m, &[s0.clone(), s1]);
+        let (remerged, report) = merge_both(&mut m, &[s0.clone(), s1]);
         assert_eq!((remerged, report.len()), (1, 0));
         // Gone from every shard, then back: the vacated slot is reused.
         let empty = shared(Vec::new());
         assert_eq!(merge_both(&mut m, &[empty.clone(), empty.clone()]).0, 2);
         let s1 = shared(vec![keyed("k", &[(5, "c")])]);
-        let (remerged, report, _) = merge_both(&mut m, &[s0, s1]);
+        let (remerged, report) = merge_both(&mut m, &[s0, s1]);
         assert_eq!((remerged, report.len()), (1, 1));
     }
 
@@ -700,12 +653,12 @@ mod tests {
         let empty = shared(Vec::new());
         let mut m = MergedCfd::default();
         merge_both(&mut m, &[here.clone(), empty.clone()]);
-        let (remerged, report, _) = merge_both(&mut m, &[empty, here]);
+        let (remerged, report) = merge_both(&mut m, &[empty, here]);
         assert_eq!((remerged, report.len()), (1, 1));
         // Split: one member on each shard, still one merged violation.
         let a = shared(vec![keyed("k", &[(1, "a")])]);
         let b = shared(vec![keyed("k", &[(2, "b")])]);
-        let (remerged, report, _) = merge_both(&mut m, &[a, b]);
+        let (remerged, report) = merge_both(&mut m, &[a, b]);
         assert_eq!((remerged, report.len()), (1, 1));
     }
 
@@ -715,23 +668,20 @@ mod tests {
         // comes to agree with shard 0.
         let s0 = shared(vec![partial(&[(1, "a"), (2, "a")])]);
         let mut m = MergedCfd::default();
-        let (_, report, _) = merge_both(&mut m, &[s0.clone(), shared(vec![partial(&[(3, "b")])])]);
+        let (_, report) = merge_both(&mut m, &[s0.clone(), shared(vec![partial(&[(3, "b")])])]);
         assert_eq!(report.len(), 1);
-        let (remerged, report, flags) =
-            merge_both(&mut m, &[s0, shared(vec![partial(&[(3, "a")])])]);
+        let (remerged, report) = merge_both(&mut m, &[s0, shared(vec![partial(&[(3, "a")])])]);
         assert_eq!((remerged, report.len()), (1, 0));
-        assert!(flags.is_empty());
     }
 
     #[test]
     fn tie_flipping_to_a_majority() {
         let s1 = shared(vec![partial(&[(3, "b")])]);
         let mut m = MergedCfd::default();
-        let (_, _, flags) = merge_both(&mut m, &[shared(vec![partial(&[(1, "a")])]), s1.clone()]);
-        assert!(flags.values().all(|&f| !f), "a tie has no majority");
-        let (_, _, flags) = merge_both(&mut m, &[shared(vec![partial(&[(1, "a"), (2, "a")])]), s1]);
-        let majority: Vec<bool> = flags.into_values().collect();
-        assert_eq!(majority, [true, true, false]);
+        let (_, report) = merge_both(&mut m, &[shared(vec![partial(&[(1, "a")])]), s1.clone()]);
+        assert_eq!(counts(&report), [vec![1, 1]], "a tie has no majority");
+        let (_, report) = merge_both(&mut m, &[shared(vec![partial(&[(1, "a"), (2, "a")])]), s1]);
+        assert_eq!(counts(&report), [vec![2, 2, 1]]);
     }
 
     #[test]
@@ -756,7 +706,7 @@ mod tests {
             merge_both(&mut m, &[s0.clone(), s1]).1.dirty_rows().len(),
             3
         );
-        let (remerged, report, _) = merge_both(&mut m, &[s0, c(&[])]);
+        let (remerged, report) = merge_both(&mut m, &[s0, c(&[])]);
         assert_eq!(remerged, 0, "constant partials carry no groups");
         assert_eq!(report.dirty_rows(), [RowId(4), RowId(6)]);
     }
@@ -819,7 +769,7 @@ mod tests {
                     rs.insert(row, (rng.gen_range(0..4u8), (rhs < 3).then_some(rhs)));
                 }
                 parts[s as usize] = Arc::new(export(rs, rng.gen_bool(0.3)));
-                let (remerged, _, _) = merge_both(&mut m, &parts);
+                let (remerged, _) = merge_both(&mut m, &parts);
                 assert!(remerged <= 2, "one row moves between at most two groups");
             }
         }

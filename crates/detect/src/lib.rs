@@ -27,9 +27,7 @@ pub mod sql_detector;
 pub mod sqlgen;
 pub mod violation;
 
-pub use exchange::{
-    merge_cfd_partials, merge_cfd_partials_majority, CfdPartial, GroupPartial, MergedCfd,
-};
+pub use exchange::{merge_cfd_partials, CfdPartial, GroupPartial, MergedCfd};
 pub use incremental::IncrementalDetector;
 pub use native::detect_native;
 pub use sql_detector::{detect_sql, detect_sql_per_pattern};

@@ -118,6 +118,10 @@ pub enum ViolationKind {
         /// reports — sharing makes that a refcount bump per group instead
         /// of a clone per member.
         rows: Arc<Vec<(RowId, Value)>>,
+        /// Per member, how many members hold its RHS value (`own[i]` for
+        /// `rows[i]`), shared like `rows`. The auditor reads the group's
+        /// strict majority off these counts (`own * 2 > len`).
+        own: Arc<Vec<u64>>,
     },
 }
 
@@ -174,42 +178,31 @@ impl ViolationReport {
         let idxs: Vec<u32> = rows.iter().map(|(_, v)| counter.add(v)).collect();
         debug_assert!(counter.distinct() >= 2, "group must disagree on RHS");
         let own: Vec<u64> = idxs.into_iter().map(|i| counter.count_at(i)).collect();
-        self.push_multi_prepared(cfd_idx, key, rows, &own);
+        self.push_multi_shared(cfd_idx, key, Arc::new(rows), Arc::new(own));
     }
 
     /// [`ViolationReport::push_multi`] with the per-member value
     /// multiplicities already known (`own[i]` = how many group members hold
-    /// the same RHS value as `rows[i]`). The columnar detector counts over
-    /// dictionary codes and skips the value comparisons entirely.
-    pub fn push_multi_prepared(
-        &mut self,
-        cfd_idx: usize,
-        key: Vec<Value>,
-        rows: Vec<(RowId, Value)>,
-        own: &[u64],
-    ) {
-        self.push_multi_shared(cfd_idx, key, Arc::new(rows), own);
-    }
-
-    /// [`ViolationReport::push_multi_prepared`] over an already-shared
-    /// member list: the snapshot lifecycle's memo replays a fragment's
-    /// groups into each fresh report for one refcount bump per group.
+    /// the same RHS value as `rows[i]`), over already-shared lists: the
+    /// columnar detector counts over dictionary codes, and the snapshot
+    /// lifecycle's memo and the cluster's kept merge replay their groups
+    /// into each fresh report for one refcount bump per list.
     pub fn push_multi_shared(
         &mut self,
         cfd_idx: usize,
         key: Vec<Value>,
         rows: Arc<Vec<(RowId, Value)>>,
-        own: &[u64],
+        own: Arc<Vec<u64>>,
     ) {
         debug_assert_eq!(rows.len(), own.len(), "one multiplicity per member");
         let total = rows.len() as u64;
-        for ((r, _), n) in rows.iter().zip(own) {
+        for ((r, _), n) in rows.iter().zip(own.iter()) {
             self.vio.add(*r, total - n);
         }
         *self.per_cfd.entry(cfd_idx).or_default() += 1;
         self.violations.push(Violation {
             cfd_idx,
-            kind: ViolationKind::MultiTuple { key, rows },
+            kind: ViolationKind::MultiTuple { key, rows, own },
         });
     }
 
@@ -237,11 +230,15 @@ impl ViolationReport {
     /// (cfd, kind, first row, key).
     pub fn normalized(mut self) -> ViolationReport {
         for v in &mut self.violations {
-            if let ViolationKind::MultiTuple { rows, .. } = &mut v.kind {
-                // Shared member lists are cloned only when actually out of
+            if let ViolationKind::MultiTuple { rows, own, .. } = &mut v.kind {
+                // Shared member lists are copied only when actually out of
                 // order (memoized groups are often already row-sorted).
+                // Each count moves with its member.
                 if !rows.windows(2).all(|w| w[0].0 <= w[1].0) {
-                    Arc::make_mut(rows).sort_by_key(|(r, _)| *r);
+                    let mut order: Vec<usize> = (0..rows.len()).collect();
+                    order.sort_by_key(|&i| rows[i].0);
+                    *rows = Arc::new(order.iter().map(|&i| rows[i].clone()).collect());
+                    *own = Arc::new(order.iter().map(|&i| own[i]).collect());
                 }
             }
         }
@@ -257,7 +254,7 @@ impl ViolationReport {
 fn violation_sort_key(v: &Violation) -> (u8, u64, String) {
     match &v.kind {
         ViolationKind::SingleTuple { row } => (0, row.0, String::new()),
-        ViolationKind::MultiTuple { key, rows } => (
+        ViolationKind::MultiTuple { key, rows, .. } => (
             1,
             rows.first().map(|(r, _)| r.0).unwrap_or(0),
             key.iter()
@@ -323,6 +320,24 @@ mod tests {
             r.normalized()
         };
         assert_eq!(report([&g1, &g2]), report([&g2, &g1]));
+    }
+
+    #[test]
+    fn normalized_keeps_each_count_with_its_row() {
+        let group = |ids: [u64; 3]| -> Vec<(RowId, Value)> {
+            let val = |id| Value::str(if id == 3 { "b" } else { "a" });
+            ids.iter().map(|&id| (RowId(id), val(id))).collect()
+        };
+        let mut shuffled = ViolationReport::default();
+        shuffled.push_multi(0, vec![Value::str("UK")], group([3, 1, 2]));
+        let mut sorted = ViolationReport::default();
+        sorted.push_multi(0, vec![Value::str("UK")], group([1, 2, 3]));
+        let sorted = sorted.normalized();
+        let ViolationKind::MultiTuple { own, .. } = &sorted.violations[0].kind else {
+            panic!("a multi-tuple violation");
+        };
+        assert_eq!(**own, [2, 2, 1]);
+        assert_eq!(shuffled.normalized(), sorted);
     }
 
     #[test]

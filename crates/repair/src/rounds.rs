@@ -280,7 +280,7 @@ pub fn repair_rounds<S: RepairStore>(
         let mut var_progress = false;
         if consts.is_empty() || !const_progress {
             for v in &report.violations {
-                let ViolationKind::MultiTuple { key: _, rows } = &v.kind else {
+                let ViolationKind::MultiTuple { rows, .. } = &v.kind else {
                     continue;
                 };
                 var_progress |= resolve_variable(

@@ -1,5 +1,7 @@
 //! The Data Monitor in action: a cleansed database under a live update
-//! stream, first in detect-only mode, then with repair-on-arrival.
+//! stream, first in detect-only mode, then with repair-on-arrival. It ends
+//! by checking the monitor's code-space audit against the value-space
+//! `audit::quality_report` over the final table.
 //!
 //! ```sh
 //! cargo run --example incremental_monitor
@@ -7,6 +9,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use semandaq::api::QualityBackend;
+use semandaq::audit::quality_report;
 use semandaq::datagen::{canonical_cfds, generate_customers, CustomerConfig};
 use semandaq::minidb::{Database, Value};
 use semandaq::system::{DataMonitor, MonitorMode, Update};
@@ -93,4 +97,13 @@ fn main() {
             "arrivals must not add violations"
         );
     }
+
+    let audit = monitor.audit().unwrap();
+    let table = monitor.database().table("customer").unwrap();
+    let want = quality_report(table, monitor.cfds(), &monitor.report()).unwrap();
+    assert_eq!(audit, want, "monitor audit == value-space audit");
+    println!(
+        "\nfinal audit: {:.1}% dirty; monitor audit == value-space audit ✓",
+        audit.dirty_fraction() * 100.0
+    );
 }

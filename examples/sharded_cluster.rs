@@ -102,9 +102,9 @@ fn main() {
     let single = detect_columnar(&reference, &cfds).expect("single-node detect");
     assert_eq!(merged.clone().normalized(), single.clone().normalized());
     println!("\nmerged == single-node columnar detection  ✓");
-    // The cluster grades its audit in code space (majority flags from the
-    // merge, verified cells from the shard snapshots); the value-space
-    // report over the single-node table is the oracle.
+    // The cluster grades its audit in code space (majorities from the
+    // merged value counts, verified cells from the shard snapshots); the
+    // value-space report over the single-node table is the oracle.
     let audit = cluster.audit().expect("audit");
     assert_eq!(
         audit,

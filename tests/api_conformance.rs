@@ -3,11 +3,11 @@
 //! default columnar detector), `ShardedQualityServer` (hash and
 //! round-robin routers, shard counts 1/3/5) and `DataMonitor` — and every
 //! backend must produce `normalized()`-equal violation reports, equal
-//! quality reports (every field) and equal row counts at every step. The
-//! server audits in code space from its detect memo and the cluster from
-//! its merge and its shards' snapshots, while only the monitor matches
-//! values, so this also pins the code-space audits to the value-space one
-//! on all eight backends.
+//! quality reports (every field) and equal row counts at every step. Every
+//! backend audits in code space; at each step the audit of every backend
+//! that exposes its table (the server and the cluster) must also equal
+//! the value-space `audit::quality_report` over that table and report,
+//! and the monitor's audit must equal theirs.
 //! Repair-capable backends (the server and all six cluster configs)
 //! additionally run the script's `Repair` step, must end with an
 //! all-clean `audit()` and pairwise-equal repaired tables; the monitor
@@ -19,7 +19,8 @@
 use semandaq::api::{
     dispatch, dispatch_line, Mutation, MutationBatch, QualityBackend, Request, Response,
 };
-use semandaq::audit::QualityReport;
+use semandaq::audit::{quality_report, QualityReport};
+use semandaq::cfd::parse::parse_cfds;
 use semandaq::cfd::CfdError;
 use semandaq::cluster::{HashRouter, RoundRobinRouter, ShardRouter, ShardedQualityServer};
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
@@ -127,9 +128,11 @@ struct Step {
 /// single mutations → observe → (capable backends only) repair → observe.
 /// Deterministic row picks (global ids are allocated identically by every
 /// backend).
-fn run_script(b: &mut dyn QualityBackend) -> Vec<Step> {
+fn run_script(backend: &mut Backend) -> Vec<Step> {
     let mut steps = Vec::new();
-    let mut observe = |b: &mut dyn QualityBackend| {
+    let cfds = parse_cfds(CANONICAL_CFDS).expect("canonical rules parse");
+    let mut observe = |backend: &mut Backend| {
+        let b = backend.as_dyn();
         let report = b.detect().expect("detect").normalized();
         // last_report must now be current and agree with the detect.
         let cached = b
@@ -138,20 +141,30 @@ fn run_script(b: &mut dyn QualityBackend) -> Vec<Step> {
             .normalized();
         assert_eq!(cached, report, "last_report == detect");
         let audit = b.audit().expect("audit");
+        let rows = b.len();
+        // The code-space audit equals the value-space oracle.
+        if let Some(table) = backend.table() {
+            let want = quality_report(&table, &cfds, &report).expect("oracle audit");
+            assert_eq!(audit, want, "audit == quality_report");
+        }
         steps.push(Step {
             report,
             audit,
-            rows: b.len(),
+            rows,
         });
     };
 
-    let rules = b.register_cfds(CANONICAL_CFDS).expect("canonical rules");
+    let rules = backend
+        .as_dyn()
+        .register_cfds(CANONICAL_CFDS)
+        .expect("canonical rules");
     assert!(rules > 0);
-    observe(b);
+    observe(backend);
 
     // A mixed batch: two dirty inserts, a corrupting cell update, a
     // delete — all through the amortized path.
-    let out = b
+    let out = backend
+        .as_dyn()
         .apply_batch(MutationBatch {
             mutations: vec![
                 Mutation::Insert(dirty_row(2, "WRONGCITY")),
@@ -171,21 +184,25 @@ fn run_script(b: &mut dyn QualityBackend) -> Vec<Step> {
         vec![RowId(ROWS as u64), RowId(ROWS as u64 + 1)],
         "global id allocation is backend-independent"
     );
-    observe(b);
+    observe(backend);
 
     // Single-mutation surface: overwrite one cell, delete one insert.
+    let b = backend.as_dyn();
     b.update_cell(RowId(3), 2, Value::str("RESTORED"))
         .expect("update");
     b.delete(out.inserted[0]).expect("delete");
-    observe(b);
+    observe(backend);
 
     // The repair step: capability-gated, so only the backends that
     // advertise it run it — and they must end all-clean.
-    if b.capabilities().repair {
-        let summary = b.repair().expect("repair-capable backend repairs");
+    if backend.as_dyn().capabilities().repair {
+        let summary = backend
+            .as_dyn()
+            .repair()
+            .expect("repair-capable backend repairs");
         assert_eq!(summary.residual, 0, "repair converges");
         assert!(summary.changes > 0, "the script left something to fix");
-        observe(b);
+        observe(backend);
         let last = steps.last().unwrap();
         assert!(last.report.is_empty(), "all-clean after repair");
         assert_eq!(last.audit.dirty_fraction(), 0.0);
@@ -198,7 +215,7 @@ fn all_backends_agree_on_the_shared_script() {
     let mut all = backends();
     let (ref_label, reference) = {
         let (label, b) = &mut all[0];
-        (label.clone(), run_script(b.as_dyn()))
+        (label.clone(), run_script(b))
     };
     assert!(
         !reference[0].report.is_empty(),
@@ -208,7 +225,7 @@ fn all_backends_agree_on_the_shared_script() {
     let ref_table = table_rows(&all[0].1.table().expect("server exposes its table"));
     for (label, b) in &mut all[1..] {
         let capable = b.as_dyn().capabilities().repair;
-        let got = run_script(b.as_dyn());
+        let got = run_script(b);
         // Non-capable backends skip the post-repair step; everything they
         // do observe must match the reference prefix.
         let want = if capable {

@@ -362,9 +362,10 @@ fn one_audit_report_sample_per_audit_dispatch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The columnar audit reads the fragments the last detect left: after a
-/// detect at an unchanged epoch it neither computes nor counts a reuse of
-/// a single fragment — those counters describe detection.
+/// The columnar audit reads the report the last detect left, not the
+/// detect memo: after a detect at an unchanged epoch it neither computes
+/// nor counts a reuse of a single fragment — those counters describe
+/// detection.
 #[test]
 fn audit_after_detect_touches_no_fragment_counter() {
     let _g = lock();
@@ -382,8 +383,8 @@ fn audit_after_detect_touches_no_fragment_counter() {
     assert_eq!(reused.get() - r0, 0, "audit counts no fragment reuse");
 }
 
-/// The cluster audit grades from the merge's majority flags and the
-/// shards' cached snapshots: after a detect at an unchanged epoch it
+/// The cluster audit grades from the merged report's value counts and
+/// the shards' cached snapshots: after a detect at an unchanged epoch it
 /// computes and reuses no partial, encodes nothing, and records one
 /// `audit_report_ns` sample per call.
 #[test]

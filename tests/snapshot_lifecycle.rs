@@ -313,8 +313,8 @@ fn threshold_crossing_rebuilds_and_stays_correct() {
 
 // ------------------------------------------------------------------ audit
 //
-// The columnar server audits from the detect memo and snapshot codes
-// (`colstore::audit_cached`). After every step of a random stream its
+// The columnar server audits from its report's value counts and snapshot
+// codes (`colstore::audit_cached`). After every step of a random stream its
 // report must equal the value-space oracle's, field for field.
 
 /// The audit's CFD pool, one rule per line: variable rules with

@@ -289,7 +289,7 @@ fn cached_single_node_audit_traces_no_detection() {
         "an audit without a cached report detects under its span"
     );
 
-    // Audit again: the report and the memo are cached.
+    // Audit again: the report and the snapshot are cached.
     dispatch_line(&mut s, &Request::Audit.encode());
     let warm = trace::last_trace().unwrap();
     assert_eq!(warm.name, "api.audit");
@@ -309,8 +309,8 @@ fn cached_single_node_audit_traces_no_detection() {
 
 /// The cluster's mirror of the test above: an Audit over a cached report
 /// is one `audit.report` span with no scatter, export or detection below
-/// it, since the audit grades from the merge's majority flags and the
-/// shards' cached snapshots. A cold Audit carries the scatter it needs.
+/// it, since the audit grades from the merged report's value counts and
+/// the shards' cached snapshots. A cold Audit carries the scatter it needs.
 #[test]
 fn cached_cluster_audit_traces_no_detection() {
     let _g = lock();
