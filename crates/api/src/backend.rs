@@ -129,7 +129,7 @@ pub struct RepairSummary {
 /// detection, audit and (capability-gated) repair.
 ///
 /// Implementations must keep every derived structure — cached snapshots,
-/// incremental detectors, memoized reports — coherent across these calls:
+/// per-CFD detect memos, cached reports — coherent across these calls:
 /// mutating through the trait is always safe, and a `detect` after any
 /// mutation sequence reflects exactly the mutated data.
 pub trait QualityBackend {

@@ -11,8 +11,8 @@
 //!   registration, a full mutation surface ([`Mutation`] /
 //!   [`MutationBatch`] with amortized [`QualityBackend::apply_batch`]),
 //!   detection, audit, and capability-gated repair. Every implementation
-//!   keeps its derived state (cached snapshots, incremental detectors)
-//!   coherent under mutations through the trait.
+//!   keeps its derived state (cached snapshots, detect memos, cached
+//!   reports) coherent under mutations through the trait.
 //! * [`wire`] — the serializable [`wire::Request`] / [`wire::Response`]
 //!   command protocol and [`wire::dispatch`]: decode a request stream,
 //!   serve it from any backend. The front door for every transport.

@@ -25,7 +25,7 @@ use cfd::satisfiability::check_consistency;
 use cfd::DomainSpec;
 use cluster::{HashRouter, RoundRobinRouter, ShardRouter, ShardedQualityServer};
 use colstore::{detect_cached, detect_columnar, detect_on_snapshot, Snapshot, SnapshotCache};
-use detect::{detect_native, detect_sql, detect_sql_per_pattern, IncrementalDetector};
+use detect::{detect_native, detect_sql, detect_sql_per_pattern};
 use discovery::{
     discover_fds, mine_constant_cfds, mine_variable_cfds, CtaneConfig, MinerConfig, TaneConfig,
 };
@@ -115,8 +115,8 @@ fn write_baseline(measured: Vec<(usize, String, f64)>) {
 }
 
 /// Every experiment name `main` answers to, in run order.
-const EXPERIMENTS: [&str; 18] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+const EXPERIMENTS: [&str; 17] = [
+    "e1", "e2", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
     "e16", "a1", "a2",
 ];
 
@@ -169,50 +169,6 @@ fn main() {
             detect_native(w.db.table("customer").unwrap(), &cfds).unwrap();
             let t_native = ms(t0);
             println!("{k:>10} {t_sql:>14.1} {t_native:>14.1}");
-        }
-        println!();
-    }
-
-    if wanted("e3") {
-        println!("== E3: incremental vs batch detection (20k rows) ==");
-        println!(
-            "{:>8} {:>16} {:>16}",
-            "delta", "incremental (ms)", "batch (ms)"
-        );
-        let w = workload(20_000, 0.02, 19);
-        let base = IncrementalDetector::build(w.db.table("customer").unwrap(), &w.cfds).unwrap();
-        for delta in [1usize, 16, 256, 4_096] {
-            let updates: Vec<(minidb::RowId, Vec<Value>, Vec<Value>)> =
-                w.db.table("customer")
-                    .unwrap()
-                    .iter()
-                    .take(delta)
-                    .enumerate()
-                    .map(|(i, (id, row))| {
-                        let before = row.to_vec();
-                        let mut after = before.clone();
-                        after[2] = Value::str(format!("UPD{i}"));
-                        (id, before, after)
-                    })
-                    .collect();
-            // incremental
-            let mut det = base.clone();
-            let t0 = Instant::now();
-            for (id, before, after) in &updates {
-                det.update(*id, before, after);
-            }
-            let _ = det.total_violations();
-            let t_inc = ms(t0);
-            // batch re-run (after applying updates to a copy)
-            let mut db = w.db.clone();
-            for (id, _, after) in &updates {
-                db.update_cell("customer", *id, 2, after[2].clone())
-                    .unwrap();
-            }
-            let t0 = Instant::now();
-            detect_native(db.table("customer").unwrap(), &w.cfds).unwrap();
-            let t_batch = ms(t0);
-            println!("{delta:>8} {t_inc:>16.2} {t_batch:>16.1}");
         }
         println!();
     }

@@ -9,6 +9,7 @@
 //! (seeded — output is fully deterministic).
 
 use audit::{quality_map, quality_report};
+use colstore::SnapshotCache;
 use detect::detect_sql;
 use explore::{diff_tables, NavigationSession, ReviewSession};
 use minidb::Value;
@@ -101,8 +102,10 @@ fn main() {
         for line in diff.lines().take(14) {
             println!("{line}");
         }
+        let mut cache = SnapshotCache::new();
         let mut session =
-            ReviewSession::new(&mut w.db, "customer", &w.cfds, &result.changes).unwrap();
+            ReviewSession::new(&mut w.db, &mut cache, "customer", &w.cfds, &result.changes)
+                .unwrap();
         println!("-- ranked alternatives for the first three modifications --");
         for i in 0..3.min(session.entries().len()) {
             let e = session.entries()[i].clone();

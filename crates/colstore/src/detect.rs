@@ -28,7 +28,7 @@
 
 use cfd::{BoundCfd, Cfd, CfdResult, Pattern};
 use detect::exchange::{CfdPartial, GroupPartial};
-use detect::{IncrementalDetector, ViolationReport};
+use detect::ViolationReport;
 use minidb::{RowId, Table, Value};
 
 use crate::column::Column;
@@ -878,19 +878,6 @@ fn export_partial(
     }
 }
 
-/// Build an [`IncrementalDetector`] by seeding its per-CFD state from one
-/// columnar pass instead of the row-at-a-time insert loop — the full-rescan
-/// fallback of the data monitor. The state travels in the cluster's
-/// exchange format: one [`cfd_partial_one`] export per CFD.
-pub fn seed_incremental(snap: &Snapshot, cfds: &[Cfd]) -> CfdResult<IncrementalDetector> {
-    let bound: Vec<BoundCfd> = cfds
-        .iter()
-        .map(|c| c.bind(snap.schema()))
-        .collect::<CfdResult<_>>()?;
-    let partials = bound.iter().map(|b| cfd_partial_one(snap, b)).collect();
-    Ok(IncrementalDetector::from_partials(bound, partials))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1100,55 +1087,5 @@ mod tests {
             merged.normalized(),
             detect_columnar(t, &d.cfds).unwrap().normalized()
         );
-    }
-
-    #[test]
-    fn seeded_incremental_matches_classic_build() {
-        let d = dirty_customers(300, 0.05, 24);
-        let customers = (d.db.table("customer").unwrap().clone(), d.cfds);
-        let cases = [
-            ("customers", customers),
-            ("absent LHS constant", absent_lhs_constant()),
-            ("absent RHS constant", absent_rhs_constant()),
-            ("all-NULL LHS", all_null_lhs()),
-            ("hashed u64 keys", hashed_u64_keys()),
-            ("wide keys", wide_keys()),
-        ];
-        for (name, (t, cfds)) in &cases {
-            let classic = IncrementalDetector::build(t, cfds).unwrap();
-            let seeded = seed_incremental(&Snapshot::of(t), cfds).unwrap();
-            assert_eq!(
-                classic.report().normalized(),
-                seeded.report().normalized(),
-                "{name}"
-            );
-            assert_eq!(
-                classic.total_violations(),
-                seeded.total_violations(),
-                "{name}"
-            );
-            for (id, _) in t.iter() {
-                assert_eq!(classic.vio_of(id), seeded.vio_of(id), "{name}: {id:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_incremental_stays_consistent_under_updates() {
-        let d = dirty_customers(200, 0.05, 25);
-        let t = d.db.table("customer").unwrap();
-        let mut det = seed_incremental(&Snapshot::of(t), &d.cfds).unwrap();
-        let mut table = t.clone();
-        // Mutate through the incremental interface, then cross-check batch.
-        let ids = table.row_ids();
-        for (i, &id) in ids.iter().take(20).enumerate() {
-            let old: Vec<Value> = table.get(id).unwrap().to_vec();
-            let mut new = old.clone();
-            new[2] = Value::str(format!("CITY{i}"));
-            table.update_cell(id, 2, new[2].clone()).unwrap();
-            det.update(id, &old, &new);
-        }
-        let batch = detect_native(&table, &d.cfds).unwrap().normalized();
-        assert_eq!(batch, det.report().normalized());
     }
 }

@@ -22,9 +22,6 @@
 //!   exchange format; the cluster scatters these exports over scoped
 //!   workers sized by [`morsel::resolve_threads`]. Detection itself runs
 //!   on the caller's thread.
-//! * [`seed_incremental`] — bulk-seed the incremental detector's group
-//!   state from one columnar pass, carried as [`cfd_partials`]-format
-//!   exports (the data monitor's full-rescan fallback).
 //! * [`SnapshotCache`] / [`detect_cached`] — the epoch-versioned snapshot
 //!   lifecycle: one cached `Arc<Snapshot>` tagged with the table's mutation
 //!   epoch, returned for free while the epochs match and **incrementally
@@ -51,7 +48,7 @@ pub mod spill;
 pub use self::column::{default_chunk_rows, Column, ColumnBuilder};
 pub use self::detect::{
     cfd_partial_one, cfd_partials, detect_columnar, detect_on_snapshot, detect_on_snapshot_threads,
-    detect_one_columnar, seed_incremental,
+    detect_one_columnar,
 };
 pub use self::dictionary::{Dictionary, NULL_CODE};
 pub use self::lifecycle::{

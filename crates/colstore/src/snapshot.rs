@@ -6,7 +6,7 @@
 //! columns its CFD set mentions, skipping expensive high-cardinality
 //! free-text columns entirely). The snapshot is the unit of reuse: encode
 //! once, then evaluate an arbitrary number of CFDs (or build partitions, or
-//! seed the incremental detector) against the same code columns. Cloning a
+//! export the cluster's per-group partials) against the same code columns. Cloning a
 //! snapshot is cheap — row ids and sealed code chunks are `Arc`-shared.
 //!
 //! Every encoded column shares one snapshot-wide chunk size

@@ -62,6 +62,14 @@ impl ConstraintEngine {
         Ok(verdict)
     }
 
+    /// Replace the constraint set outright, with no consistency gate: the
+    /// data monitor's `set_cfds`, which binds every rule to the schema
+    /// first.
+    pub(crate) fn replace(&mut self, cfds: Vec<Cfd>) {
+        self.cfds = cfds;
+        self.last_verdict = None;
+    }
+
     /// Replace the constraint set with its minimal cover.
     pub fn reduce_to_cover(&mut self) -> CfdResult<usize> {
         let before = self.cfds.len();

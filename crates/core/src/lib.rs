@@ -8,8 +8,9 @@
 //! * [`server::QualityServer`] — error detection (SQL / native /
 //!   columnar), auditing (report + quality map), exploration hooks,
 //!   cleansing, constraint discovery;
-//! * [`monitor::DataMonitor`] — incremental detection or
-//!   repair-on-arrival under an update stream.
+//! * [`monitor::DataMonitor`] — a `QualityServer` plus a mode:
+//!   detection, or repair-on-arrival, after every update of a stream, over
+//!   the server's patched snapshot and per-CFD detect memo.
 //!
 //! ```
 //! use datagen::dirty_customers;

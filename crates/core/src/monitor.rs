@@ -3,33 +3,25 @@
 //! database has not been cleansed; or (2) invokes incremental repair …
 //! otherwise".
 //!
-//! One columnar encode seeds both derived structures: the snapshot cache
-//! and, through the cluster's per-group partial format
-//! ([`detect::CfdPartial`]), the [`IncrementalDetector`]. From then on the
-//! monitor reports every update, and every cell repair-on-arrival writes,
-//! to the snapshot cache as a [`TableDelta`], so [`DataMonitor::snapshot`]
-//! and [`DataMonitor::detect`] are always current without ever
-//! re-encoding the table in steady state. The audit grades the
-//! incremental report over that snapshot in code space
-//! ([`colstore::audit_cached`]), reading the majority off the report's
-//! value counts.
-
-use std::sync::Arc;
+//! The monitor is a [`QualityServer`] plus a [`MonitorMode`]. Every update
+//! goes through the server's mutation surface, which patches its snapshot
+//! cache, and ends with the server's detect: the patched, memoised
+//! [`colstore::detect_cached`], which recomputes only the CFDs whose
+//! columns the update touched. That detect is the incremental detection;
+//! the report it caches answers [`DataMonitor::violations`],
+//! [`DataMonitor::vio_of`] and [`DataMonitor::report`] until the next
+//! update. Repair-on-arrival repairs the updated row against the rest of
+//! the relation and replays the changed cells into the same cache, so a
+//! steady stream never re-encodes the table.
 
 use api::{Capabilities, Mutation, QualityBackend};
 use audit::QualityReport;
 use cfd::parse::parse_cfds;
-use cfd::{Cfd, CfdError, CfdResult};
-use colstore::{
-    audit_cached, detect_cached, seed_incremental, Snapshot, SnapshotCache, TableDelta,
-};
-use detect::{IncrementalDetector, ViolationReport};
-use minidb::{Database, DbError, RowId, Value};
-use repair::{incremental_repair, RepairConfig};
+use cfd::{Cfd, CfdResult};
+use detect::ViolationReport;
+use minidb::{Database, RowId, Value};
 
-fn db_err(e: DbError) -> CfdError {
-    CfdError::Malformed(e.to_string())
-}
+use crate::server::QualityServer;
 
 /// The monitor's historical name for the shared mutation type: an update
 /// against the monitored relation is exactly an [`api::Mutation`].
@@ -55,89 +47,68 @@ pub struct UpdateOutcome {
     pub repairs: usize,
 }
 
-/// The data monitor: owns the database and incremental state.
+/// The data monitor: a quality server whose report is kept current under
+/// the update stream.
 pub struct DataMonitor {
-    db: Database,
-    relation: String,
-    cfds: Vec<Cfd>,
-    detector: IncrementalDetector,
-    /// Columnar snapshot of the relation, patched in lock-step with the
-    /// update stream (and with repair-on-arrival's edits).
-    snapshots: SnapshotCache,
+    server: QualityServer,
     mode: MonitorMode,
-    repair_cfg: RepairConfig,
 }
 
 impl DataMonitor {
-    /// Start monitoring `relation` in `db` under `cfds`.
+    /// Start monitoring `relation` in `db` under `cfds`: one encode of
+    /// every column, so later rule sets ride it too, then the first detect.
     pub fn new(
         db: Database,
         relation: &str,
         cfds: Vec<Cfd>,
         mode: MonitorMode,
     ) -> CfdResult<DataMonitor> {
-        // One columnar encode seeds both the snapshot cache and the
-        // incremental detector's group state (bulk, not row-at-a-time) —
-        // from here on both are maintained under the update stream.
-        let mut snapshots = SnapshotCache::new();
-        let snap = snapshots.snapshot(db.table(relation).map_err(db_err)?);
-        let detector = seed_incremental(&snap, &cfds)?;
-        Ok(DataMonitor {
-            db,
-            relation: relation.to_string(),
-            cfds,
-            detector,
-            snapshots,
-            mode,
-            repair_cfg: RepairConfig::default(),
-        })
+        let mut server = QualityServer::new(db, relation)?;
+        server.encode_all_columns()?;
+        let mut monitor = DataMonitor { server, mode };
+        monitor.set_cfds(cfds)?;
+        Ok(monitor)
+    }
+
+    /// The report of the last update's detect. Construction, `set_cfds`
+    /// and every update end with one, so it is only absent after an update
+    /// whose repair or detect failed.
+    fn current(&self) -> Option<&ViolationReport> {
+        self.server.last_report()
     }
 
     /// Current total number of violations.
     pub fn violations(&self) -> u64 {
-        self.detector.total_violations()
+        self.current().map_or(0, |r| r.len() as u64)
     }
 
     /// Current `vio(t)` of a row.
     pub fn vio_of(&self, row: RowId) -> u64 {
-        self.detector.vio_of(row)
+        self.current().map_or(0, |r| r.vio.get(row))
     }
 
-    /// Materialize the current violation report.
+    /// The current violation report.
     pub fn report(&self) -> ViolationReport {
-        self.detector.report()
-    }
-
-    /// The current columnar snapshot of the monitored relation, maintained
-    /// in lock-step with the update stream — in steady state this is a
-    /// refcount bump, not an encode (it also serves as the shard-transfer
-    /// format). Falls back to one full encode if the database was mutated
-    /// behind the monitor's back.
-    pub fn snapshot(&mut self) -> CfdResult<Arc<Snapshot>> {
-        Ok(self
-            .snapshots
-            .snapshot(self.db.table(&self.relation).map_err(db_err)?))
+        self.current().cloned().unwrap_or_default()
     }
 
     /// Batch detection over the maintained snapshot (zero encode work in
-    /// steady state, and per-CFD fragments are replayed from the memo for
-    /// rules whose columns the update stream left untouched). Equal, after
-    /// `normalized()`, to [`Self::report`] — the monitor's two views can
-    /// be cross-checked at any time.
+    /// steady state; every fragment replays from the memo, since the last
+    /// update's detect already recomputed the touched ones). Equal to
+    /// [`Self::report`].
     pub fn detect(&mut self) -> CfdResult<ViolationReport> {
-        let table = self.db.table(&self.relation).map_err(db_err)?;
-        detect_cached(&mut self.snapshots, table, &self.cfds)
+        self.server.detect()
     }
 
     /// Number of full snapshot encodes since monitoring began (1 after
     /// construction; steady-state streams keep it there).
     pub fn snapshot_encodes(&self) -> u64 {
-        self.snapshots.encodes()
+        self.server.snapshot_encodes()
     }
 
     /// The monitored database.
     pub fn database(&self) -> &Database {
-        &self.db
+        self.server.database()
     }
 
     /// Switch mode (e.g. after an explicit cleansing pass).
@@ -147,116 +118,65 @@ impl DataMonitor {
 
     /// The monitored CFD set.
     pub fn cfds(&self) -> &[Cfd] {
-        &self.cfds
+        self.server.engine().cfds()
     }
 
-    /// Replace the monitored CFD set, re-seeding the incremental detector
-    /// from the maintained snapshot (one bulk pass, no re-encode in
-    /// steady state).
+    /// Replace the monitored CFD set (no consistency gate) and detect
+    /// under it. Every rule is bound against the schema first: a rule over
+    /// an unknown column is an error and leaves the old rules and report
+    /// in place.
     pub fn set_cfds(&mut self, cfds: Vec<Cfd>) -> CfdResult<()> {
-        let snap = self
-            .snapshots
-            .snapshot(self.db.table(&self.relation).map_err(db_err)?);
-        self.detector = seed_incremental(&snap, &cfds)?;
-        self.cfds = cfds;
+        let schema = self.server.table()?.schema();
+        for c in &cfds {
+            c.bind(schema)?;
+        }
+        self.server.engine_mut().replace(cfds);
+        self.server.refresh()?;
         Ok(())
     }
 
-    /// Apply one update; returns the effect on data quality. Both derived
-    /// structures — the incremental detector and the columnar snapshot —
-    /// are maintained in lock-step with the mutation.
+    /// Apply one update; returns the effect on data quality.
     pub fn apply(&mut self, update: Mutation) -> CfdResult<UpdateOutcome> {
-        let affected = match update {
-            Update::Insert(values) => {
-                let id = self.db.insert_row(&self.relation, values).map_err(db_err)?;
-                let table = self.db.table(&self.relation).map_err(db_err)?;
-                let row: Vec<Value> = table.get(id).map_err(db_err)?.to_vec();
-                self.snapshots.note_insert(table, id);
-                self.detector.insert(id, &row);
-                Some(id)
-            }
+        let row = match update {
+            Update::Insert(values) => Some(self.server.insert(values)?),
             Update::Delete(id) => {
-                let old = self.db.delete_row(&self.relation, id).map_err(db_err)?;
-                let table = self.db.table(&self.relation).map_err(db_err)?;
-                self.snapshots.note_delete(table, id);
-                self.detector.delete(id, &old);
+                self.server.delete(id)?;
                 None
             }
             Update::SetCell { row, col, value } => {
-                let before = self.row_values(row)?;
-                self.db
-                    .update_cell(&self.relation, row, col, value)
-                    .map_err(db_err)?;
-                let table = self.db.table(&self.relation).map_err(db_err)?;
-                let after: Vec<Value> = table.get(row).map_err(db_err)?.to_vec();
-                self.snapshots.note_set_cell(table, row, col);
-                self.detector.update(row, &before, &after);
+                self.server.update_cell(row, col, value)?;
                 Some(row)
             }
         };
+        self.settle(row)
+    }
 
+    /// Detect after an update to `row` (`None` for a delete). In
+    /// [`MonitorMode::RepairOnArrival`] a row the update left violating is
+    /// repaired, and detected again, before the outcome is taken.
+    fn settle(&mut self, row: Option<RowId>) -> CfdResult<UpdateOutcome> {
+        let mut report = self.server.refresh()?;
         let mut repairs = 0usize;
-        if self.mode == MonitorMode::RepairOnArrival {
-            if let Some(id) = affected {
-                if self.detector.vio_of(id) > 0 {
-                    let result = incremental_repair(
-                        &mut self.db,
-                        &self.relation,
-                        &self.cfds,
-                        &[id],
-                        &self.repair_cfg,
-                    )?;
-                    repairs = result.changes.len();
-                    // Replay the repair into the snapshot: one cell patch
-                    // per applied change (the table advanced exactly one
-                    // epoch per change).
-                    let cells: Vec<TableDelta> = result
-                        .changes
-                        .iter()
-                        .map(|c| TableDelta::CellSet(c.row, c.col))
-                        .collect();
-                    let table = self.db.table(&self.relation).map_err(db_err)?;
-                    self.snapshots.note_batch(table, &cells);
-                    // Replay the repair into the detector: reconstruct each
-                    // touched row's pre-repair state (earliest `old` per
-                    // cell wins) and apply a single update per row.
-                    let mut touched: Vec<RowId> = result.changes.iter().map(|c| c.row).collect();
-                    touched.sort();
-                    touched.dedup();
-                    for row in touched {
-                        let after = self.row_values(row)?;
-                        let mut before = after.clone();
-                        for c in result.changes.iter().rev().filter(|c| c.row == row) {
-                            before[c.col] = c.old.clone();
-                        }
-                        self.detector.update(row, &before, &after);
-                    }
-                }
+        if let (MonitorMode::RepairOnArrival, Some(id)) = (self.mode, row) {
+            if report.vio.contains(id) {
+                repairs = self.server.repair_rows(&[id])?.changes.len();
+                report = self.server.refresh()?;
             }
         }
         Ok(UpdateOutcome {
-            row: affected,
-            violations: self.detector.total_violations(),
+            row,
+            violations: report.len() as u64,
             repairs,
         })
-    }
-
-    fn row_values(&self, id: RowId) -> CfdResult<Vec<Value>> {
-        Ok(self
-            .db
-            .table(&self.relation)
-            .map_err(db_err)?
-            .get(id)
-            .map_err(db_err)?
-            .to_vec())
     }
 }
 
 /// The unified-API view of the streaming monitor: every trait mutation is
-/// one [`DataMonitor::apply`], so incremental detection (and, in
-/// [`MonitorMode::RepairOnArrival`], on-arrival repair) runs per update —
-/// the batch entry point deliberately keeps the per-update semantics and
-/// uses the trait's one-by-one loop.
+/// one server mutation settled exactly as [`DataMonitor::apply`] settles
+/// it, so incremental detection (and, in [`MonitorMode::RepairOnArrival`],
+/// on-arrival repair) runs per update — the batch entry point deliberately
+/// keeps the per-update semantics and uses the trait's one-by-one loop.
+/// Reads forward to the server.
 impl QualityBackend for DataMonitor {
     fn capabilities(&self) -> Capabilities {
         Capabilities {
@@ -271,51 +191,41 @@ impl QualityBackend for DataMonitor {
 
     fn register_cfds(&mut self, text: &str) -> CfdResult<usize> {
         self.set_cfds(parse_cfds(text)?)?;
-        Ok(self.cfds.len())
+        Ok(self.cfds().len())
     }
 
     fn insert(&mut self, row: Vec<Value>) -> CfdResult<RowId> {
-        let out = self.apply(Mutation::Insert(row))?;
-        out.row
-            .ok_or_else(|| CfdError::Malformed("insert did not yield a row".into()))
+        let id = self.server.insert(row)?;
+        self.settle(Some(id))?;
+        Ok(id)
     }
 
     fn delete(&mut self, row: RowId) -> CfdResult<Vec<Value>> {
-        let old = self.row_values(row)?;
-        self.apply(Mutation::Delete(row))?;
+        let old = self.server.delete(row)?;
+        self.settle(None)?;
         Ok(old)
     }
 
     fn update_cell(&mut self, row: RowId, col: usize, value: Value) -> CfdResult<Value> {
-        let old = self
-            .db
-            .table(&self.relation)
-            .map_err(db_err)?
-            .cell(row, col)
-            .map_err(db_err)?
-            .clone();
-        self.apply(Mutation::SetCell { row, col, value })?;
+        let old = self.server.update_cell(row, col, value)?;
+        self.settle(Some(row))?;
         Ok(old)
     }
 
     fn detect(&mut self) -> CfdResult<ViolationReport> {
-        DataMonitor::detect(self)
+        self.server.detect()
     }
 
     fn audit(&mut self) -> CfdResult<QualityReport> {
-        let report = self.detector.report();
-        let table = self.db.table(&self.relation).map_err(db_err)?;
-        audit_cached(&mut self.snapshots, table, &self.cfds, &report)
+        self.server.audit()
     }
 
     fn last_report(&self) -> Option<ViolationReport> {
-        // The incremental state is always current: the monitor's report
-        // *is* its live view.
-        Some(self.detector.report())
+        QualityBackend::last_report(&self.server)
     }
 
     fn len(&self) -> usize {
-        self.db.table(&self.relation).map(|t| t.len()).unwrap_or(0)
+        QualityBackend::len(&self.server)
     }
 }
 
@@ -441,6 +351,24 @@ mod tests {
         // The repair edits were replayed into the snapshot: detection over
         // it is clean and never re-encoded.
         assert!(m.detect().unwrap().is_empty());
+        assert_eq!(m.snapshot_encodes(), 1);
+    }
+
+    #[test]
+    fn undoing_the_noise_restores_zero_violations() {
+        let d = datagen::dirty_customers(120, 0.03, 31);
+        let mut m = DataMonitor::new(d.db, "customer", d.cfds, MonitorMode::DetectOnly).unwrap();
+        assert!(m.violations() > 0);
+        for n in d.mask.iter().rev() {
+            m.apply(Update::SetCell {
+                row: n.row,
+                col: n.col,
+                value: n.original.clone(),
+            })
+            .unwrap();
+        }
+        assert_eq!(m.violations(), 0);
+        assert!(m.report().is_empty());
         assert_eq!(m.snapshot_encodes(), 1);
     }
 

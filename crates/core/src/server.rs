@@ -11,7 +11,7 @@ use detect::{detect_sql, ViolationReport};
 use discovery::{mine_constant_cfds, mine_variable_cfds, CtaneConfig, MinerConfig};
 use explore::{inspect_tuple, CfdRelevance, NavigationSession, ReviewSession};
 use minidb::{Database, DbError, RowId, Schema, Table, Value};
-use repair::{batch_repair_with_cache, RepairConfig, RepairResult};
+use repair::{batch_repair_with_cache, incremental_repair, RepairConfig, RepairResult};
 
 use crate::engine::ConstraintEngine;
 
@@ -283,18 +283,24 @@ impl QualityServer {
     /// unchanged table perform zero snapshot encodes, and a `repair()`
     /// in between patches the snapshot instead of invalidating it.
     pub fn detect(&mut self) -> CfdResult<ViolationReport> {
-        let cfds = self.engine.cfds().to_vec();
+        self.refresh().cloned()
+    }
+
+    /// [`Self::detect`] without the copy: caches the report and lends it.
+    pub(crate) fn refresh(&mut self) -> CfdResult<&ViolationReport> {
         let report = match self.config.detector {
-            DetectorKind::Sql => detect_sql(&mut self.db, &self.relation, &cfds)?,
+            DetectorKind::Sql => {
+                let cfds = self.engine.cfds().to_vec();
+                detect_sql(&mut self.db, &self.relation, &cfds)?
+            }
             DetectorKind::Columnar => {
                 // Disjoint field borrows: the cache is written while the
-                // database is only read.
+                // database and the rules are only read.
                 let table = self.db.table(&self.relation).map_err(db_err)?;
-                detect_cached(&mut self.snapshots, table, &cfds)?
+                detect_cached(&mut self.snapshots, table, self.engine.cfds())?
             }
         };
-        self.last_report = Some(report.clone());
-        Ok(report)
+        Ok(self.last_report.insert(report))
     }
 
     /// Number of full snapshot encodes the columnar path has performed —
@@ -302,6 +308,14 @@ impl QualityServer {
     /// not increase it).
     pub fn snapshot_encodes(&self) -> u64 {
         self.snapshots.encodes()
+    }
+
+    /// Encode every column of the relation into the snapshot cache, so a
+    /// later rule set over any of its columns rides the cached snapshot.
+    pub(crate) fn encode_all_columns(&mut self) -> CfdResult<()> {
+        let table = self.db.table(&self.relation).map_err(db_err)?;
+        self.snapshots.snapshot(table);
+        Ok(())
     }
 
     /// The cached detection report, if any.
@@ -387,14 +401,44 @@ impl QualityServer {
         Ok(result)
     }
 
-    /// Open a cleansing review session (Fig. 5) over a repair result.
+    /// Repair-on-arrival for the data monitor: repair only `rows` against
+    /// the rest of the relation ([`incremental_repair`]), replay every
+    /// changed cell into the snapshot cache and drop the cached report.
+    pub(crate) fn repair_rows(&mut self, rows: &[RowId]) -> CfdResult<RepairResult> {
+        let result = incremental_repair(
+            &mut self.db,
+            &self.relation,
+            self.engine.cfds(),
+            rows,
+            &self.config.repair,
+        )?;
+        // The table advanced one epoch per applied change.
+        let cells: Vec<TableDelta> = result
+            .changes
+            .iter()
+            .map(|c| TableDelta::CellSet(c.row, c.col))
+            .collect();
+        let table = self.db.table(&self.relation).map_err(db_err)?;
+        self.snapshots.note_batch(table, &cells);
+        self.last_report = None;
+        Ok(result)
+    }
+
+    /// Open a cleansing review session (Fig. 5) over a repair result. An
+    /// override patches the server's snapshot cache, so the next detect
+    /// re-encodes nothing.
     pub fn review<'a>(
         &'a mut self,
         changes: &[repair::CellChange],
     ) -> CfdResult<ReviewSession<'a>> {
-        let cfds = self.engine.cfds().to_vec();
         self.last_report = None; // review edits the data
-        ReviewSession::new(&mut self.db, &self.relation, &cfds, changes)
+        ReviewSession::new(
+            &mut self.db,
+            &mut self.snapshots,
+            &self.relation,
+            self.engine.cfds(),
+            changes,
+        )
     }
 
     /// Store the engine's pattern tableaux relationally in the server's
@@ -405,7 +449,8 @@ impl QualityServer {
         self.engine.store_tableaux(&mut self.db, &self.relation)
     }
 
-    /// Hand the server's parts to a [`crate::monitor::DataMonitor`].
+    /// Take the server apart: its database, the audited relation's name
+    /// and the registered rules.
     pub fn into_parts(self) -> (Database, String, Vec<cfd::Cfd>) {
         (self.db, self.relation, self.engine.cfds().to_vec())
     }
@@ -624,6 +669,27 @@ mod tests {
             encodes_before_repair,
             "post-repair detect reuses the repair-synced snapshot"
         );
+    }
+
+    #[test]
+    fn review_override_patches_the_server_snapshot() {
+        let mut s = server(200, 0.05, 82);
+        assert!(!s.detect().unwrap().is_empty());
+        let repair = s.repair().unwrap();
+        let encodes = s.snapshot_encodes();
+        {
+            let mut review = s.review(&repair.changes).unwrap();
+            review.override_with(0, Value::str("Nowhere")).unwrap();
+        }
+        let report = s.detect().unwrap().normalized();
+        assert_eq!(
+            s.snapshot_encodes(),
+            encodes,
+            "an override patches the cache, the next detect encodes nothing"
+        );
+        let oracle = detect_native(s.table().unwrap(), s.engine.cfds()).unwrap();
+        assert_eq!(report, oracle.normalized());
+        assert!(!report.is_empty(), "the junk override is detected");
     }
 
     #[test]

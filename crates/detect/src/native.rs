@@ -3,8 +3,9 @@
 //! This is the reference implementation of CFD semantics: a direct scan
 //! that mirrors exactly what the generated SQL computes. It serves three
 //! purposes: (1) cross-validation of the SQL path (they must agree on every
-//! instance — see the property tests), (2) the fast engine behind the
-//! incremental detector, and (3) the baseline in the E1 benchmarks.
+//! instance — see the property tests), (2) the oracle every other detection
+//! path — columnar, cached, sharded, the data monitor — is tested against,
+//! and (3) the baseline in the E1 benchmarks.
 
 use std::collections::HashMap;
 

@@ -10,7 +10,8 @@
 //!   violations and conflicting witnesses;
 //! * [`review::ReviewSession`] — the cleansing review of Fig. 5: diff
 //!   against the original, ranked alternatives per modified cell,
-//!   accept/override, and incremental re-detection after overrides;
+//!   accept/override, and re-detection over the caller's patched snapshot
+//!   cache after overrides;
 //! * [`render`] — the shared ASCII table renderer.
 
 #![warn(missing_docs)]

@@ -1,10 +1,15 @@
 //! The cleansing review of Fig. 5: compare a candidate repair with the
 //! original data, list ranked alternatives for each modified value, accept
-//! or override changes, and re-detect incrementally after an override to
-//! surface the tuples a manual edit newly conflicts with.
+//! or override changes, and re-detect after an override to surface the
+//! tuples a manual edit newly conflicts with.
+//!
+//! The session borrows the caller's [`SnapshotCache`]: an override patches
+//! it one cell, and the re-detect ([`detect_cached`]) recomputes only the
+//! CFDs over the edited column.
 
 use cfd::{Cfd, CfdResult};
-use detect::IncrementalDetector;
+use colstore::{detect_cached, SnapshotCache};
+use detect::ViolationReport;
 use minidb::{Database, DbError, RowId, Table, Value};
 use repair::{alternatives_for, Alternative, CellChange, WeightModel};
 
@@ -45,18 +50,22 @@ pub enum ReviewState {
 /// Interactive review session over a repaired database.
 pub struct ReviewSession<'a> {
     db: &'a mut Database,
+    snapshots: &'a mut SnapshotCache,
     relation: String,
     cfds: Vec<Cfd>,
     entries: Vec<ReviewEntry>,
-    detector: IncrementalDetector,
+    /// Detection over the data as currently reviewed.
+    report: ViolationReport,
     weights: WeightModel,
 }
 
 impl<'a> ReviewSession<'a> {
     /// Open a review over `db.relation` given the repair's change list.
-    /// `db` must already contain the repaired data.
+    /// `db` must already contain the repaired data; `snapshots` caches
+    /// that relation's snapshot and is kept current by every override.
     pub fn new(
         db: &'a mut Database,
+        snapshots: &'a mut SnapshotCache,
         relation: &str,
         cfds: &[Cfd],
         changes: &[CellChange],
@@ -81,13 +90,14 @@ impl<'a> ReviewSession<'a> {
                 }),
             }
         }
-        let detector = IncrementalDetector::build(table, cfds)?;
+        let report = detect_cached(snapshots, table, cfds)?;
         Ok(ReviewSession {
             db,
+            snapshots,
             relation: relation.to_string(),
             cfds: cfds.to_vec(),
             entries,
-            detector,
+            report,
             weights: WeightModel::uniform(),
         })
     }
@@ -97,9 +107,9 @@ impl<'a> ReviewSession<'a> {
         &self.entries
     }
 
-    /// Current total violations (kept incrementally up to date).
+    /// Current total violations (re-detected after every override).
     pub fn current_violations(&self) -> u64 {
-        self.detector.total_violations()
+        self.report.len() as u64
     }
 
     /// Ranked alternatives for entry `i` (Fig. 5's pop-up).
@@ -131,9 +141,9 @@ impl<'a> ReviewSession<'a> {
         Ok(())
     }
 
-    /// Override entry `i` with `value`; applies the edit, updates the
-    /// incremental detector, and returns the rows that now conflict with
-    /// the edited tuple (the background re-detection of Fig. 5).
+    /// Override entry `i` with `value`; applies the edit, patches the
+    /// snapshot cache, re-detects, and returns the rows that now conflict
+    /// with the edited tuple (the background re-detection of Fig. 5).
     pub fn override_with(&mut self, i: usize, value: Value) -> CfdResult<Vec<RowId>> {
         let (row, col) = {
             let e = self
@@ -142,29 +152,17 @@ impl<'a> ReviewSession<'a> {
                 .ok_or_else(|| cfd::CfdError::Malformed(format!("no review entry {i}")))?;
             (e.row, e.col)
         };
-        let old_row: Vec<Value> = self
-            .db
-            .table(&self.relation)
-            .map_err(db_err)?
-            .get(row)
-            .map_err(db_err)?
-            .to_vec();
         self.db
             .update_cell(&self.relation, row, col, value.clone())
             .map_err(db_err)?;
-        let new_row: Vec<Value> = self
-            .db
-            .table(&self.relation)
-            .map_err(db_err)?
-            .get(row)
-            .map_err(db_err)?
-            .to_vec();
-        self.detector.update(row, &old_row, &new_row);
+        let table = self.db.table(&self.relation).map_err(db_err)?;
+        self.snapshots.note_set_cell(table, row, col);
+        self.report = detect_cached(self.snapshots, table, &self.cfds)?;
         self.entries[i].state = ReviewState::Overridden(value);
 
         // Conflicting tuples with the edited row, from the fresh report.
-        let report = self.detector.report();
-        let mut conflicts: Vec<RowId> = report
+        let mut conflicts: Vec<RowId> = self
+            .report
             .violations
             .iter()
             .filter(|v| v.rows().contains(&row))
@@ -258,8 +256,10 @@ mod tests {
             batch_repair(&mut d.db, "customer", &d.cfds, &RepairConfig::default()).unwrap();
         assert!(result.residual.is_empty());
         let n_changes = result.changes.len();
+        let mut cache = SnapshotCache::new();
         let mut session =
-            ReviewSession::new(&mut d.db, "customer", &d.cfds, &result.changes).unwrap();
+            ReviewSession::new(&mut d.db, &mut cache, "customer", &d.cfds, &result.changes)
+                .unwrap();
         assert!(!session.entries().is_empty());
         assert!(session.entries().len() <= n_changes);
         assert_eq!(session.current_violations(), 0);
@@ -274,8 +274,10 @@ mod tests {
         let mut d = dirty_customers(150, 0.05, 62);
         let result =
             batch_repair(&mut d.db, "customer", &d.cfds, &RepairConfig::default()).unwrap();
+        let mut cache = SnapshotCache::new();
         let mut session =
-            ReviewSession::new(&mut d.db, "customer", &d.cfds, &result.changes).unwrap();
+            ReviewSession::new(&mut d.db, &mut cache, "customer", &d.cfds, &result.changes)
+                .unwrap();
         // Override the first change with an obviously wrong value: a bogus
         // country that breaks the CC → CNT rule or its group.
         let before = session.current_violations();

@@ -1,8 +1,6 @@
-//! Secondary hash indexes over table columns.
-//!
-//! The incremental detector keys violation state by the left-hand-side
-//! attributes of each CFD; these indexes provide the `group key → row ids`
-//! mapping it needs, maintained under inserts, deletes and cell updates.
+//! Secondary hash indexes over table columns (`CREATE INDEX`): a
+//! `key → row ids` mapping, maintained under inserts, deletes and cell
+//! updates.
 
 use std::collections::HashMap;
 

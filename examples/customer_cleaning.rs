@@ -6,6 +6,7 @@
 //! ```
 
 use semandaq::audit::{quality_map, quality_report};
+use semandaq::colstore::SnapshotCache;
 use semandaq::datagen::dirty_customers;
 use semandaq::detect::detect_sql;
 use semandaq::explore::{
@@ -77,7 +78,9 @@ fn main() {
     for line in diff.lines().take(14) {
         println!("{line}");
     }
-    let mut session = ReviewSession::new(&mut w.db, "customer", &w.cfds, &result.changes).unwrap();
+    let mut cache = SnapshotCache::new();
+    let mut session =
+        ReviewSession::new(&mut w.db, &mut cache, "customer", &w.cfds, &result.changes).unwrap();
     println!("\nalternatives for the first modification:");
     for alt in session.alternatives(0, 3).unwrap() {
         println!(

@@ -1,7 +1,8 @@
 //! The Data Monitor in action: a cleansed database under a live update
 //! stream, first in detect-only mode, then with repair-on-arrival. It ends
 //! by checking the monitor's code-space audit against the value-space
-//! `audit::quality_report` over the final table.
+//! `audit::quality_report` over the final table, and that the whole stream
+//! patched the snapshot encoded at construction instead of re-encoding.
 //!
 //! ```sh
 //! cargo run --example incremental_monitor
@@ -106,4 +107,9 @@ fn main() {
         "\nfinal audit: {:.1}% dirty; monitor audit == value-space audit ✓",
         audit.dirty_fraction() * 100.0
     );
+
+    // The whole stream, repairs included, patched the one snapshot the
+    // monitor encoded at construction.
+    assert_eq!(monitor.snapshot_encodes(), 1, "the stream never re-encoded");
+    println!("monitor snapshot encodes: {}", monitor.snapshot_encodes());
 }

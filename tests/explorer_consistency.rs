@@ -2,6 +2,7 @@
 //! violation counts, inspection verdicts and review bookkeeping are views
 //! over the same report.
 
+use semandaq::colstore::SnapshotCache;
 use semandaq::datagen::dirty_customers;
 use semandaq::detect::detect_native;
 use semandaq::explore::{inspect_tuple, NavigationSession, ReviewSession, ReviewState};
@@ -79,8 +80,10 @@ fn review_accept_all_keeps_database_clean() {
     let result = batch_repair(&mut w.db, "customer", &w.cfds, &RepairConfig::default()).unwrap();
     assert!(result.residual.is_empty());
     let n = {
+        let mut cache = SnapshotCache::new();
         let mut session =
-            ReviewSession::new(&mut w.db, "customer", &w.cfds, &result.changes).unwrap();
+            ReviewSession::new(&mut w.db, &mut cache, "customer", &w.cfds, &result.changes)
+                .unwrap();
         let n = session.entries().len();
         for i in 0..n {
             session.accept(i).unwrap();
@@ -102,7 +105,9 @@ fn review_accept_all_keeps_database_clean() {
 fn review_override_then_correct_value_restores_cleanliness() {
     let mut w = dirty_customers(200, 0.05, 95);
     let result = batch_repair(&mut w.db, "customer", &w.cfds, &RepairConfig::default()).unwrap();
-    let mut session = ReviewSession::new(&mut w.db, "customer", &w.cfds, &result.changes).unwrap();
+    let mut cache = SnapshotCache::new();
+    let mut session =
+        ReviewSession::new(&mut w.db, &mut cache, "customer", &w.cfds, &result.changes).unwrap();
     let proposed = session.entries()[0].proposed.clone();
     // Override with junk, then override back with the proposal.
     session

@@ -1,12 +1,14 @@
-//! Property: the incremental detector agrees with batch detection after
-//! arbitrary update streams — the Data Monitor never drifts.
+//! Property: the Data Monitor's incremental view agrees with batch
+//! detection after arbitrary update streams — the monitor never drifts.
 
 mod common;
 
 use common::{arb_cfds, arb_table};
 use proptest::prelude::*;
-use semandaq::detect::{detect_native, IncrementalDetector};
-use semandaq::minidb::{Table, Value};
+use semandaq::cfd::Cfd;
+use semandaq::detect::detect_native;
+use semandaq::minidb::{Database, Table, Value};
+use semandaq::system::{DataMonitor, MonitorMode, Update};
 
 /// A scripted update against a table.
 #[derive(Debug, Clone)]
@@ -29,33 +31,34 @@ fn arb_ops(n: usize) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(op, 0..n)
 }
 
-fn apply(table: &mut Table, det: &mut IncrementalDetector, op: &Op) {
-    let ids = table.row_ids();
+fn monitor(table: Table, cfds: &[Cfd]) -> DataMonitor {
+    let mut db = Database::new();
+    db.register_table(table);
+    DataMonitor::new(db, "r", cfds.to_vec(), MonitorMode::DetectOnly).unwrap()
+}
+
+fn table(m: &DataMonitor) -> &Table {
+    m.database().table("r").unwrap()
+}
+
+fn apply(m: &mut DataMonitor, op: &Op) {
+    let ids = table(m).row_ids();
     if ids.is_empty() {
         return;
     }
-    match op {
-        Op::InsertCopyOf(n) => {
-            let donor = ids[n % ids.len()];
-            let row: Vec<Value> = table.get(donor).unwrap().to_vec();
-            let id = table.insert(row.clone()).unwrap();
-            det.insert(id, &row);
-        }
-        Op::DeleteNth(n) => {
-            let victim = ids[n % ids.len()];
-            let old = table.delete(victim).unwrap();
-            det.delete(victim, &old);
-        }
+    let update = match op {
+        Op::InsertCopyOf(n) => Update::Insert(table(m).get(ids[n % ids.len()]).unwrap().to_vec()),
+        Op::DeleteNth(n) => Update::Delete(ids[n % ids.len()]),
         Op::SetCell { nth, col, val } => {
-            let target = ids[nth % ids.len()];
             let col_letter = ["a", "b", "c", "d"][*col];
-            let new_val = Value::str(format!("{col_letter}{val}"));
-            let before: Vec<Value> = table.get(target).unwrap().to_vec();
-            table.update_cell(target, *col, new_val).unwrap();
-            let after: Vec<Value> = table.get(target).unwrap().to_vec();
-            det.update(target, &before, &after);
+            Update::SetCell {
+                row: ids[nth % ids.len()],
+                col: *col,
+                value: Value::str(format!("{col_letter}{val}")),
+            }
         }
-    }
+    };
+    m.apply(update).unwrap();
 }
 
 proptest! {
@@ -67,22 +70,20 @@ proptest! {
         cfds in arb_cfds(),
         ops in arb_ops(25),
     ) {
-        let mut table = table;
-        let mut det = IncrementalDetector::build(&table, &cfds).unwrap();
+        let mut m = monitor(table, &cfds);
         for op in &ops {
-            apply(&mut table, &mut det, op);
+            apply(&mut m, op);
         }
-        let batch = detect_native(&table, &cfds).unwrap().normalized();
-        let inc = det.report().normalized();
-        prop_assert_eq!(&batch, &inc);
-        prop_assert_eq!(batch.len() as u64, det.total_violations());
+        let batch = detect_native(self::table(&m), &cfds).unwrap().normalized();
+        prop_assert_eq!(&batch, &m.report().normalized());
+        prop_assert_eq!(batch.len() as u64, m.violations());
         for (row, vio) in batch.vio.iter() {
-            prop_assert_eq!(det.vio_of(row), vio);
+            prop_assert_eq!(m.vio_of(row), vio);
         }
         // Rows the batch does not mention have vio 0.
-        for id in table.row_ids() {
+        for id in self::table(&m).row_ids() {
             if !batch.vio.contains(id) {
-                prop_assert_eq!(det.vio_of(id), 0);
+                prop_assert_eq!(m.vio_of(id), 0);
             }
         }
     }
@@ -94,24 +95,22 @@ proptest! {
         nth in 0usize..25,
         col in 0usize..4,
     ) {
-        let mut table = table;
         let ids = table.row_ids();
         prop_assume!(!ids.is_empty());
         let target = ids[nth % ids.len()];
-        let mut det = IncrementalDetector::build(&table, &cfds).unwrap();
-        let total_before = det.total_violations();
+        let before = table.cell(target, col).unwrap().clone();
+        let mut m = monitor(table, &cfds);
+        let total_before = m.violations();
+        let report_before = m.report().normalized();
 
-        let before: Vec<Value> = table.get(target).unwrap().to_vec();
-        let mut after = before.clone();
-        after[col] = Value::str("zz-unique");
-        table.update_cell(target, col, after[col].clone()).unwrap();
-        det.update(target, &before, &after);
+        m.apply(Update::SetCell { row: target, col, value: Value::str("zz-unique") })
+            .unwrap();
+        let out = m.apply(Update::SetCell { row: target, col, value: before }).unwrap();
 
-        table.update_cell(target, col, before[col].clone()).unwrap();
-        det.update(target, &after, &before);
-
-        prop_assert_eq!(det.total_violations(), total_before);
-        let batch = detect_native(&table, &cfds).unwrap().normalized();
-        prop_assert_eq!(batch, det.report().normalized());
+        prop_assert_eq!(out.violations, total_before);
+        prop_assert_eq!(m.violations(), total_before);
+        prop_assert_eq!(&m.report().normalized(), &report_before);
+        let batch = detect_native(self::table(&m), &cfds).unwrap().normalized();
+        prop_assert_eq!(batch, report_before);
     }
 }

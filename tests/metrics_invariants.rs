@@ -7,6 +7,7 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use semandaq::api::{dispatch, QualityBackend, Request, Response};
+use semandaq::cfd::parse::parse_cfds;
 use semandaq::cluster::{HashRouter, RoundRobinRouter, ShardedQualityServer};
 use semandaq::colstore::{detect_cached, detect_columnar, SnapshotCache};
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
@@ -14,7 +15,7 @@ use semandaq::durable::Durable;
 use semandaq::minidb::{RowId, Value};
 use semandaq::net::{ConcurrentEngine, EngineConfig};
 use semandaq::repair::{batch_repair, RepairConfig};
-use semandaq::system::{DataMonitor, MonitorMode, QualityServer};
+use semandaq::system::{DataMonitor, MonitorMode, QualityServer, Update};
 
 fn lock() -> MutexGuard<'static, ()> {
     static M: OnceLock<Mutex<()>> = OnceLock::new();
@@ -451,4 +452,52 @@ fn one_capture_sample_per_published_epoch() {
         epochs,
         "one net_capture_ns sample per net_epochs_published_total increment"
     );
+}
+
+/// The monitor's per-update cost: one cell update re-evaluates exactly
+/// the registered rules that mention the updated column, on a snapshot
+/// that was patched, not re-encoded.
+#[test]
+fn one_monitor_cell_update_recomputes_only_the_rules_over_its_column() {
+    let _g = lock();
+    let computed = semandaq::obs::counter("colstore_detect_fragments_computed_total");
+    let d = dirty_customers(300, 0.05, 319);
+    let row = d.db.table("customer").unwrap().row_ids()[5];
+    let mut m = DataMonitor::new(d.db, "customer", d.cfds, MonitorMode::DetectOnly).unwrap();
+    let city = "CITY";
+    let over_city = m
+        .cfds()
+        .iter()
+        .filter(|c| c.rhs == city || c.lhs.iter().any(|a| a == city))
+        .count() as u64;
+    assert!(over_city > 0);
+    let c0 = computed.get();
+    m.apply(Update::SetCell {
+        row,
+        col: 2,
+        value: Value::str("Elsewhere"),
+    })
+    .unwrap();
+    assert_eq!(
+        computed.get() - c0,
+        over_city,
+        "one fragment per rule over CITY"
+    );
+    assert_eq!(m.snapshot_encodes(), 1, "the update patched the snapshot");
+}
+
+/// A rule over a column the relation lacks is rejected before anything is
+/// replaced: the monitor keeps its rules and its report.
+#[test]
+fn monitor_rejects_a_rule_over_an_unknown_column_and_keeps_its_state() {
+    let _g = lock();
+    let d = dirty_customers(200, 0.05, 320);
+    let mut m = DataMonitor::new(d.db, "customer", d.cfds, MonitorMode::DetectOnly).unwrap();
+    let (cfds, report) = (m.cfds().to_vec(), m.report());
+    assert!(!report.is_empty());
+    let bad = parse_cfds("customer: [NOPE] -> [CITY]").unwrap();
+    assert!(m.set_cfds(bad).is_err());
+    assert_eq!(m.cfds(), cfds.as_slice());
+    assert_eq!(m.report(), report);
+    assert_eq!(m.violations(), report.len() as u64);
 }
