@@ -87,9 +87,6 @@ pub fn violation_stats(report: &ViolationReport) -> ViolationStats {
     }
 }
 
-/// Bucket labels matching [`ViolationStats::vio_histogram`].
-pub const VIO_BUCKET_LABELS: [&str; 5] = ["1", "2", "3-4", "5-8", "9+"];
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -416,7 +416,7 @@ impl ShardedQualityServer {
     }
 
     /// Apply a whole mutation batch — the cluster's high-throughput
-    /// ingest path (experiment `e10`):
+    /// ingest path:
     ///
     /// 1. **One routing pass** assigns global ids, resolves owners, and
     ///    groups the mutations into per-shard op lists.

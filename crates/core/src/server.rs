@@ -59,7 +59,8 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             // Columnar is the fastest engine at every measured scale
-            // (BENCH_detection.json); the paper's SQL path stays one
+            // (`sdqbench`'s `detect_cold_ms` against `detect.native_ms` and
+            // `sql_detect_ms`); the paper's SQL path stays one
             // `with_config` away.
             detector: DetectorKind::Columnar,
             repair: RepairConfig::default(),
@@ -402,8 +403,9 @@ impl QualityServer {
     }
 
     /// Repair-on-arrival for the data monitor: repair only `rows` against
-    /// the rest of the relation ([`incremental_repair`]), replay every
-    /// changed cell into the snapshot cache and drop the cached report.
+    /// the rest of the relation ([`incremental_repair`]). Its cell writes
+    /// patch the snapshot cache and its residual detect leaves a fresh
+    /// memo there, so the monitor's following detect replays it.
     pub(crate) fn repair_rows(&mut self, rows: &[RowId]) -> CfdResult<RepairResult> {
         let result = incremental_repair(
             &mut self.db,
@@ -411,15 +413,8 @@ impl QualityServer {
             self.engine.cfds(),
             rows,
             &self.config.repair,
+            &mut self.snapshots,
         )?;
-        // The table advanced one epoch per applied change.
-        let cells: Vec<TableDelta> = result
-            .changes
-            .iter()
-            .map(|c| TableDelta::CellSet(c.row, c.col))
-            .collect();
-        let table = self.db.table(&self.relation).map_err(db_err)?;
-        self.snapshots.note_batch(table, &cells);
         self.last_report = None;
         Ok(result)
     }

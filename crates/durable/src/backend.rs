@@ -264,12 +264,6 @@ impl<B: QualityBackend> Durable<B> {
         &self.inner
     }
 
-    /// The wrapped backend, mutable. Mutations applied directly bypass
-    /// the log — only reach in for read-side configuration.
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-
     /// Persist the current relation as a checkpoint and rotate the WAL to
     /// the next generation.
     ///

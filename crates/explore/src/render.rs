@@ -38,11 +38,6 @@ pub fn render_table(headers: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Helper: stringify a slice of values for rendering.
-pub fn render_values(values: &[minidb::Value]) -> Vec<String> {
-    values.iter().map(|v| v.render()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -291,11 +291,6 @@ impl Expr {
         }
     }
 
-    /// Fold a list of predicates with AND; `None` for an empty list.
-    pub fn conjoin(preds: Vec<Expr>) -> Option<Expr> {
-        preds.into_iter().reduce(|a, b| Expr::bin(BinOp::And, a, b))
-    }
-
     /// Does this expression (sub)tree contain an aggregate call?
     pub fn contains_aggregate(&self) -> bool {
         match self {

@@ -26,7 +26,6 @@
 //! report" until the next explicit `Detect`. The report it returns is
 //! always exactly the epoch's detect answer.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 
@@ -108,9 +107,6 @@ enum Job {
 /// Shared between the writer, every handle, and the engine front.
 struct Shared {
     published: Published<EpochState>,
-    /// Epochs published over the engine's lifetime (mirrors the
-    /// `net_epochs_published_total` counter without a registry lookup).
-    epochs: AtomicU64,
 }
 
 /// The concurrent service core. Construction spawns the writer thread;
@@ -148,7 +144,6 @@ impl<B: QualityBackend + Send + 'static> ConcurrentEngine<B> {
         let initial = capture(&mut backend, 0, 0);
         let shared = Arc::new(Shared {
             published: Published::new(Arc::new(initial), config.max_readers.max(1)),
-            epochs: AtomicU64::new(0),
         });
         let (jobs, rx) = mpsc::sync_channel(config.queue_depth.max(1));
         let writer = {
@@ -174,11 +169,6 @@ impl<B: QualityBackend + Send + 'static> ConcurrentEngine<B> {
             jobs: self.jobs.clone(),
             slot,
         })
-    }
-
-    /// Epochs published so far.
-    pub fn epochs_published(&self) -> u64 {
-        self.shared.epochs.load(Relaxed)
     }
 
     /// Stop the writer: queued writes are drained, applied, and
@@ -234,7 +224,6 @@ fn writer_loop<B: QualityBackend>(
         debug_assert_eq!(now, epoch, "single writer owns the epoch counter");
         reclaimer.retire(tag, old);
         reclaimer.collect(&shared.published);
-        shared.epochs.fetch_add(1, Relaxed);
         published_total.inc();
         // Reply *after* publish: a client holding its write reply reads
         // an epoch that includes the write.

@@ -130,23 +130,6 @@ pub fn batch_repair_with_cache(
     repair_rounds(&mut store, cfds, cfg)
 }
 
-/// Convenience: repair and then verify over the repair-synced snapshot;
-/// returns the result plus the post-repair violation total (violation
-/// records: single rows + violating groups). The verification detect rides
-/// the same cache the repair loop patched, so it pays zero encode work —
-/// no fresh full-table rescan.
-pub fn repair_and_verify(
-    db: &mut Database,
-    relation: &str,
-    cfds: &[Cfd],
-    cfg: &RepairConfig,
-) -> CfdResult<(RepairResult, u64)> {
-    let mut cache = SnapshotCache::new();
-    let result = batch_repair_with_cache(db, relation, cfds, cfg, &mut cache)?;
-    let report = detect_cached(&mut cache, db.table(relation).map_err(db_err)?, cfds)?;
-    Ok((result, report.len() as u64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,8 +139,18 @@ mod tests {
     #[test]
     fn repairs_dirty_customers_to_zero_violations() {
         let mut d = dirty_customers(300, 0.05, 77);
-        let (result, remaining) =
-            repair_and_verify(&mut d.db, "customer", &d.cfds, &RepairConfig::default()).unwrap();
+        let mut cache = SnapshotCache::new();
+        let result = batch_repair_with_cache(
+            &mut d.db,
+            "customer",
+            &d.cfds,
+            &RepairConfig::default(),
+            &mut cache,
+        )
+        .unwrap();
+        let remaining = detect_cached(&mut cache, d.db.table("customer").unwrap(), &d.cfds)
+            .unwrap()
+            .len();
         assert_eq!(remaining, 0, "residual: {:?}", result.residual.violations);
         assert!(result.residual.is_empty());
         assert!(!result.changes.is_empty());

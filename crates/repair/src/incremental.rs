@@ -7,7 +7,8 @@
 
 use std::collections::HashMap;
 
-use cfd::{BoundCfd, Cfd, CfdResult, Pattern};
+use cfd::{BoundCfd, Cfd, CfdResult};
+use colstore::{detect_cached, SnapshotCache};
 use minidb::{Database, DbError, RowId, Value};
 
 use crate::batch::{CellChange, ChangeReason, RepairConfig, RepairResult};
@@ -23,15 +24,35 @@ struct Consensus {
     map: HashMap<Vec<Value>, Value>,
 }
 
+/// Overwrite one cell and patch the caller's snapshot cache in step.
+fn set_cell(
+    db: &mut Database,
+    relation: &str,
+    cache: &mut SnapshotCache,
+    row: RowId,
+    col: usize,
+    value: Value,
+) -> CfdResult<Value> {
+    let old = db.update_cell(relation, row, col, value).map_err(db_err)?;
+    cache.note_set_cell(db.table(relation).map_err(db_err)?, row, col);
+    Ok(old)
+}
+
 /// Repair only the rows in `delta`, assuming every other row satisfies
 /// `cfds`. Processes delta rows in order; earlier repaired rows join the
 /// consensus for later ones.
+///
+/// Every cell write patches `cache` (`note_set_cell`) and the residual is
+/// a [`detect_cached`] over it, so a cache that was in step with the table
+/// on entry pays no encode and leaves a fresh detect memo behind. The
+/// consensus indexes cost one pass over the table's rows per call.
 pub fn incremental_repair(
     db: &mut Database,
     relation: &str,
     cfds: &[Cfd],
     delta: &[RowId],
     cfg: &RepairConfig,
+    cache: &mut SnapshotCache,
 ) -> CfdResult<RepairResult> {
     let schema = db.table(relation).map_err(db_err)?.schema().clone();
     let bound: Vec<BoundCfd> = cfds
@@ -78,9 +99,7 @@ pub fn incremental_repair(
                 };
                 if let Some(a) = b.cfd.rhs_pat.constant() {
                     if b.single_tuple_violation(&current) {
-                        let old = db
-                            .update_cell(relation, row, b.rhs_col, a.clone())
-                            .map_err(db_err)?;
+                        let old = set_cell(db, relation, cache, row, b.rhs_col, a.clone())?;
                         let cost =
                             cfg.weights.weight(row, b.rhs_col) * normalized_distance(&old, a);
                         changes.push(CellChange {
@@ -115,9 +134,7 @@ pub fn incremental_repair(
                         if bound.iter().any(|cb| cb.single_tuple_violation(&sim)) {
                             continue;
                         }
-                        let old = db
-                            .update_cell(relation, row, b.rhs_col, v.clone())
-                            .map_err(db_err)?;
+                        let old = set_cell(db, relation, cache, row, b.rhs_col, v.clone())?;
                         let cost =
                             cfg.weights.weight(row, b.rhs_col) * normalized_distance(&old, v);
                         changes.push(CellChange {
@@ -156,8 +173,9 @@ pub fn incremental_repair(
     }
 
     // Honest residual: re-detect over the whole table (delta rows might
-    // still disagree with each other on keys absent from the clean part).
-    let residual = detect::detect_native(db.table(relation).map_err(db_err)?, cfds)?;
+    // still disagree with each other on keys absent from the clean part),
+    // through the snapshot the writes above patched.
+    let residual = detect_cached(cache, db.table(relation).map_err(db_err)?, cfds)?;
     let total_cost = changes.iter().map(|c| c.cost).sum();
     Ok(RepairResult {
         changes,
@@ -165,13 +183,6 @@ pub fn incremental_repair(
         total_cost,
         residual,
     })
-}
-
-/// Convenience used by the Data Monitor: consensus-checking uses the LHS
-/// pattern of `b`, which must be constant-free or matched (helper exposed
-/// for tests).
-pub fn is_constant_pattern(p: &Pattern) -> bool {
-    !p.is_wild()
 }
 
 #[cfg(test)]
@@ -195,8 +206,15 @@ mod tests {
         let mut dirty_row = donor.clone();
         dirty_row[2] = Value::str("WRONGCITY");
         let id = db.insert_row("customer", dirty_row).unwrap();
-        let r = incremental_repair(&mut db, "customer", &cfds, &[id], &RepairConfig::default())
-            .unwrap();
+        let r = incremental_repair(
+            &mut db,
+            "customer",
+            &cfds,
+            &[id],
+            &RepairConfig::default(),
+            &mut SnapshotCache::new(),
+        )
+        .unwrap();
         assert!(r.residual.is_empty(), "{:?}", r.residual.violations);
         // The delta tuple adopted the group's city.
         let fixed = db.table("customer").unwrap().get(id).unwrap();
@@ -217,8 +235,15 @@ mod tests {
         let mut dirty_row = donor.clone();
         dirty_row[1] = Value::str("XX"); // CNT
         let id = db.insert_row("customer", dirty_row).unwrap();
-        let r = incremental_repair(&mut db, "customer", &cfds, &[id], &RepairConfig::default())
-            .unwrap();
+        let r = incremental_repair(
+            &mut db,
+            "customer",
+            &cfds,
+            &[id],
+            &RepairConfig::default(),
+            &mut SnapshotCache::new(),
+        )
+        .unwrap();
         assert!(r.residual.is_empty(), "{:?}", r.residual.violations);
         let fixed = db.table("customer").unwrap().get(id).unwrap();
         assert_eq!(fixed[1], donor[1]);
@@ -254,6 +279,7 @@ mod tests {
             &cfds,
             &[id1, id2],
             &RepairConfig::default(),
+            &mut SnapshotCache::new(),
         )
         .unwrap();
         assert!(r.residual.is_empty(), "{:?}", r.residual.violations);
@@ -273,11 +299,54 @@ mod tests {
             &d.cfds,
             &delta,
             &RepairConfig::default(),
+            &mut SnapshotCache::new(),
         )
         .unwrap();
         assert!(r.changes.is_empty());
         assert!(detect_native(db.table("customer").unwrap(), &d.cfds)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn warm_cache_repair_pays_no_encode_and_residual_matches_native() {
+        // A dirty relation whose cache is in step with it: the delta row is
+        // repaired, the rest of the noise stays, so the residual is
+        // non-empty and must equal a fresh value-space detect.
+        let d = dirty_customers(300, 0.05, 21);
+        let mut db = d.db.clone();
+        let mut cache = SnapshotCache::new();
+        detect_cached(&mut cache, db.table("customer").unwrap(), &d.cfds).unwrap();
+        assert_eq!(cache.encodes(), 1, "warm-up detect pays the one encode");
+        let donor: Vec<Value> = db
+            .table("customer")
+            .unwrap()
+            .iter()
+            .next()
+            .unwrap()
+            .1
+            .to_vec();
+        let mut dirty_row = donor;
+        dirty_row[1] = Value::str("XX"); // break CC → CNT
+        let id = db.insert_row("customer", dirty_row).unwrap();
+        cache.note_insert(db.table("customer").unwrap(), id);
+        let r = incremental_repair(
+            &mut db,
+            "customer",
+            &d.cfds,
+            &[id],
+            &RepairConfig::default(),
+            &mut cache,
+        )
+        .unwrap();
+        assert!(!r.changes.is_empty(), "the delta row was repaired");
+        assert_eq!(cache.encodes(), 1, "IncRepair rides the warm snapshot");
+        assert!(!r.residual.is_empty(), "the untouched noise remains");
+        assert_eq!(
+            r.residual.normalized(),
+            detect_native(db.table("customer").unwrap(), &d.cfds)
+                .unwrap()
+                .normalized()
+        );
     }
 }

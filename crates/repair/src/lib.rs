@@ -29,8 +29,7 @@ pub mod rounds;
 
 pub use alternatives::{alternatives_for, Alternative};
 pub use batch::{
-    batch_repair, batch_repair_with_cache, repair_and_verify, CellChange, ChangeReason,
-    RepairConfig, RepairResult,
+    batch_repair, batch_repair_with_cache, CellChange, ChangeReason, RepairConfig, RepairResult,
 };
 pub use cost::{damerau_levenshtein, normalized_distance, WeightModel};
 pub use eqclass::{CellRef, EqClasses};

@@ -314,6 +314,60 @@ fn cluster_service_matches_serial_dispatch() {
     service_matches_serial(cluster, |c| c.merged_table().unwrap());
 }
 
+/// Several clients, each mixing inserts, cell updates and detects over its
+/// own connection: within the queue depth no request is refused, and
+/// every insert lands.
+fn concurrent_writers_are_never_refused<B: QualityBackend + Send + 'static>(make: fn() -> B) {
+    const CLIENTS: usize = 4;
+    const REQS: usize = 40;
+    let mut backend = make();
+    backend.register_cfds(CANONICAL_CFDS).unwrap();
+    let server = NetServer::serve(backend, test_config()).expect("bind loopback");
+    let addr = server.local_addr();
+    let sessions: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("client connects");
+                client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+                for i in 0..REQS {
+                    // 1 insert + 1 cell update per 10 detects.
+                    let req = match i % 10 {
+                        0 => Request::Insert {
+                            row: dirty_row(2, "MIXCITY"),
+                        },
+                        5 => Request::UpdateCell {
+                            row: RowId(((c * 37 + i) % ROWS) as u64),
+                            col: 2,
+                            value: Value::str("MOVED"),
+                        },
+                        _ => Request::Detect,
+                    };
+                    let response = client.request(&req).expect("request round-trips");
+                    assert!(
+                        !matches!(response, Response::Error { .. }),
+                        "client {c}: request {i} refused: {response:?}"
+                    );
+                }
+            })
+        })
+        .collect();
+    for s in sessions {
+        s.join().expect("client clean");
+    }
+    let backend = server.shutdown();
+    assert_eq!(
+        backend.len(),
+        ROWS + CLIENTS * REQS / 10,
+        "every insert landed"
+    );
+}
+
+#[test]
+fn concurrent_writers_are_never_refused_on_either_backend() {
+    concurrent_writers_are_never_refused(single);
+    concurrent_writers_are_never_refused(cluster);
+}
+
 #[test]
 fn frame_edges_answer_errors_and_resynchronize() {
     let server = NetServer::serve(single(), test_config()).unwrap();

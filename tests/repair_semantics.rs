@@ -7,6 +7,7 @@ mod common;
 use common::{arb_cfds, arb_table, db_with};
 use proptest::prelude::*;
 use semandaq::cfd::{satisfiability::check_consistency, DomainSpec};
+use semandaq::colstore::SnapshotCache;
 use semandaq::datagen::dirty_customers;
 use semandaq::detect::detect_native;
 use semandaq::minidb::Value;
@@ -150,8 +151,15 @@ fn incremental_repair_matches_clean_consensus() {
         dirty_row[2] = Value::str(format!("BAD{k}"));
         delta.push(db.insert_row("customer", dirty_row).unwrap());
     }
-    let result =
-        incremental_repair(&mut db, "customer", &cfds, &delta, &RepairConfig::default()).unwrap();
+    let result = incremental_repair(
+        &mut db,
+        "customer",
+        &cfds,
+        &delta,
+        &RepairConfig::default(),
+        &mut SnapshotCache::new(),
+    )
+    .unwrap();
     assert!(result.residual.is_empty());
     for (id, (_, donor_row)) in delta.iter().zip(&donors) {
         let fixed = db.table("customer").unwrap().get(*id).unwrap();
@@ -190,6 +198,7 @@ fn batch_and_incremental_agree_on_delta_scenarios() {
         &cfds,
         &[id1],
         &RepairConfig::default(),
+        &mut SnapshotCache::new(),
     )
     .unwrap();
     // Batch path.
