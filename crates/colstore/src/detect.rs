@@ -77,6 +77,7 @@ pub fn needed_columns(bound: &[BoundCfd]) -> Vec<usize> {
 }
 
 /// One resolved LHS cell: either a group-key column or an equality filter.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum LhsCell {
     /// Wildcard pattern: the column participates in the group key.
     Wild { col: usize },
@@ -85,6 +86,7 @@ pub(crate) enum LhsCell {
 }
 
 /// A bound CFD with its pattern constants resolved to codes.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Resolved {
     cells: Vec<LhsCell>,
     rhs_col: usize,
@@ -105,6 +107,138 @@ impl Resolved {
                 LhsCell::Wild { .. } => None,
             })
             .collect()
+    }
+
+    /// The wildcard columns, in pattern order: the group-key columns.
+    fn wild_cols(&self) -> impl Iterator<Item = usize> + '_ {
+        self.cells.iter().filter_map(|c| match c {
+            LhsCell::Wild { col } => Some(*col),
+            LhsCell::Filter { .. } => None,
+        })
+    }
+
+    /// The RHS column.
+    pub(crate) fn rhs_col(&self) -> usize {
+        self.rhs_col
+    }
+
+    /// Does the CFD read column `col` (LHS or RHS)?
+    pub(crate) fn mentions(&self, col: usize) -> bool {
+        self.rhs_col == col
+            || self.cells.iter().any(|c| match c {
+                LhsCell::Wild { col: c } | LhsCell::Filter { col: c, .. } => *c == col,
+            })
+    }
+
+    /// Do the codes at snapshot position `pos` pass every LHS filter?
+    fn matches_at(&self, snap: &Snapshot, pos: usize) -> bool {
+        self.cells.iter().all(|c| match c {
+            LhsCell::Filter { col, code } => snap.column(*col).code_at(pos) == *code,
+            LhsCell::Wild { .. } => true,
+        })
+    }
+
+    /// Where the row at snapshot position `pos` sits in a variable CFD's
+    /// grouping: its LHS key and RHS code, or `None` when a filter rejects
+    /// it or its RHS is NULL (the rows the grouping scan skips).
+    pub(crate) fn member_at(&self, snap: &Snapshot, pos: usize) -> Option<(LaneKey, u32)> {
+        let rc = snap.column(self.rhs_col).code_at(pos);
+        if rc == NULL_CODE || !self.matches_at(snap, pos) {
+            return None;
+        }
+        let lanes: Vec<u32> = self
+            .wild_cols()
+            .map(|col| snap.column(col).code_at(pos))
+            .collect();
+        Some((LaneKey::new(&lanes), rc))
+    }
+
+    /// Does the row at snapshot position `pos` violate this constant-RHS
+    /// CFD ([`detect_constant`]'s predicate for one row)?
+    pub(crate) fn violates_at(&self, snap: &Snapshot, pos: usize) -> bool {
+        let rc = snap.column(self.rhs_col).code_at(pos);
+        rc != NULL_CODE && Some(rc) != self.rhs_code && self.matches_at(snap, pos)
+    }
+
+    /// The wildcard codes of a scan key, in pattern order.
+    fn key_codes(&self, snap: &Snapshot, key: &Key) -> Vec<u32> {
+        match key {
+            Key::Wide(codes) => codes.to_vec(),
+            Key::Packed(mut packed) => {
+                let bits: Vec<u32> = self
+                    .wild_cols()
+                    .map(|c| snap.column(c).dictionary().code_bits())
+                    .collect();
+                let mut rev: Vec<u32> = Vec::with_capacity(bits.len());
+                for &b in bits.iter().rev() {
+                    rev.push((packed & ((1u64 << b) - 1)) as u32);
+                    packed >>= b;
+                }
+                rev.reverse();
+                rev
+            }
+        }
+    }
+
+    /// A scan key (packed at the snapshot's current code widths) as a
+    /// [`LaneKey`].
+    pub(crate) fn lane_key(&self, snap: &Snapshot, key: &Key) -> LaneKey {
+        LaneKey::new(&self.key_codes(snap, key))
+    }
+
+    /// Decode a [`LaneKey`] into the report's LHS key: pattern order,
+    /// constants included.
+    pub(crate) fn decode_lanes(&self, snap: &Snapshot, key: &LaneKey) -> Vec<Value> {
+        self.decode_codes(snap, &key.lanes(self.wild_cols().count()))
+    }
+
+    /// Decode wildcard codes (pattern order) into the report's LHS key.
+    fn decode_codes(&self, snap: &Snapshot, wild_codes: &[u32]) -> Vec<Value> {
+        let mut wild = self.wild_cols().zip(wild_codes);
+        self.cells
+            .iter()
+            .map(|cell| match cell {
+                LhsCell::Filter { col, code } => snap.column(*col).dictionary().decode(*code),
+                LhsCell::Wild { .. } => {
+                    let (col, &code) = wild.next().expect("one code per wildcard");
+                    snap.column(col).dictionary().decode(code)
+                }
+            })
+            .collect()
+    }
+}
+
+/// An LHS group key in fixed 32-bit lanes, one dictionary code per
+/// wildcard in pattern order. Unlike a scan's [`Key`], which packs codes
+/// at the columns' current `code_bits`, a lane key does not change when a
+/// patch grows a dictionary past a power of two, so it can key state kept
+/// across patches.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum LaneKey {
+    /// At most two wildcards: the first code in the high lane.
+    Short(u64),
+    /// Three or more wildcards.
+    Long(Box<[u32]>),
+}
+
+impl LaneKey {
+    fn new(codes: &[u32]) -> LaneKey {
+        match codes {
+            [] => LaneKey::Short(0),
+            [a] => LaneKey::Short(*a as u64),
+            [a, b] => LaneKey::Short(((*a as u64) << 32) | *b as u64),
+            _ => LaneKey::Long(codes.into()),
+        }
+    }
+
+    /// The codes of a key over `n` wildcards.
+    fn lanes(&self, n: usize) -> Vec<u32> {
+        match (self, n) {
+            (LaneKey::Short(_), 0) => Vec::new(),
+            (LaneKey::Short(k), 1) => vec![*k as u32],
+            (LaneKey::Short(k), _) => vec![(*k >> 32) as u32, *k as u32],
+            (LaneKey::Long(codes), _) => codes.to_vec(),
+        }
     }
 }
 
@@ -178,8 +312,8 @@ pub fn detect_on_snapshot_threads(
 }
 
 /// A decoded violating group: LHS key, members and per-member
-/// multiplicities (both shared — the lifecycle memo replays them into many
-/// reports).
+/// multiplicities (both shared — the snapshot cache's per-CFD fragments
+/// replay them into many reports).
 pub(crate) type DecodedGroup = (
     Vec<Value>,
     std::sync::Arc<Vec<(RowId, Value)>>,
@@ -310,9 +444,9 @@ pub(crate) fn verify_constant(snap: &Snapshot, r: &Resolved, verified: &mut [boo
 
 /// Accumulator for one LHS group (non-NULL RHS members only).
 #[derive(Default)]
-struct Group {
+pub(crate) struct Group {
     /// `(snapshot position, rhs code)` in scan order.
-    rows: Vec<(u32, u32)>,
+    pub(crate) rows: Vec<(u32, u32)>,
     first_code: u32,
     conflict: bool,
 }
@@ -665,7 +799,7 @@ impl ChunkScan<'_> {
 
 /// A group key: packed codes when they fit in 64 bits, boxed codes otherwise.
 #[derive(Clone, PartialEq, Eq, Hash)]
-enum Key {
+pub(crate) enum Key {
     Packed(u64),
     Wide(Box<[u32]>),
 }
@@ -679,7 +813,7 @@ enum Key {
 /// seeding, export, and detection paths group by construction-identical
 /// keys. The three group stores (dense, hashed `u64`, wide) differ only in
 /// how a member finds its group; the scan is [`for_each_member`]'s.
-fn group_by_codes(snap: &Snapshot, r: &Resolved) -> Vec<(Key, Group)> {
+pub(crate) fn group_by_codes(snap: &Snapshot, r: &Resolved) -> Vec<(Key, Group)> {
     let scan = Scan::new(snap, r);
     let rhs = snap.column(r.rhs_col);
     let Some(total_bits) = scan.packed_bits() else {
@@ -748,43 +882,8 @@ where
 /// Decode a group key back into the `Vec<Value>` LHS key the report format
 /// uses: pattern order, constants included, wildcard codes decoded.
 fn decode_key(snap: &Snapshot, b: &BoundCfd, r: &Resolved, key: &Key) -> Vec<Value> {
-    // Recover per-wildcard codes from the key.
-    let wild_cols: Vec<usize> = r
-        .cells
-        .iter()
-        .filter_map(|c| match c {
-            LhsCell::Wild { col } => Some(*col),
-            LhsCell::Filter { .. } => None,
-        })
-        .collect();
-    let wild_codes: Vec<u32> = match key {
-        Key::Wide(codes) => codes.to_vec(),
-        Key::Packed(mut packed) => {
-            let bits: Vec<u32> = wild_cols
-                .iter()
-                .map(|&c| snap.column(c).dictionary().code_bits())
-                .collect();
-            let mut rev: Vec<u32> = Vec::with_capacity(bits.len());
-            for &b in bits.iter().rev() {
-                rev.push((packed & ((1u64 << b) - 1)) as u32);
-                packed >>= b;
-            }
-            rev.reverse();
-            rev
-        }
-    };
     debug_assert_eq!(r.cells.len(), b.cfd.lhs_pat.len());
-    let mut wild_iter = wild_cols.iter().zip(&wild_codes);
-    r.cells
-        .iter()
-        .map(|cell| match cell {
-            LhsCell::Filter { col, code } => snap.column(*col).dictionary().decode(*code),
-            LhsCell::Wild { .. } => {
-                let (&col, &code) = wild_iter.next().expect("one code per wildcard");
-                snap.column(col).dictionary().decode(code)
-            }
-        })
-        .collect()
+    r.decode_codes(snap, &r.key_codes(snap, key))
 }
 
 /// Decode group members into `(RowId, Value)` pairs under the decoded

@@ -27,8 +27,12 @@
 //!   epoch, returned for free while the epochs match and **incrementally
 //!   patched** (append / swap-remove / single-cell re-encode) when the
 //!   caller reports its deltas, with a delta-threshold fallback to full
-//!   re-encode. The steady-state engine under `QualityServer::detect`,
-//!   `DataMonitor` and `batch_repair`.
+//!   re-encode. Beside it the cache keeps one state per CFD: the CFD's
+//!   materialized violations and, once a write has touched the CFD, its
+//!   LHS groups in code space (RHS code counts and members), patched with
+//!   the snapshot, so a detect after a write re-materializes only the
+//!   groups the write touched. The steady-state engine under
+//!   `QualityServer::detect`, `DataMonitor` and `batch_repair`.
 //! * [`audit_cached`] — the code-space auditor of the server and the data
 //!   monitor: the Fig. 4 quality report assembled from the detection
 //!   report's per-member value counts and the snapshot codes, equal to

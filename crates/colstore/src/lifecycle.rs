@@ -33,13 +33,29 @@
 //!
 //! On top of the snapshot the cache keeps **per-column epochs** (when did
 //! this column's content last change? when did the row set last change?)
-//! and [`detect_cached`] memoizes each CFD's decoded detection result
-//! against them: a repeat detect re-evaluates only the CFDs whose columns
-//! were touched since their fragment was computed and replays the rest —
-//! so a monitoring loop that mutates one column re-scans one rule, not
-//! the whole constraint set.
+//! and, for [`detect_cached`], one **state per CFD**: the CFD's
+//! materialized violations (its *fragment*) and, once a write has made
+//! that fragment stale, its group state in code space:
 //!
-//! The auditor needs no memo of its own. [`audit_cached`] builds the
+//! * a variable CFD keeps every LHS group, keyed by the LHS codes in
+//!   fixed 32-bit lanes, with its RHS code counts and its members as
+//!   `(RowId, RHS code)` in row-id order;
+//! * a constant CFD keeps its violating rows (which are its fragment).
+//!
+//! The patch routine keeps the group state in step with the snapshot: it
+//! takes a row's old codes out of every state before a cell overwrite or
+//! a delete, puts its new codes in after an overwrite or an insert, and
+//! marks the groups it touched. A detect then replays a fragment whose
+//! columns are untouched, re-materializes only the touched groups of a
+//! patched CFD, and rescans only a CFD without usable state — so a write
+//! costs O(touched groups), not a scan of the relation. The report's
+//! `vio(t)` tally is kept standing beside the fragments and patched with
+//! them. Codes only mean something in the snapshot they were read from,
+//! so the group state lives for one encode; a rebuild drops it, and a CFD
+//! whose pattern constants resolve differently since seeding (a patch
+//! interned a constant that was absent) is reseeded.
+//!
+//! The auditor needs no state of its own. [`audit_cached`] builds the
 //! Fig. 4 quality report from the detection report — each violating
 //! group carries its members' RHS value counts, so the majority side is
 //! read off them — plus [`grade_snapshot`], one code scan per constant
@@ -50,13 +66,14 @@
 use std::sync::{Arc, OnceLock};
 
 use audit::{QualityReport, ReportBuilder};
-use cfd::{BoundCfd, Cfd, CfdResult};
+use cfd::{BoundCfd, Cfd, CfdResult, Pattern};
 use detect::fxhash::FxHashMap;
-use detect::ViolationReport;
+use detect::{VioTally, Violation, ViolationKind, ViolationReport};
 use minidb::{RowId, Table, Value};
 
 use crate::detect::{
-    detect_constant, needed_columns, resolve, verify_constant, violating_groups, DecodedGroup,
+    detect_constant, group_by_codes, needed_columns, resolve, verify_constant, violating_groups,
+    DecodedGroup, LaneKey, Resolved,
 };
 use crate::snapshot::Snapshot;
 use crate::spill::ChunkStore;
@@ -77,6 +94,7 @@ struct CacheObs {
     batch_rows: Arc<obs::Histogram>,
     fragments_computed: Arc<obs::Counter>,
     fragments_reused: Arc<obs::Counter>,
+    groups_rematerialized: Arc<obs::Counter>,
     spill_chunks: Arc<obs::Counter>,
 }
 
@@ -90,6 +108,7 @@ fn cache_obs() -> &'static CacheObs {
         batch_rows: obs::histogram("colstore_note_batch_rows"),
         fragments_computed: obs::counter("colstore_detect_fragments_computed_total"),
         fragments_reused: obs::counter("colstore_detect_fragments_reused_total"),
+        groups_rematerialized: obs::counter("colstore_groups_rematerialized_total"),
         spill_chunks: obs::counter("colstore_spill_chunks_total"),
     })
 }
@@ -118,6 +137,9 @@ const MIN_DELTA: usize = 256;
 /// The cached snapshot plus its maintenance bookkeeping.
 struct Cached {
     snap: Arc<Snapshot>,
+    /// Which encode the snapshot came from (the cache's encode count at
+    /// the time): group state read from another encode's codes is stale.
+    gen: u64,
     /// Table epoch the snapshot mirrors.
     epoch: u64,
     /// `RowId → snapshot position`, built lazily by the first delete or
@@ -150,11 +172,17 @@ impl Cached {
     }
 
     /// Apply the leading delta of `deltas` — or its leading run of
-    /// inserts, appended in one pass — at `table`'s epoch. Returns how
+    /// inserts, appended in one pass — at `table`'s epoch, and patch the
+    /// group state `st` keeps for this snapshot along with it. Returns how
     /// many deltas were consumed and how many patches they made, or
     /// `None` when the stream cannot be replayed: a target row the
     /// snapshot does not hold, or an inserted row the table no longer has.
-    fn patch(&mut self, table: &Table, deltas: &[TableDelta]) -> Option<(usize, usize)> {
+    fn patch(
+        &mut self,
+        table: &Table,
+        deltas: &[TableDelta],
+        st: &mut DetectState,
+    ) -> Option<(usize, usize)> {
         let epoch = table.epoch();
         match deltas[0] {
             TableDelta::Inserted(_) => {
@@ -165,18 +193,22 @@ impl Cached {
                     };
                     rows.push((id, table.get(id).ok()?));
                 }
+                let base = self.snap.n_rows();
                 if let Some(ix) = &mut self.pos {
-                    let base = self.snap.n_rows() as u32;
                     for (off, (id, _)) in rows.iter().enumerate() {
-                        ix.insert(*id, base + off as u32);
+                        ix.insert(*id, (base + off) as u32);
                     }
                 }
                 Arc::make_mut(&mut self.snap).append_rows(&rows);
+                for (off, (id, _)) in rows.iter().enumerate() {
+                    st.admit(&self.snap, self.gen, base + off, *id, None);
+                }
                 self.rows_epoch = epoch;
                 Some((rows.len(), rows.len()))
             }
             TableDelta::Deleted(id) => {
                 let pos = self.position(id)?;
+                st.retract(&self.snap, self.gen, pos as usize, id, None);
                 let moved = Arc::make_mut(&mut self.snap).swap_remove_row(pos as usize);
                 // Only the swapped-in last row changes position.
                 let ix = self.pos.as_mut().expect("index built by position()");
@@ -196,7 +228,9 @@ impl Cached {
                     return Some((1, 0));
                 }
                 let value = table.cell(id, col).ok()?;
+                st.retract(&self.snap, self.gen, pos as usize, id, Some(col));
                 Arc::make_mut(&mut self.snap).set_cell(pos as usize, col, value);
+                st.admit(&self.snap, self.gen, pos as usize, id, Some(col));
                 Some((1, 1))
             }
         }
@@ -217,12 +251,13 @@ pub struct SnapshotCache {
     chunk_rows: Option<usize>,
     encodes: u64,
     patches: u64,
-    /// Per-CFD detect fragments memoized by [`detect_cached`], each tagged
-    /// with the epoch it was computed at. Entries survive snapshot rebuilds
-    /// (the epoch bookkeeping decides their freshness, not the rebuild).
-    memo: Vec<MemoEntry>,
+    /// Per-CFD detect state kept by [`detect_cached`]. Fragments survive
+    /// snapshot rebuilds (the epoch bookkeeping decides their freshness,
+    /// not the rebuild); group state lives for one encode.
+    state: DetectState,
     fragments_computed: u64,
     fragments_reused: u64,
+    groups_rematerialized: u64,
     /// Cold-chunk spill target and resident-byte budget: when set, every
     /// snapshot this cache serves is evicted down to the budget first
     /// (oldest chunks out, [`Snapshot::spill_to_budget`]).
@@ -245,9 +280,10 @@ impl SnapshotCache {
             chunk_rows: None,
             encodes: 0,
             patches: 0,
-            memo: Vec::new(),
+            state: DetectState::default(),
             fragments_computed: 0,
             fragments_reused: 0,
+            groups_rematerialized: 0,
             spill: None,
             spilled_chunks: 0,
         }
@@ -321,14 +357,15 @@ impl SnapshotCache {
         // lineage moving forward (same name, epoch not regressed). Anything
         // else — a different table handed to this cache, an epoch that went
         // backwards, or a cache that was invalidated and lost its identity
-        // — drops the memo wholesale; a fragment whose epoch is ≥ the new
-        // table's epoch would otherwise replay another table's violations.
+        // — drops the detect state wholesale; a fragment whose epoch is ≥
+        // the new table's epoch would otherwise replay another table's
+        // violations. (Group state never outlives its encode either way.)
         let same_lineage = self
             .cached
             .as_ref()
             .is_some_and(|c| c.snap.name() == table.name() && table.epoch() >= c.epoch);
         if !same_lineage {
-            self.memo.clear();
+            self.state = DetectState::default();
         }
         // Re-encode with the union of the requested and previously encoded
         // columns, so the cached projection grows monotonically.
@@ -372,6 +409,7 @@ impl SnapshotCache {
         // know which columns stayed untouched across the gap).
         self.cached = Some(Cached {
             snap: Arc::clone(&snap),
+            gen: self.encodes,
             epoch: table.epoch(),
             pos: None,
             patched: 0,
@@ -427,23 +465,137 @@ impl SnapshotCache {
         self.fragments_computed
     }
 
-    /// Number of per-CFD detect fragments replayed from the memo (their
+    /// Number of per-CFD detect fragments replayed unchanged (their
     /// columns and the row set were untouched since they were computed).
     pub fn fragments_reused(&self) -> u64 {
         self.fragments_reused
     }
 
-    /// Drop the cached snapshot and the detect memo; the next access pays
+    /// Number of violating groups [`detect_cached`] re-materialized from
+    /// patched group state: a patched CFD costs one per LHS group its
+    /// writes touched, where a rescan would have cost a whole fragment.
+    pub fn groups_rematerialized(&self) -> u64 {
+        self.groups_rematerialized
+    }
+
+    /// Check the detect state against a fresh scan of the cached snapshot,
+    /// for tests: every group state still tied to this snapshot must hold
+    /// exactly the groups (keys, RHS code counts, members) a grouping scan
+    /// finds, or the violating rows a constant scan finds, with no patched
+    /// group left un-materialized and each violating group's fragment
+    /// entry equal to a fresh materialization; and the standing tally must
+    /// equal the sum over every fragment. Call it after a
+    /// [`detect_cached`]. Returns how many group states were checked, or
+    /// the first difference. Rescans every CFD.
+    pub fn verify_state(&self) -> Result<usize, String> {
+        let mut want = Tally::default();
+        for s in &self.state.cfds {
+            want.fragment(s, true);
+        }
+        let nonzero = |t: &Tally| -> Vec<(usize, u64)> {
+            t.dense
+                .iter()
+                .enumerate()
+                .filter(|(_, &n)| n > 0)
+                .map(|(i, &n)| (i, n))
+                .collect()
+        };
+        if nonzero(&want) != nonzero(&self.state.tally) {
+            return Err("the standing tally differs from its fragments' sum".into());
+        }
+        let Some(c) = &self.cached else {
+            return Ok(0);
+        };
+        let snap = &c.snap;
+        let mut checked = 0;
+        for (idx, s) in self.state.cfds.iter().enumerate() {
+            let Some(code) = s.code.as_ref().filter(|k| k.gen == c.gen) else {
+                continue;
+            };
+            let fail = |what: &str| Err(format!("cfd {idx} ({}): {what}", s.cfd));
+            let b = s.cfd.bind(snap.schema()).map_err(|e| e.to_string())?;
+            let r = resolve(snap, &b);
+            if r != code.res {
+                return fail("pattern constants resolve differently since seeding");
+            }
+            match (&code.groups, &r) {
+                (None, r) => {
+                    let mut scratch = ViolationReport::default();
+                    if let Some(r) = r {
+                        detect_constant(snap, 0, r, &mut scratch);
+                    }
+                    if scratch.dirty_rows() != s.singles {
+                        return fail("violating rows differ from a fresh scan");
+                    }
+                }
+                (Some(vg), None) => {
+                    if !vg.index.is_empty() || !s.groups.is_empty() {
+                        return fail("a vacuous CFD holds groups");
+                    }
+                }
+                (Some(vg), Some(r)) => {
+                    if !vg.dirty.is_empty() {
+                        return fail("patched groups left un-materialized");
+                    }
+                    let scanned = group_by_codes(snap, r);
+                    if scanned.len() != vg.index.len() {
+                        return fail("group count differs from a fresh scan");
+                    }
+                    for (key, g) in scanned {
+                        let Some(&slot) = vg.index.get(&r.lane_key(snap, &key)) else {
+                            return fail("a scanned group is missing");
+                        };
+                        let kept = &vg.groups[slot as usize];
+                        let mut members: Vec<(RowId, u32)> = g
+                            .rows
+                            .iter()
+                            .map(|&(pos, code)| (snap.row_id(pos as usize), code))
+                            .collect();
+                        members.sort_unstable();
+                        let mut counts: Vec<(u32, u32)> = Vec::new();
+                        for &(_, code) in &members {
+                            match counts.iter_mut().find(|(c, _)| *c == code) {
+                                Some((_, n)) => *n += 1,
+                                None => counts.push((code, 1)),
+                            }
+                        }
+                        let mut kept_counts = kept.counts.clone();
+                        counts.sort_unstable();
+                        kept_counts.sort_unstable();
+                        if kept.members != members || kept_counts != counts {
+                            return fail("a group's members or counts differ");
+                        }
+                        if kept.violates() != (kept.at != NO_SLOT) {
+                            return fail("a group's fragment entry is out of step");
+                        }
+                        if kept.at != NO_SLOT
+                            && (vg.owner[kept.at as usize] != slot
+                                || s.groups[kept.at as usize] != kept.materialize(snap, r))
+                        {
+                            return fail("a violating group's fragment entry is stale");
+                        }
+                    }
+                    if vg.owner.len() != s.groups.len() {
+                        return fail("the fragment holds a group the state does not");
+                    }
+                }
+            }
+            checked += 1;
+        }
+        Ok(checked)
+    }
+
+    /// Drop the cached snapshot and the detect state; the next access pays
     /// a full encode and a full detect.
     pub fn invalidate(&mut self) {
         self.cached = None;
-        self.memo.clear();
+        self.state = DetectState::default();
     }
 
     /// Is a result computed at `epoch` over columns `cols` (schema
     /// positions) still current? True iff the live-row membership and every
     /// one of those columns are unchanged since then — the freshness probe
-    /// behind [`detect_cached`]'s memo, public so external per-CFD caches
+    /// behind [`detect_cached`]'s replays, public so external per-CFD caches
     /// (a cluster shard's partial-export memo) can ride the same epoch
     /// bookkeeping.
     pub fn fragment_fresh(&self, epoch: u64, cols: &[usize]) -> bool {
@@ -507,7 +659,7 @@ impl SnapshotCache {
         };
         let mut rest = deltas;
         while !rest.is_empty() {
-            let Some((consumed, patched)) = c.patch(table, rest) else {
+            let Some((consumed, patched)) = c.patch(table, rest, &mut self.state) else {
                 self.cached = None;
                 return;
             };
@@ -559,61 +711,559 @@ fn covers(snap: &Snapshot, cols: Option<&[usize]>) -> bool {
     }
 }
 
-/// One CFD's detection result, decoded and detached from any snapshot, plus
-/// the epoch it reflects. Replaying a fragment into a report is a clone of
-/// the decoded rows — no scan, no grouping, no decoding.
-struct MemoEntry {
-    cfd: Cfd,
-    /// Table epoch the fragment was computed at.
-    epoch: u64,
-    /// Violating rows of a constant-RHS CFD (sorted by row id).
-    singles: Vec<RowId>,
-    /// Violating groups of a variable CFD, with member multiplicities.
-    groups: Vec<DecodedGroup>,
+/// Group-slot sentinel: the group has no violation in its CFD's fragment.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One LHS group of a variable CFD in code space — exactly what a
+/// grouping scan of the current snapshot finds under its key.
+struct CodeGroup {
+    key: LaneKey,
+    /// Distinct RHS codes, each with its member count.
+    counts: Vec<(u32, u32)>,
+    /// `(row id, RHS code)` per member, in row-id order.
+    members: Vec<(RowId, u32)>,
+    /// Index of the group's violation in its CFD's fragment, or
+    /// [`NO_SLOT`].
+    at: u32,
+    /// Queued on [`VarGroups::dirty`].
+    dirty: bool,
 }
 
-impl MemoEntry {
-    fn compute(snap: &Snapshot, cfd: &Cfd, b: &BoundCfd, epoch: u64) -> MemoEntry {
-        let mut singles = Vec::new();
-        let mut groups = Vec::new();
-        if let Some(r) = resolve(snap, b) {
-            if b.cfd.rhs_pat.constant().is_some() {
-                let mut scratch = ViolationReport::default();
-                detect_constant(snap, 0, &r, &mut scratch);
-                singles = scratch.dirty_rows();
-            } else {
-                groups = violating_groups(snap, b, &r);
-            }
-        }
-        MemoEntry {
-            cfd: cfd.clone(),
-            epoch,
-            singles,
-            groups,
+impl CodeGroup {
+    fn new(key: LaneKey) -> CodeGroup {
+        CodeGroup {
+            key,
+            counts: Vec::new(),
+            members: Vec::new(),
+            at: NO_SLOT,
+            dirty: false,
         }
     }
 
-    fn replay(&self, cfd_idx: usize, report: &mut ViolationReport) {
-        for &row in &self.singles {
-            report.push_single(cfd_idx, row);
+    fn count(&mut self, code: u32) {
+        match self.counts.iter_mut().find(|(c, _)| *c == code) {
+            Some((_, n)) => *n += 1,
+            None => self.counts.push((code, 1)),
         }
-        for (key, rows, own) in &self.groups {
-            report.push_multi_shared(cfd_idx, key.clone(), Arc::clone(rows), Arc::clone(own));
+    }
+
+    fn add(&mut self, id: RowId, code: u32) {
+        self.count(code);
+        let i = self.members.partition_point(|&(r, _)| r < id);
+        self.members.insert(i, (id, code));
+    }
+
+    fn remove(&mut self, id: RowId) {
+        let Ok(i) = self.members.binary_search_by_key(&id, |&(r, _)| r) else {
+            return;
+        };
+        let (_, code) = self.members.remove(i);
+        if let Some(k) = self.counts.iter().position(|&(c, _)| c == code) {
+            self.counts[k].1 -= 1;
+            if self.counts[k].1 == 0 {
+                self.counts.swap_remove(k);
+            }
         }
+    }
+
+    /// The group violates: it holds ≥ 2 distinct RHS codes.
+    fn violates(&self) -> bool {
+        self.counts.len() >= 2
+    }
+
+    /// The group's violation in the report's format. Each distinct RHS
+    /// code is decoded once; a member's multiplicity is its code's count.
+    fn materialize(&self, snap: &Snapshot, r: &Resolved) -> DecodedGroup {
+        let dict = snap.column(r.rhs_col()).dictionary();
+        let values: Vec<(u32, Value, u64)> = self
+            .counts
+            .iter()
+            .map(|&(code, n)| (code, dict.decode(code), u64::from(n)))
+            .collect();
+        let (rows, own): (Vec<(RowId, Value)>, Vec<u64>) = self
+            .members
+            .iter()
+            .map(|&(id, code)| {
+                let (_, v, n) = values
+                    .iter()
+                    .find(|(c, _, _)| *c == code)
+                    .expect("every member's code is counted");
+                ((id, v.clone()), *n)
+            })
+            .unzip();
+        (
+            r.decode_lanes(snap, &self.key),
+            Arc::new(rows),
+            Arc::new(own),
+        )
+    }
+}
+
+/// The group state of one variable CFD: every non-empty LHS group, and
+/// which of them patches touched since the last detect.
+#[derive(Default)]
+struct VarGroups {
+    index: FxHashMap<LaneKey, u32>,
+    groups: Vec<CodeGroup>,
+    /// Slots of groups that emptied, for the next new key.
+    free: Vec<u32>,
+    /// Slots of the groups touched since their last materialization.
+    dirty: Vec<u32>,
+    /// Per violation of the CFD's fragment, the slot of its group.
+    owner: Vec<u32>,
+}
+
+impl VarGroups {
+    fn mark(&mut self, slot: u32) {
+        let g = &mut self.groups[slot as usize];
+        if !g.dirty {
+            g.dirty = true;
+            self.dirty.push(slot);
+        }
+    }
+
+    fn retract(&mut self, key: &LaneKey, id: RowId) {
+        if let Some(&slot) = self.index.get(key) {
+            self.groups[slot as usize].remove(id);
+            self.mark(slot);
+        }
+    }
+
+    fn admit(&mut self, key: LaneKey, id: RowId, code: u32) {
+        let slot = match self.index.get(&key) {
+            Some(&slot) => slot,
+            None => {
+                let g = CodeGroup::new(key.clone());
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.groups[slot as usize] = g;
+                        slot
+                    }
+                    None => {
+                        self.groups.push(g);
+                        (self.groups.len() - 1) as u32
+                    }
+                };
+                self.index.insert(key, slot);
+                slot
+            }
+        };
+        self.groups[slot as usize].add(id, code);
+        self.mark(slot);
+    }
+}
+
+/// The code-space half of a CFD's state. Codes only mean something in
+/// the snapshot they were read from, so it is valid for one encode
+/// (`gen`) and patched in lock-step with that snapshot.
+struct CodeState {
+    gen: u64,
+    /// The pattern constants as resolved at seeding (`None`: an LHS
+    /// constant no row holds, so the CFD holds vacuously). A patch that
+    /// interns a missing constant changes the resolution, and the state is
+    /// then reseeded.
+    res: Option<Resolved>,
+    /// A variable CFD's groups; `None` for a constant CFD, whose violating
+    /// rows are its fragment.
+    groups: Option<VarGroups>,
+}
+
+/// What [`detect_cached`] keeps of one CFD between calls.
+struct CfdState {
+    cfd: Cfd,
+    /// Table epoch the fragment reflects; `None` until first computed.
+    epoch: Option<u64>,
+    /// The fragment of a constant CFD: its violating rows, ascending.
+    singles: Vec<RowId>,
+    /// The fragment of a variable CFD: its violating groups, decoded.
+    groups: Vec<DecodedGroup>,
+    /// Group state; `None` until seeded, and stale once `gen` is not the
+    /// cached snapshot's.
+    code: Option<CodeState>,
+}
+
+impl CfdState {
+    fn new(cfd: Cfd) -> CfdState {
+        CfdState {
+            cfd,
+            epoch: None,
+            singles: Vec::new(),
+            groups: Vec::new(),
+            code: None,
+        }
+    }
+
+    /// Rescan the CFD over `snap` under resolution `r`. A constant CFD's
+    /// state is its fragment, so it is always kept. A variable CFD seeds
+    /// its group state only on a recompute: a first computation takes the
+    /// two-pass scan, which builds no member list for a clean group, and
+    /// the state pays off only once a write has made the fragment stale.
+    fn recompute(
+        &mut self,
+        snap: &Snapshot,
+        b: &BoundCfd,
+        r: Option<Resolved>,
+        gen: u64,
+        tally: &mut Tally,
+    ) {
+        tally.fragment(self, false);
+        let constant = b.cfd.rhs_pat.constant().is_some();
+        let seed = constant || self.epoch.is_some();
+        self.singles.clear();
+        self.groups.clear();
+        let mut groups = (seed && !constant).then(VarGroups::default);
+        if let Some(r) = &r {
+            if constant {
+                let mut scratch = ViolationReport::default();
+                detect_constant(snap, 0, r, &mut scratch);
+                self.singles = scratch.dirty_rows();
+            } else if let Some(vg) = &mut groups {
+                self.seed(snap, r, vg);
+            } else {
+                self.groups = violating_groups(snap, b, r);
+            }
+        }
+        self.code = seed.then_some(CodeState {
+            gen,
+            res: r,
+            groups,
+        });
+        tally.fragment(self, true);
+    }
+
+    /// Fill `vg` with every group of a fresh grouping scan, and the
+    /// fragment with the violating ones.
+    fn seed(&mut self, snap: &Snapshot, r: &Resolved, vg: &mut VarGroups) {
+        for (key, scanned) in group_by_codes(snap, r) {
+            let mut g = CodeGroup::new(r.lane_key(snap, &key));
+            g.members = scanned
+                .rows
+                .iter()
+                .map(|&(pos, code)| (snap.row_id(pos as usize), code))
+                .collect();
+            // A fresh encode scans in row-id order; a patched one does not.
+            if !g.members.windows(2).all(|w| w[0].0 < w[1].0) {
+                g.members.sort_unstable_by_key(|&(id, _)| id);
+            }
+            for &(_, code) in &scanned.rows {
+                g.count(code);
+            }
+            let slot = vg.groups.len() as u32;
+            if g.violates() {
+                g.at = self.groups.len() as u32;
+                self.groups.push(g.materialize(snap, r));
+                vg.owner.push(slot);
+            }
+            vg.index.insert(g.key.clone(), slot);
+            vg.groups.push(g);
+        }
+    }
+
+    /// Re-materialize the groups patched since the last detect, moving
+    /// `tally` with them; returns how many there were.
+    fn flush(&mut self, snap: &Snapshot, tally: &mut Tally) -> u64 {
+        let Some(CodeState {
+            res: Some(r),
+            groups: Some(vg),
+            ..
+        }) = &mut self.code
+        else {
+            return 0;
+        };
+        let dirty = std::mem::take(&mut vg.dirty);
+        for &slot in &dirty {
+            let g = &mut vg.groups[slot as usize];
+            g.dirty = false;
+            if g.at != NO_SLOT {
+                tally.group(&self.groups[g.at as usize], false);
+            }
+            if g.violates() {
+                let m = g.materialize(snap, r);
+                tally.group(&m, true);
+                if g.at == NO_SLOT {
+                    g.at = self.groups.len() as u32;
+                    self.groups.push(m);
+                    vg.owner.push(slot);
+                } else {
+                    self.groups[g.at as usize] = m;
+                }
+            } else if g.at != NO_SLOT {
+                let at = g.at as usize;
+                g.at = NO_SLOT;
+                self.groups.swap_remove(at);
+                vg.owner.swap_remove(at);
+                if let Some(&moved) = vg.owner.get(at) {
+                    vg.groups[moved as usize].at = at as u32;
+                }
+            }
+            let g = &mut vg.groups[slot as usize];
+            if g.members.is_empty() {
+                vg.index.remove(&g.key);
+                vg.free.push(slot);
+            }
+        }
+        dirty.len() as u64
+    }
+}
+
+/// The standing `vio(t)` tally of every fragment [`detect_cached`] keeps,
+/// by row index, and its report form as of the last detect.
+#[derive(Default)]
+struct Tally {
+    dense: Vec<u64>,
+    /// `dense` as a [`VioTally`]; `None` once `dense` moved.
+    built: Option<VioTally>,
+}
+
+impl Tally {
+    fn shift(&mut self, row: RowId, delta: u64, add: bool) {
+        if delta == 0 {
+            return;
+        }
+        self.built = None;
+        let i = row.index();
+        if add {
+            if i >= self.dense.len() {
+                self.dense.resize(i + 1, 0);
+            }
+            self.dense[i] += delta;
+        } else {
+            self.dense[i] -= delta;
+        }
+    }
+
+    /// Add (or take away) one violating group's conflict partners.
+    fn group(&mut self, (_, rows, own): &DecodedGroup, add: bool) {
+        self.built = None;
+        let total = rows.len() as u64;
+        let partners = rows
+            .iter()
+            .zip(own.iter())
+            .map(|((row, _), n)| (row.index(), total - n));
+        if add {
+            let end = rows
+                .iter()
+                .map(|(row, _)| row.index() + 1)
+                .max()
+                .unwrap_or(0);
+            if end > self.dense.len() {
+                self.dense.resize(end, 0);
+            }
+            for (i, d) in partners {
+                self.dense[i] += d;
+            }
+        } else {
+            for (i, d) in partners {
+                self.dense[i] -= d;
+            }
+        }
+    }
+
+    /// Add (or take away) a whole fragment.
+    fn fragment(&mut self, s: &CfdState, add: bool) {
+        for &row in &s.singles {
+            self.shift(row, 1, add);
+        }
+        for g in &s.groups {
+            self.group(g, add);
+        }
+    }
+
+    fn report_tally(&mut self) -> VioTally {
+        let dense = &self.dense;
+        self.built
+            .get_or_insert_with(|| {
+                let mut vio = VioTally::default();
+                for (i, &n) in dense.iter().enumerate() {
+                    vio.add(RowId(i as u64), n);
+                }
+                vio
+            })
+            .clone()
+    }
+}
+
+/// A CFD's identity for looking its state up when the rule set changed.
+type CfdKey<'a> = (&'a str, &'a [String], &'a str, &'a [Pattern], &'a Pattern);
+
+fn cfd_key(c: &Cfd) -> CfdKey<'_> {
+    (&c.relation, &c.lhs, &c.rhs, &c.lhs_pat, &c.rhs_pat)
+}
+
+/// Every CFD state [`detect_cached`] keeps, by the CFD's index in the
+/// rule set of the last detect, plus their standing tally.
+#[derive(Default)]
+struct DetectState {
+    cfds: Vec<CfdState>,
+    tally: Tally,
+}
+
+impl DetectState {
+    /// Line the states up with `cfds`: afterwards `self.cfds[i]` is the
+    /// state of `cfds[i]`. An unchanged rule set costs one comparison per
+    /// CFD. Otherwise a CFD not at its old index is looked up by its
+    /// patterns, a new CFD starts empty, and the fragments of CFDs no
+    /// longer checked leave the tally.
+    fn align(&mut self, cfds: &[Cfd]) {
+        let same = |s: &CfdState, c: &Cfd| s.cfd == *c;
+        if self.cfds.len() == cfds.len() && self.cfds.iter().zip(cfds).all(|(s, c)| same(s, c)) {
+            return;
+        }
+        let old = std::mem::take(&mut self.cfds);
+        let mut pick: Vec<Option<usize>> = cfds
+            .iter()
+            .enumerate()
+            .map(|(i, c)| old.get(i).filter(|s| same(s, c)).map(|_| i))
+            .collect();
+        let mut by_key: FxHashMap<CfdKey<'_>, Vec<usize>> = FxHashMap::default();
+        for (j, s) in old.iter().enumerate() {
+            if pick.get(j) != Some(&Some(j)) {
+                by_key.entry(cfd_key(&s.cfd)).or_default().push(j);
+            }
+        }
+        for (i, c) in cfds.iter().enumerate() {
+            if pick[i].is_none() {
+                pick[i] = by_key.get_mut(&cfd_key(c)).and_then(|js| {
+                    let at = js.iter().position(|&j| same(&old[j], c))?;
+                    Some(js.swap_remove(at))
+                });
+            }
+        }
+        drop(by_key);
+        let mut old: Vec<Option<CfdState>> = old.into_iter().map(Some).collect();
+        self.cfds = cfds
+            .iter()
+            .zip(pick)
+            .map(|(c, j)| {
+                j.and_then(|j| old[j].take())
+                    .unwrap_or_else(|| CfdState::new(c.clone()))
+            })
+            .collect();
+        for s in old.into_iter().flatten() {
+            self.tally.fragment(&s, false);
+        }
+    }
+
+    /// The live code states (seeded from encode `gen` and resolvable) of
+    /// the CFDs that read `col` — all of them for `None` — with the
+    /// fragments they patch.
+    fn live(
+        &mut self,
+        gen: u64,
+        col: Option<usize>,
+    ) -> impl Iterator<Item = (&Resolved, &mut Option<VarGroups>, &mut Vec<RowId>)> {
+        self.cfds.iter_mut().filter_map(move |s| {
+            let code = s.code.as_mut().filter(|c| c.gen == gen)?;
+            let r = code
+                .res
+                .as_ref()
+                .filter(|r| col.is_none_or(|c| r.mentions(c)))?;
+            Some((r, &mut code.groups, &mut s.singles))
+        })
+    }
+
+    /// Take the row `id` at snapshot position `pos` out of every live
+    /// state (of the CFDs reading `col`, when given): call before the
+    /// position's codes change or go.
+    fn retract(&mut self, snap: &Snapshot, gen: u64, pos: usize, id: RowId, col: Option<usize>) {
+        let mut gone = 0;
+        for (r, groups, singles) in self.live(gen, col) {
+            match groups {
+                Some(vg) => {
+                    if let Some((key, _)) = r.member_at(snap, pos) {
+                        vg.retract(&key, id);
+                    }
+                }
+                None => {
+                    if let Ok(i) = singles.binary_search(&id) {
+                        singles.remove(i);
+                        gone += 1;
+                    }
+                }
+            }
+        }
+        self.tally.shift(id, gone, false);
+    }
+
+    /// Put the row `id` at snapshot position `pos` into every live state
+    /// (of the CFDs reading `col`, when given): call once the position
+    /// holds the row's new codes.
+    fn admit(&mut self, snap: &Snapshot, gen: u64, pos: usize, id: RowId, col: Option<usize>) {
+        let mut came = 0;
+        for (r, groups, singles) in self.live(gen, col) {
+            match groups {
+                Some(vg) => {
+                    if let Some((key, code)) = r.member_at(snap, pos) {
+                        vg.admit(key, id, code);
+                    }
+                }
+                None => {
+                    if r.violates_at(snap, pos) {
+                        if let Err(i) = singles.binary_search(&id) {
+                            singles.insert(i, id);
+                            came += 1;
+                        }
+                    }
+                }
+            }
+        }
+        self.tally.shift(id, came, true);
+    }
+
+    /// The report of the current fragments, under the standing tally.
+    fn report(&mut self) -> ViolationReport {
+        let mut report = ViolationReport {
+            vio: self.tally.report_tally(),
+            ..ViolationReport::default()
+        };
+        for (cfd_idx, s) in self.cfds.iter().enumerate() {
+            let n = s.singles.len() + s.groups.len();
+            if n == 0 {
+                continue;
+            }
+            report.per_cfd.insert(cfd_idx, n);
+            let singles = s
+                .singles
+                .iter()
+                .map(|&row| ViolationKind::SingleTuple { row });
+            let groups = s
+                .groups
+                .iter()
+                .map(|(key, rows, own)| ViolationKind::MultiTuple {
+                    key: key.clone(),
+                    rows: Arc::clone(rows),
+                    own: Arc::clone(own),
+                });
+            report.violations.extend(
+                singles
+                    .chain(groups)
+                    .map(|kind| Violation { cfd_idx, kind }),
+            );
+        }
+        report
     }
 }
 
 /// Detect all violations of `cfds` in `table` through the cache: repeat
 /// calls on an unchanged (or patched-in-step) table do zero encode work,
-/// and per-CFD results are memoized against the per-column epochs — a CFD
-/// whose columns (and the row set) are untouched since its last
-/// evaluation replays its memoized fragment instead of re-scanning.
+/// and each CFD is brought up to date the cheapest way its state allows.
 /// Output is `normalized()`-equal to [`crate::detect_columnar`] and
 /// [`detect::detect_native`].
 ///
-/// Afterwards `cache.memo[i]` is the fresh fragment of `cfds[i]`. A stale
-/// or missing fragment is recomputed, a fresh one replayed; both are
-/// counted and traced as a `detect.cfd` span.
+/// Per CFD, traced as a `detect.cfd` span:
+///
+/// * **replay** (`memo=hit`): its columns and the row set are untouched
+///   since its fragment was computed, so the fragment is reused;
+/// * **patch** (`memo=patched groups=n`): its group state was patched in
+///   step with the snapshot, so only the `n` groups those patches touched
+///   are re-materialized, and the standing `vio(t)` tally moves with them;
+/// * **rescan** (`memo=recompute`): no usable state — a first computation
+///   (the two-pass scan), a state seeded from an earlier encode, or
+///   pattern constants that resolve differently since seeding. A rescan
+///   after the first seeds the group state from its grouping scan.
+///
+/// The rule set is matched to the kept states by index; only a changed
+/// rule set pays a lookup.
 pub fn detect_cached(
     cache: &mut SnapshotCache,
     table: &Table,
@@ -623,38 +1273,44 @@ pub fn detect_cached(
         .iter()
         .map(|c| c.bind(table.schema()))
         .collect::<CfdResult<_>>()?;
-    let mut report = ViolationReport::default();
     let snap = cache.snapshot_projected(table, &needed_columns(&bound));
     let epoch = table.epoch();
-    // The memo is rebuilt per call: fresh entries for this CFD set carry
-    // over, everything else (stale fragments, CFDs no longer checked) is
-    // dropped — memory stays bounded by one fragment per active CFD.
-    let mut old = std::mem::take(&mut cache.memo);
+    let gen = cache.cached.as_ref().map_or(0, |c| c.gen);
+    cache.state.align(cfds);
     for (idx, b) in bound.iter().enumerate() {
         let cols: Vec<usize> = b.lhs_cols.iter().copied().chain([b.rhs_col]).collect();
-        let fresh = old
-            .iter()
-            .position(|e| e.cfd == cfds[idx] && cache.fragment_fresh(e.epoch, &cols));
+        let fresh = cache.state.cfds[idx]
+            .epoch
+            .is_some_and(|e| cache.fragment_fresh(e, &cols));
         let sp = obs::trace::span("detect.cfd");
         sp.attr("cfd", idx);
-        let entry = match fresh {
-            Some(p) => {
-                cache.fragments_reused += 1;
-                cache_obs().fragments_reused.inc();
-                sp.attr("memo", "hit");
-                old.swap_remove(p)
-            }
-            None => {
-                cache.fragments_computed += 1;
-                cache_obs().fragments_computed.inc();
-                sp.attr("memo", "recompute");
-                MemoEntry::compute(&snap, &cfds[idx], b, epoch)
-            }
-        };
-        entry.replay(idx, &mut report);
-        cache.memo.push(entry);
+        if fresh {
+            cache.fragments_reused += 1;
+            cache_obs().fragments_reused.inc();
+            sp.attr("memo", "hit");
+            continue;
+        }
+        let r = resolve(&snap, b);
+        let DetectState {
+            cfds: states,
+            tally,
+        } = &mut cache.state;
+        let s = &mut states[idx];
+        if s.code.as_ref().is_some_and(|c| c.gen == gen && c.res == r) {
+            let n = s.flush(&snap, tally);
+            cache.groups_rematerialized += n;
+            cache_obs().groups_rematerialized.add(n);
+            sp.attr("memo", "patched");
+            sp.attr("groups", n);
+        } else {
+            s.recompute(&snap, b, r, gen, tally);
+            cache.fragments_computed += 1;
+            cache_obs().fragments_computed.inc();
+            sp.attr("memo", "recompute");
+        }
+        s.epoch = Some(epoch);
     }
-    Ok(report)
+    Ok(cache.state.report())
 }
 
 /// The Fig. 4 quality report of `table` under `cfds` and its detection
@@ -898,21 +1554,72 @@ mod tests {
         detect_cached(&mut cache, &t, &cfds).unwrap();
         assert_eq!(cache.fragments_computed(), 3);
         assert_eq!(cache.fragments_reused(), 3);
-        // Touch column B: only the (A, B) rule recomputes.
+        // Touch column B: only the (A, B) rule is stale. Its rescan seeds
+        // its group state.
         t.update_cell(RowId(1), 1, Value::str("changed")).unwrap();
         cache.note_set_cell(&t, RowId(1), 1);
         let got = detect_cached(&mut cache, &t, &cfds).unwrap().normalized();
         assert_eq!(cache.fragments_computed(), 4);
         assert_eq!(cache.fragments_reused(), 5);
         assert_eq!(got, detect_native(&t, &cfds).unwrap().normalized());
-        // An insert changes the row set: every fragment recomputes.
+        // An insert changes the row set, so no fragment replays. The two
+        // rules with state (the seeded (A, B) and the constant rule, whose
+        // state is its violating rows) are patched; (A, C) rescans.
         let id = t
             .insert(vec![Value::str("x"), Value::str("1"), Value::str("q")])
             .unwrap();
         cache.note_insert(&t, id);
         let got = detect_cached(&mut cache, &t, &cfds).unwrap().normalized();
-        assert_eq!(cache.fragments_computed(), 7);
+        assert_eq!(cache.fragments_computed(), 5);
+        assert_eq!(cache.fragments_reused(), 5);
+        assert_eq!(
+            cache.groups_rematerialized(),
+            1,
+            "the new row's (A, B) group"
+        );
         assert_eq!(got, detect_native(&t, &cfds).unwrap().normalized());
+        // From here on every write patches.
+        t.delete(RowId(0)).unwrap();
+        cache.note_delete(&t, RowId(0));
+        let got = detect_cached(&mut cache, &t, &cfds).unwrap().normalized();
+        assert_eq!(cache.fragments_computed(), 5);
+        assert_eq!(got, detect_native(&t, &cfds).unwrap().normalized());
+        assert_eq!(cache.verify_state(), Ok(3));
+    }
+
+    #[test]
+    fn reordered_rule_set_keeps_every_unchanged_state() {
+        let mut t = table();
+        let cfds = parse_cfds("r: [A] -> [B]\nr: [A] -> [C]\nr: [A='x'] -> [C='p']").unwrap();
+        let mut cache = SnapshotCache::new();
+        detect_cached(&mut cache, &t, &cfds).unwrap();
+        // A write makes every fragment stale and seeds the group states.
+        let id = t
+            .insert(vec![Value::str("x"), Value::str("2"), Value::str("q")])
+            .unwrap();
+        cache.note_insert(&t, id);
+        detect_cached(&mut cache, &t, &cfds).unwrap();
+        assert_eq!(cache.verify_state(), Ok(3));
+        // Reorder, drop (A, C) and add (B, C): the two kept rules move to
+        // new indexes and keep their fragments; only the new rule scans.
+        let next = parse_cfds("r: [A='x'] -> [C='p']\nr: [B] -> [C]\nr: [A] -> [B]").unwrap();
+        let (c0, r0) = (cache.fragments_computed(), cache.fragments_reused());
+        let got = detect_cached(&mut cache, &t, &next).unwrap().normalized();
+        assert_eq!(
+            cache.fragments_computed() - c0,
+            1,
+            "only the new rule scans"
+        );
+        assert_eq!(cache.fragments_reused() - r0, 2);
+        assert_eq!(got, detect_native(&t, &next).unwrap().normalized());
+        // They keep their group states too: a write over A patches both.
+        t.update_cell(RowId(1), 0, Value::str("x")).unwrap();
+        cache.note_set_cell(&t, RowId(1), 0);
+        let got = detect_cached(&mut cache, &t, &next).unwrap().normalized();
+        assert_eq!(cache.fragments_computed() - c0, 1, "the write patched");
+        assert!(cache.groups_rematerialized() > 0);
+        assert_eq!(got, detect_native(&t, &next).unwrap().normalized());
+        assert_eq!(cache.verify_state(), Ok(2), "(B, C) has not been seeded");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   cleansing, constraint discovery;
 //! * [`monitor::DataMonitor`] — a `QualityServer` plus a mode:
 //!   detection, or repair-on-arrival, after every update of a stream, over
-//!   the server's patched snapshot and per-CFD detect memo.
+//!   the server's patched snapshot and per-CFD detect state.
 //!
 //! ```
 //! use datagen::dirty_customers;

@@ -5,10 +5,13 @@
 //!
 //! The monitor is a [`QualityServer`] plus a [`MonitorMode`]. Every update
 //! goes through the server's mutation surface, which patches its snapshot
-//! cache, and ends with the server's detect: the patched, memoised
-//! [`colstore::detect_cached`], which recomputes only the CFDs whose
-//! columns the update touched. That detect is the incremental detection;
-//! the report it caches answers [`DataMonitor::violations`],
+//! cache — and, with it, the cache's per-CFD group state in code space —
+//! and ends with the server's detect, [`colstore::detect_cached`]. That
+//! detect replays the rules whose columns the update left alone and, for
+//! each rule it touched, re-materializes only the LHS groups the update
+//! changed (the first update over a rule rescans it once, seeding its
+//! state). That detect is the incremental detection of \[3\] §7; the
+//! report it caches answers [`DataMonitor::violations`],
 //! [`DataMonitor::vio_of`] and [`DataMonitor::report`] until the next
 //! update. Repair-on-arrival repairs the updated row against the rest of
 //! the relation and replays the changed cells into the same cache, so a
@@ -93,8 +96,8 @@ impl DataMonitor {
     }
 
     /// Batch detection over the maintained snapshot (zero encode work in
-    /// steady state; every fragment replays from the memo, since the last
-    /// update's detect already recomputed the touched ones). Equal to
+    /// steady state; every fragment replays, since the last update's
+    /// detect already brought the touched ones up to date). Equal to
     /// [`Self::report`].
     pub fn detect(&mut self) -> CfdResult<ViolationReport> {
         self.server.detect()

@@ -404,8 +404,8 @@ impl QualityServer {
 
     /// Repair-on-arrival for the data monitor: repair only `rows` against
     /// the rest of the relation ([`incremental_repair`]). Its cell writes
-    /// patch the snapshot cache and its residual detect leaves a fresh
-    /// memo there, so the monitor's following detect replays it.
+    /// patch the snapshot cache and its residual detect leaves fresh
+    /// fragments there, so the monitor's following detect replays them.
     pub(crate) fn repair_rows(&mut self, rows: &[RowId]) -> CfdResult<RepairResult> {
         let result = incremental_repair(
             &mut self.db,

@@ -4,8 +4,9 @@
 //! tuples a manual edit newly conflicts with.
 //!
 //! The session borrows the caller's [`SnapshotCache`]: an override patches
-//! it one cell, and the re-detect ([`detect_cached`]) recomputes only the
-//! CFDs over the edited column.
+//! it one cell, and the re-detect ([`detect_cached`]) revisits only the
+//! CFDs over the edited column — re-materializing the groups the edit
+//! touched once their group state is seeded.
 
 use cfd::{Cfd, CfdResult};
 use colstore::{detect_cached, SnapshotCache};

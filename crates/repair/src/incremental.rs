@@ -44,7 +44,7 @@ fn set_cell(
 ///
 /// Every cell write patches `cache` (`note_set_cell`) and the residual is
 /// a [`detect_cached`] over it, so a cache that was in step with the table
-/// on entry pays no encode and leaves a fresh detect memo behind. The
+/// on entry pays no encode and leaves fresh detect fragments behind. The
 /// consensus indexes cost one pass over the table's rows per call.
 pub fn incremental_repair(
     db: &mut Database,

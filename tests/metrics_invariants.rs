@@ -456,11 +456,15 @@ fn one_capture_sample_per_published_epoch() {
 
 /// The monitor's per-update cost: one cell update re-evaluates exactly
 /// the registered rules that mention the updated column, on a snapshot
-/// that was patched, not re-encoded.
+/// that was patched, not re-encoded. The first such update rescans them,
+/// seeding their group state; a second one patches that state, so it
+/// scans nothing and re-materializes at most the old and the new group
+/// of each rule over the column.
 #[test]
 fn one_monitor_cell_update_recomputes_only_the_rules_over_its_column() {
     let _g = lock();
     let computed = semandaq::obs::counter("colstore_detect_fragments_computed_total");
+    let rematerialized = semandaq::obs::counter("colstore_groups_rematerialized_total");
     let d = dirty_customers(300, 0.05, 319);
     let row = d.db.table("customer").unwrap().row_ids()[5];
     let mut m = DataMonitor::new(d.db, "customer", d.cfds, MonitorMode::DetectOnly).unwrap();
@@ -484,6 +488,28 @@ fn one_monitor_cell_update_recomputes_only_the_rules_over_its_column() {
         "one fragment per rule over CITY"
     );
     assert_eq!(m.snapshot_encodes(), 1, "the update patched the snapshot");
+
+    let (c1, g1) = (computed.get(), rematerialized.get());
+    let other = m.database().table("customer").unwrap().row_ids()[9];
+    m.apply(Update::SetCell {
+        row: other,
+        col: 2,
+        value: Value::str("Elsewhere"),
+    })
+    .unwrap();
+    assert_eq!(computed.get() - c1, 0, "the second update scans nothing");
+    let groups = rematerialized.get() - g1;
+    assert!(
+        (1..=2 * over_city).contains(&groups),
+        "{groups} groups re-materialized for {over_city} rules over CITY"
+    );
+    assert_eq!(m.snapshot_encodes(), 1);
+    assert_eq!(
+        m.report().normalized(),
+        semandaq::detect::detect_native(m.database().table("customer").unwrap(), m.cfds())
+            .unwrap()
+            .normalized()
+    );
 }
 
 /// A rule over a column the relation lacks is rejected before anything is

@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use semandaq::api::{apply_mutation, Mutation, MutationBatch};
 use semandaq::audit::{quality_report, QualityReport};
 use semandaq::cfd::parse::parse_cfds;
+use semandaq::cfd::Cfd;
 use semandaq::colstore::{
     audit_cached, detect_cached, detect_on_snapshot, MemChunkStore, SnapshotCache, TableDelta,
 };
@@ -261,6 +262,203 @@ proptest! {
         prop_assert_eq!(&per_row, &want);
         prop_assert_eq!(&batch, &want);
     }
+}
+
+// ------------------------------------------------------------ group state
+//
+// `detect_cached` keeps per-CFD group state in code space, patched by the
+// same routine that patches the snapshot. After every step it must be
+// exactly what a fresh grouping scan of the current snapshot finds
+// (`SnapshotCache::verify_state`), and the detect it serves must equal
+// the native oracle.
+
+/// Detect through `cache`, check its report against the oracle and its
+/// state against a fresh scan; returns how many group states it checked.
+fn detect_and_verify(cache: &mut SnapshotCache, table: &Table, cfds: &[Cfd], when: &str) -> usize {
+    let got = detect_cached(cache, table, cfds).unwrap().normalized();
+    let want = detect_native(table, cfds).unwrap().normalized();
+    assert_eq!(got, want, "detect_cached diverged {when}");
+    cache
+        .verify_state()
+        .unwrap_or_else(|e| panic!("group state diverged {when}: {e}"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Per-delta `note_*` calls into a default cache, a cache with
+    /// `chunk_rows` down to 1, a spilled cache with a zero budget and the
+    /// zero-threshold cache (whose state is dropped and reseeded on every
+    /// rebuild), and `note_batch` in random chunks: after every step each
+    /// cache's group state equals a fresh grouping of its snapshot.
+    #[test]
+    fn group_state_equals_a_fresh_grouping_after_every_step(
+        table in arb_table(20),
+        cfds in arb_cfds(),
+        ops in arb_ops(20),
+        chunk_rows in 1usize..4,
+        chunks in proptest::collection::vec(1usize..6, 1..8),
+    ) {
+        let mut table = table;
+        let mut batch_table = table.clone();
+        let mut caches = [
+            SnapshotCache::new(),
+            SnapshotCache::new().with_chunk_rows(chunk_rows),
+            SnapshotCache::new()
+                .with_chunk_rows(2)
+                .with_spill(MemChunkStore::shared(), 0),
+            SnapshotCache::new().with_delta_threshold(0.0),
+        ];
+        for cache in caches.iter_mut() {
+            detect_and_verify(cache, &table, &cfds, "initially");
+        }
+        let mut checked = [0usize; 4];
+        let mut rows_changed = false;
+        let mut fresh = 0u32;
+        for op in &ops {
+            let mut refs: Vec<&mut SnapshotCache> = caches.iter_mut().collect();
+            if !apply(&mut table, &mut refs, op, &mut fresh) {
+                continue;
+            }
+            rows_changed |= !matches!(op, Op::SetCell { .. });
+            for (i, cache) in caches.iter_mut().enumerate() {
+                checked[i] = detect_and_verify(cache, &table, &cfds, &format!("after {op:?}"));
+            }
+        }
+        if rows_changed {
+            // A row-set change makes every fragment stale, so every CFD
+            // has been (re)seeded by now. The zero-threshold cache loses
+            // its lineage on every write, so each detect is a first
+            // computation: only the constant CFDs, whose state is their
+            // violating rows, keep state there.
+            let constant = cfds.iter().filter(|c| !c.rhs_pat.is_wild()).count();
+            prop_assert_eq!(&checked, &[cfds.len(), cfds.len(), cfds.len(), constant]);
+        }
+
+        // The batch arm (chunks never carry a row they then delete; see
+        // `patched_snapshot_content_matches_fresh_encode`).
+        let mut batched = SnapshotCache::new();
+        detect_and_verify(&mut batched, &batch_table, &cfds, "initially (batched)");
+        let mut fresh = 0u32;
+        let mut lens = chunks.iter().cycle();
+        let mut room = *lens.next().unwrap();
+        let mut pending: Vec<TableDelta> = Vec::new();
+        for op in &ops {
+            let target = match op {
+                Op::Delete(i) => pick(&batch_table, *i),
+                _ => None,
+            };
+            let touches = |d: &TableDelta| match *d {
+                TableDelta::Inserted(id) | TableDelta::CellSet(id, _) => Some(id) == target,
+                TableDelta::Deleted(_) => false,
+            };
+            if pending.len() == room || pending.iter().any(touches) {
+                batched.note_batch(&batch_table, &pending);
+                pending.clear();
+                room = *lens.next().unwrap();
+                detect_and_verify(&mut batched, &batch_table, &cfds, "after a batch");
+            }
+            pending.extend(mutate(&mut batch_table, op, &mut fresh));
+        }
+        batched.note_batch(&batch_table, &pending);
+        detect_and_verify(&mut batched, &batch_table, &cfds, "after the last batch");
+        prop_assert_eq!(batched.encodes(), 1, "every batch was patched");
+    }
+}
+
+/// Dictionary growth and late constants. Novel values push column A's
+/// dictionary across several powers of two (a packed key would change
+/// width under the kept state; lane keys do not), and the stream inserts
+/// an LHS filter constant and an RHS constant that no row held when the
+/// state was seeded (the state must be reseeded, not patched under the
+/// old resolution). `detect_cached` equals the oracle at every step.
+#[test]
+fn dictionary_growth_and_late_constants_keep_the_state_exact() {
+    let mut table = Table::new("r", Schema::of_strings(&COLS));
+    for i in 0..6 {
+        table
+            .insert(vec![
+                Value::str(format!("a{}", i % 2)),
+                Value::str(format!("b{}", i % 3)),
+                Value::str("c0"),
+                Value::str(format!("d{}", i % 2)),
+            ])
+            .unwrap();
+    }
+    // 'late' (an A filter) and 'dlate' (a D constant) are absent at first.
+    let cfds = parse_cfds(
+        "r: [A, B] -> [D]
+         r: [A='late', B=_] -> [C=_]
+         r: [B='b1'] -> [D='dlate']
+         r: [A='late'] -> [D='d0']",
+    )
+    .unwrap();
+    let mut cache = SnapshotCache::new();
+    detect_and_verify(&mut cache, &table, &cfds, "initially");
+    let a_bits = |cache: &mut SnapshotCache, table: &Table| {
+        cache.snapshot(table).column(0).dictionary().code_bits()
+    };
+    let mut step = 0;
+    let mut check = |table: &Table, cache: &mut SnapshotCache| {
+        step += 1;
+        detect_and_verify(cache, table, &cfds, &format!("at step {step}"))
+    };
+    // Seed every CFD's state with a first write.
+    let id = table
+        .insert(vec![
+            Value::str("a0"),
+            Value::str("b1"),
+            Value::str("c1"),
+            Value::str("d1"),
+        ])
+        .unwrap();
+    cache.note_insert(&table, id);
+    assert_eq!(check(&table, &mut cache), cfds.len(), "every CFD seeded");
+    // Grow A's dictionary from 2 values to 70, across 4, 8, 16, 32 and 64,
+    // with rows that also conflict with the existing groups.
+    let before = a_bits(&mut cache, &table);
+    for i in 0..68 {
+        let id = table
+            .insert(vec![
+                Value::str(format!("novel{i}")),
+                Value::str("b1"),
+                Value::str("c0"),
+                Value::str(format!("d{}", i % 2)),
+            ])
+            .unwrap();
+        cache.note_insert(&table, id);
+        let mut twin = table.get(id).unwrap().to_vec();
+        twin[3] = Value::str("d9");
+        let id = table.insert(twin).unwrap();
+        cache.note_insert(&table, id);
+        check(&table, &mut cache);
+    }
+    assert_eq!(
+        (before, a_bits(&mut cache, &table)),
+        (2, 7),
+        "A's code width grew"
+    );
+    // The late constants arrive: first as an overwrite, then as inserts.
+    let ids = table.row_ids();
+    table.update_cell(ids[0], 0, Value::str("late")).unwrap();
+    cache.note_set_cell(&table, ids[0], 0);
+    check(&table, &mut cache);
+    table.update_cell(ids[1], 3, Value::str("dlate")).unwrap();
+    cache.note_set_cell(&table, ids[1], 3);
+    check(&table, &mut cache);
+    for d in ["d1", "dlate", "d0"] {
+        let id = table
+            .insert(vec![
+                Value::str("late"),
+                Value::str("b1"),
+                Value::str(d),
+                Value::str(d),
+            ])
+            .unwrap();
+        cache.note_insert(&table, id);
+        check(&table, &mut cache);
+    }
+    assert_eq!(cache.encodes(), 1, "the whole stream was patched");
 }
 
 /// Long-stream determinism: past the delta threshold the cache rebuilds
