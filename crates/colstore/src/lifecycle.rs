@@ -201,14 +201,14 @@ impl Cached {
                 }
                 Arc::make_mut(&mut self.snap).append_rows(&rows);
                 for (off, (id, _)) in rows.iter().enumerate() {
-                    st.admit(&self.snap, self.gen, base + off, *id, None);
+                    st.admit(&self.snap, self.gen, base + off, *id);
                 }
                 self.rows_epoch = epoch;
                 Some((rows.len(), rows.len()))
             }
             TableDelta::Deleted(id) => {
                 let pos = self.position(id)?;
-                st.retract(&self.snap, self.gen, pos as usize, id, None);
+                st.retract(&self.snap, self.gen, pos as usize, id);
                 let moved = Arc::make_mut(&mut self.snap).swap_remove_row(pos as usize);
                 // Only the swapped-in last row changes position.
                 let ix = self.pos.as_mut().expect("index built by position()");
@@ -228,9 +228,10 @@ impl Cached {
                     return Some((1, 0));
                 }
                 let value = table.cell(id, col).ok()?;
-                st.retract(&self.snap, self.gen, pos as usize, id, Some(col));
-                Arc::make_mut(&mut self.snap).set_cell(pos as usize, col, value);
-                st.admit(&self.snap, self.gen, pos as usize, id, Some(col));
+                let pos = pos as usize;
+                let before = st.places(&self.snap, self.gen, pos, col);
+                Arc::make_mut(&mut self.snap).set_cell(pos, col, value);
+                st.overwrite(&self.snap, self.gen, (pos, id, col), before);
                 Some((1, 1))
             }
         }
@@ -753,16 +754,28 @@ impl CodeGroup {
         self.members.insert(i, (id, code));
     }
 
-    fn remove(&mut self, id: RowId) {
-        let Ok(i) = self.members.binary_search_by_key(&id, |&(r, _)| r) else {
-            return;
-        };
-        let (_, code) = self.members.remove(i);
+    fn uncount(&mut self, code: u32) {
         if let Some(k) = self.counts.iter().position(|&(c, _)| c == code) {
             self.counts[k].1 -= 1;
             if self.counts[k].1 == 0 {
                 self.counts.swap_remove(k);
             }
+        }
+    }
+
+    fn remove(&mut self, id: RowId) {
+        if let Ok(i) = self.members.binary_search_by_key(&id, |&(r, _)| r) {
+            let (_, code) = self.members.remove(i);
+            self.uncount(code);
+        }
+    }
+
+    /// Member `id` now holds RHS code `code`.
+    fn recode(&mut self, id: RowId, code: u32) {
+        if let Ok(i) = self.members.binary_search_by_key(&id, |&(r, _)| r) {
+            let was = std::mem::replace(&mut self.members[i].1, code);
+            self.uncount(was);
+            self.count(code);
         }
     }
 
@@ -829,6 +842,28 @@ impl VarGroups {
         }
     }
 
+    /// Move member `id` from place `old` to place `new`.
+    fn relocate(&mut self, id: RowId, old: Place, new: Place) {
+        match (old, new) {
+            (Some((from, was)), Some((to, code))) if from == to => {
+                if was != code {
+                    if let Some(&slot) = self.index.get(&to) {
+                        self.groups[slot as usize].recode(id, code);
+                        self.mark(slot);
+                    }
+                }
+            }
+            (old, new) => {
+                if let Some((key, _)) = old {
+                    self.retract(&key, id);
+                }
+                if let Some((key, code)) = new {
+                    self.admit(key, id, code);
+                }
+            }
+        }
+    }
+
     fn admit(&mut self, key: LaneKey, id: RowId, code: u32) {
         let slot = match self.index.get(&key) {
             Some(&slot) => slot,
@@ -853,6 +888,10 @@ impl VarGroups {
     }
 }
 
+/// Where a row sits in a variable CFD's grouping: its LHS key and RHS
+/// code, or `None` outside every group.
+type Place = Option<(LaneKey, u32)>;
+
 /// The code-space half of a CFD's state. Codes only mean something in
 /// the snapshot they were read from, so it is valid for one encode
 /// (`gen`) and patched in lock-step with that snapshot.
@@ -875,7 +914,8 @@ struct CfdState {
     epoch: Option<u64>,
     /// The fragment of a constant CFD: its violating rows, ascending.
     singles: Vec<RowId>,
-    /// The fragment of a variable CFD: its violating groups, decoded.
+    /// The fragment of a variable CFD: its violating groups, decoded, by
+    /// first member ([`sort_groups`]).
     groups: Vec<DecodedGroup>,
     /// Group state; `None` until seeded, and stale once `gen` is not the
     /// cached snapshot's.
@@ -923,6 +963,7 @@ impl CfdState {
                 self.groups = violating_groups(snap, b, r);
             }
         }
+        sort_groups(&mut self.groups, groups.as_mut());
         self.code = seed.then_some(CodeState {
             gen,
             res: r,
@@ -1002,7 +1043,33 @@ impl CfdState {
                 vg.free.push(slot);
             }
         }
+        if !dirty.is_empty() {
+            sort_groups(&mut self.groups, Some(vg));
+        }
         dirty.len() as u64
+    }
+}
+
+/// Order a variable CFD's fragment `groups` by first member (members are
+/// row-sorted), re-pointing its group state `vg` at them. Patches append
+/// and swap-remove groups; in this order the report is already what
+/// `normalized()` sorts it into, which then costs one pass instead of a
+/// sort whose comparator renders keys to strings.
+fn sort_groups(groups: &mut Vec<DecodedGroup>, vg: Option<&mut VarGroups>) {
+    let first = |(_, rows, _): &DecodedGroup| rows.first().map(|&(row, _)| row);
+    let Some(vg) = vg else {
+        groups.sort_unstable_by_key(first);
+        return;
+    };
+    let mut order: Vec<(DecodedGroup, u32)> = std::mem::take(groups)
+        .into_iter()
+        .zip(vg.owner.drain(..))
+        .collect();
+    order.sort_unstable_by_key(|(g, _)| first(g));
+    for (at, (g, slot)) in order.into_iter().enumerate() {
+        vg.groups[slot as usize].at = at as u32;
+        groups.push(g);
+        vg.owner.push(slot);
     }
 }
 
@@ -1163,11 +1230,10 @@ impl DetectState {
     }
 
     /// Take the row `id` at snapshot position `pos` out of every live
-    /// state (of the CFDs reading `col`, when given): call before the
-    /// position's codes change or go.
-    fn retract(&mut self, snap: &Snapshot, gen: u64, pos: usize, id: RowId, col: Option<usize>) {
+    /// state: call before the position goes.
+    fn retract(&mut self, snap: &Snapshot, gen: u64, pos: usize, id: RowId) {
         let mut gone = 0;
-        for (r, groups, singles) in self.live(gen, col) {
+        for (r, groups, singles) in self.live(gen, None) {
             match groups {
                 Some(vg) => {
                     if let Some((key, _)) = r.member_at(snap, pos) {
@@ -1185,12 +1251,11 @@ impl DetectState {
         self.tally.shift(id, gone, false);
     }
 
-    /// Put the row `id` at snapshot position `pos` into every live state
-    /// (of the CFDs reading `col`, when given): call once the position
-    /// holds the row's new codes.
-    fn admit(&mut self, snap: &Snapshot, gen: u64, pos: usize, id: RowId, col: Option<usize>) {
+    /// Put the row `id` at snapshot position `pos` into every live state:
+    /// call once the position holds the new row.
+    fn admit(&mut self, snap: &Snapshot, gen: u64, pos: usize, id: RowId) {
         let mut came = 0;
-        for (r, groups, singles) in self.live(gen, col) {
+        for (r, groups, singles) in self.live(gen, None) {
             match groups {
                 Some(vg) => {
                     if let Some((key, code)) = r.member_at(snap, pos) {
@@ -1207,6 +1272,48 @@ impl DetectState {
                 }
             }
         }
+        self.tally.shift(id, came, true);
+    }
+
+    /// Where the row at snapshot position `pos` sits in each live
+    /// variable-CFD state reading `col` (`None` for constant CFDs), in
+    /// [`DetectState::overwrite`]'s order: read before the cell changes.
+    fn places(&mut self, snap: &Snapshot, gen: u64, pos: usize, col: usize) -> Vec<Place> {
+        self.live(gen, Some(col))
+            .map(|(r, groups, _)| groups.as_ref().and_then(|_| r.member_at(snap, pos)))
+            .collect()
+    }
+
+    /// Follow an overwrite of cell (`id`, `col`) at snapshot position
+    /// `pos`, given the row's `before` places: every live state reading
+    /// `col` moves the row to where its new codes put it. A row that stays
+    /// in its group only changes its RHS code there, and a group whose
+    /// member did not change is left unmarked.
+    fn overwrite(
+        &mut self,
+        snap: &Snapshot,
+        gen: u64,
+        (pos, id, col): (usize, RowId, usize),
+        before: Vec<Place>,
+    ) {
+        let (mut came, mut gone) = (0, 0);
+        for ((r, groups, singles), old) in self.live(gen, Some(col)).zip(before) {
+            match groups {
+                Some(vg) => vg.relocate(id, old, r.member_at(snap, pos)),
+                None => match (singles.binary_search(&id), r.violates_at(snap, pos)) {
+                    (Ok(i), false) => {
+                        singles.remove(i);
+                        gone += 1;
+                    }
+                    (Err(i), true) => {
+                        singles.insert(i, id);
+                        came += 1;
+                    }
+                    _ => {}
+                },
+            }
+        }
+        self.tally.shift(id, gone, false);
         self.tally.shift(id, came, true);
     }
 
