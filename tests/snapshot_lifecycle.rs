@@ -8,7 +8,10 @@
 //! the same cache (`audit_cached`, the columnar server's `audit()`)
 //! equals the value-space `quality_report` oracle after every step of
 //! random mutation, batch, rule-registration and repair streams, spilled
-//! snapshots included.
+//! snapshots included. The per-CFD group state `detect_cached` keeps in
+//! code space equals a fresh grouping of the snapshot after every step
+//! (`SnapshotCache::verify_state`), through dictionary growth and pattern
+//! constants that arrive after seeding.
 
 mod common;
 
