@@ -9,11 +9,16 @@
 //!   takes a branch-free any-violation pass first (a fold of compare bits
 //!   the compiler autovectorizes), and only chunks that contain a
 //!   violation are re-scanned to materialize row ids;
-//! * **variable CFDs** group rows by their LHS *code* key. When the
-//!   combined code widths fit, keys are packed into a single `u64`; wider
-//!   keys fall back to boxed `[u32]` slices. Either way no `Value` is
-//!   cloned on the scan path — values are only decoded (an `Arc` bump) when
-//!   a violating group is materialized into the report.
+//! * **variable CFDs** take one grouping scan, `group_by_codes`, keyed by
+//!   their LHS *code* key. When the combined code widths fit, keys are
+//!   packed into a single `u64` (a direct-indexed group vector when the
+//!   key space is small, a hash map otherwise); wider keys fall back to
+//!   boxed `[u32]` slices. No `Value` is cloned on the scan path — values
+//!   are only decoded (an `Arc` bump) when a violating group is
+//!   materialized into the report, by the one group decoder of the
+//!   snapshot cache's group state. [`detect_on_snapshot`] runs each CFD
+//!   through the first computation of [`crate::detect_cached`], which
+//!   materializes the violating groups and keeps none.
 //!
 //! Scans walk the column chunk by chunk ([`crate::column`]) on the
 //! caller's thread: fanned out as (CFD × chunk) morsels, detection lost
@@ -48,6 +53,13 @@ struct DetectObs {
     violating_groups: std::sync::Arc<obs::Counter>,
     group_members: std::sync::Arc<obs::Counter>,
     constant_violations: std::sync::Arc<obs::Counter>,
+}
+
+/// Count one violating group of `members` rows that a grouping scan found.
+pub(crate) fn note_violating_group(members: usize) {
+    let o = detect_obs();
+    o.violating_groups.inc();
+    o.group_members.add(members as u64);
 }
 
 fn detect_obs() -> &'static DetectObs {
@@ -287,18 +299,14 @@ pub fn detect_columnar(table: &Table, cfds: &[Cfd]) -> CfdResult<ViolationReport
 
 /// Detect all violations of `cfds` against an existing snapshot — the reuse
 /// path when several CFD sets (or repeated calls) run over the same data.
+/// Each CFD takes the first computation of [`crate::detect_cached`], on
+/// state that is dropped afterwards.
 pub fn detect_on_snapshot(snap: &Snapshot, cfds: &[Cfd]) -> CfdResult<ViolationReport> {
     let bound: Vec<BoundCfd> = cfds
         .iter()
         .map(|c| c.bind(snap.schema()))
         .collect::<CfdResult<_>>()?;
-    let mut report = ViolationReport::default();
-    for (idx, b) in bound.iter().enumerate() {
-        let sp = obs::trace::span("detect.cfd");
-        sp.attr("cfd", idx);
-        detect_one_columnar(snap, idx, b, &mut report);
-    }
-    Ok(report)
+    Ok(crate::lifecycle::detect_once(snap, &bound))
 }
 
 /// [`detect_on_snapshot`]; ignores `threads`. Kept for the benchmark
@@ -319,25 +327,6 @@ pub(crate) type DecodedGroup = (
     std::sync::Arc<Vec<(RowId, Value)>>,
     std::sync::Arc<Vec<u64>>,
 );
-
-/// Evaluate one bound CFD against the snapshot, appending to `report`.
-pub fn detect_one_columnar(
-    snap: &Snapshot,
-    cfd_idx: usize,
-    b: &BoundCfd,
-    report: &mut ViolationReport,
-) {
-    let Some(r) = resolve(snap, b) else {
-        return; // some LHS constant matches no row
-    };
-    if b.cfd.rhs_pat.constant().is_some() {
-        detect_constant(snap, cfd_idx, &r, report);
-    } else {
-        for (key, rows, own) in violating_groups(snap, b, &r) {
-            report.push_multi_shared(cfd_idx, key, rows, own);
-        }
-    }
-}
 
 /// Constant-RHS path: a row violates iff every LHS filter matches and its
 /// (non-NULL) RHS code differs from the pattern constant's code.
@@ -447,197 +436,10 @@ pub(crate) fn verify_constant(snap: &Snapshot, r: &Resolved, verified: &mut [boo
 pub(crate) struct Group {
     /// `(snapshot position, rhs code)` in scan order.
     pub(crate) rows: Vec<(u32, u32)>,
-    first_code: u32,
-    conflict: bool,
 }
 
-impl Group {
-    fn add(&mut self, pos: u32, code: u32) {
-        if self.rows.is_empty() {
-            self.first_code = code;
-        } else if code != self.first_code {
-            self.conflict = true;
-        }
-        self.rows.push((pos, code));
-    }
-}
-
-/// Group-conflict state per LHS key: `EMPTY` until a member arrives, then
-/// the first RHS code, then [`CONFLICT`] once a second distinct code shows
-/// up. RHS codes are ≥ 1 (NULL members are skipped) and far below
-/// `u32::MAX`, so both sentinels are safe.
-const EMPTY: u32 = 0;
-const CONFLICT: u32 = u32::MAX;
-/// High bit marks a slot re-labelled with a group output index in pass 2.
-const GROUP_MARK: u32 = 0x8000_0000;
-/// Absolute ceiling for the dense `u32` conflict-state vector (64 MB).
-const MAX_DENSE_STATE_SLOTS: u64 = 1 << 24;
-/// Absolute ceiling for dense `Group` accumulator vectors (~32 MB).
+/// Absolute ceiling for dense `Group` accumulator vectors (~24 MB).
 const MAX_DENSE_GROUP_SLOTS: u64 = 1 << 20;
-
-#[inline]
-fn advance(state: &mut u32, rhs_code: u32) {
-    if *state == EMPTY {
-        *state = rhs_code;
-    } else if *state != rhs_code && *state != CONFLICT {
-        *state = CONFLICT;
-    }
-}
-
-/// Per-key conflict-state storage for the packed-u64 detection path. The
-/// two implementations — dense direct-indexed and hashed — differ *only*
-/// in how a key finds its slot; the two scan passes over them are written
-/// once ([`packed_violating_groups`]), so the paths cannot desynchronize.
-trait ConflictState {
-    /// Fold one non-NULL RHS code into the key's state (pass 1).
-    fn advance(&mut self, key: u64, rhs_code: u32);
-    /// Did any key reach [`CONFLICT`]? Gates pass 2 entirely.
-    fn any_conflict(&self) -> bool;
-    /// The state slot of `key`, if the key was ever advanced (pass 2).
-    fn get_state(&mut self, key: u64) -> Option<&mut u32>;
-}
-
-/// Direct-indexed state: one `u32` per possible packed key.
-struct DenseState(Vec<u32>);
-
-impl ConflictState for DenseState {
-    #[inline]
-    fn advance(&mut self, key: u64, rhs_code: u32) {
-        advance(&mut self.0[key as usize], rhs_code);
-    }
-
-    fn any_conflict(&self) -> bool {
-        self.0.contains(&CONFLICT)
-    }
-
-    #[inline]
-    fn get_state(&mut self, key: u64) -> Option<&mut u32> {
-        // Every slot exists; EMPTY slots are filtered by the caller's
-        // mark/conflict checks (an EMPTY slot is neither).
-        Some(&mut self.0[key as usize])
-    }
-}
-
-/// Hashed state for key spaces too large to index directly.
-struct HashedState(FxHashMap<u64, u32>);
-
-impl ConflictState for HashedState {
-    #[inline]
-    fn advance(&mut self, key: u64, rhs_code: u32) {
-        advance(self.0.entry(key).or_insert(EMPTY), rhs_code);
-    }
-
-    fn any_conflict(&self) -> bool {
-        self.0.values().any(|&s| s == CONFLICT)
-    }
-
-    #[inline]
-    fn get_state(&mut self, key: u64) -> Option<&mut u32> {
-        self.0.get_mut(&key)
-    }
-}
-
-/// The two-pass conflict scan over packed keys, generic in the state
-/// storage: pass 1 folds every LHS-matching row's RHS code into its key's
-/// state; pass 2 — entered only when some key conflicted — re-labels
-/// conflicted slots with group output indexes on first touch
-/// ([`GROUP_MARK`]) and collects members. Both passes are
-/// [`for_each_member`] scans; recorded positions are global.
-fn packed_violating_groups<S: ConflictState>(
-    scan: &Scan<'_>,
-    rhs: &Column,
-    mut state: S,
-) -> Vec<(Key, Group)> {
-    for_each_member(scan, rhs, |cs, i, _, rc| {
-        if let Some(key) = cs.packed_key(i) {
-            state.advance(key, rc);
-        }
-    });
-    let mut groups: Vec<(Key, Group)> = Vec::new();
-    if !state.any_conflict() {
-        return groups;
-    }
-    for_each_member(scan, rhs, |cs, i, pos, rc| {
-        let Some(key) = cs.packed_key(i) else {
-            return;
-        };
-        let Some(s) = state.get_state(key) else {
-            return;
-        };
-        // Conflicted slots are re-labelled with their output index on
-        // first touch (high bit set); dictionary codes never reach the
-        // high bit.
-        let idx = if *s == CONFLICT {
-            let idx = groups.len();
-            groups.push((Key::Packed(key), Group::default()));
-            *s = GROUP_MARK | idx as u32;
-            idx
-        } else if *s & GROUP_MARK != 0 {
-            (*s & !GROUP_MARK) as usize
-        } else {
-            return; // clean group
-        };
-        groups[idx].1.add(pos, rc);
-    });
-    groups
-}
-
-/// Group the LHS-matching rows of a variable CFD by their LHS code key and
-/// return the violating groups, decoded, sorted by first member position.
-///
-/// Two passes (see [`packed_violating_groups`]): the first computes only a
-/// per-group conflict state (no member lists, no allocation per row), the
-/// second collects members for the — typically few — conflicted groups.
-/// This is what makes the columnar detector allocation-free on clean data.
-pub(crate) fn violating_groups(snap: &Snapshot, b: &BoundCfd, r: &Resolved) -> Vec<DecodedGroup> {
-    let scan = Scan::new(snap, r);
-    let n = snap.n_rows();
-    let rhs = snap.column(r.rhs_col);
-    let o = detect_obs();
-    o.rows_scanned.add(n as u64);
-    obs::trace::note("chunks", rhs.n_chunks());
-
-    let groups: Vec<(Key, Group)> = if let Some(total_bits) = scan.packed_bits() {
-        let slots = 1u64 << total_bits.min(63);
-        // The dense state is one u32 per slot, so a generous per-row cap is
-        // cheap, but bound the absolute allocation too (2^24 slots = 64 MB)
-        // so very large tables with wide keys fall back to hashing instead
-        // of zeroing gigabytes per CFD.
-        if slots <= (64 * n as u64).clamp(4_096, MAX_DENSE_STATE_SLOTS) {
-            o.path_dense.inc();
-            obs::trace::note("path", "dense");
-            packed_violating_groups(&scan, rhs, DenseState(vec![EMPTY; slots as usize]))
-        } else {
-            o.path_hashed.inc();
-            obs::trace::note("path", "hashed");
-            packed_violating_groups(&scan, rhs, HashedState(FxHashMap::default()))
-        }
-    } else {
-        // Wide keys: accumulate everything (rare: > 64 key bits).
-        o.path_wide.inc();
-        obs::trace::note("path", "wide");
-        group_by_codes(snap, r)
-            .into_iter()
-            .filter(|(_, g)| g.conflict)
-            .collect()
-    };
-    o.violating_groups.add(groups.len() as u64);
-    o.group_members
-        .add(groups.iter().map(|(_, g)| g.rows.len() as u64).sum());
-
-    let mut out: Vec<(u32, DecodedGroup)> = groups
-        .into_iter()
-        .map(|(key, g)| {
-            let first_pos = g.rows.first().map(|(p, _)| *p).unwrap_or(0);
-            (
-                first_pos,
-                decode_group(snap, r, decode_key(snap, b, r, &key), &g),
-            )
-        })
-        .collect();
-    out.sort_by_key(|(first, _)| *first);
-    out.into_iter().map(|(_, g)| g).collect()
-}
 
 /// The common LHS shapes, pre-dispatched so the per-row hot loop is a
 /// predictable branch plus direct slice indexing instead of two `Vec`
@@ -804,38 +606,45 @@ pub(crate) enum Key {
     Wide(Box<[u32]>),
 }
 
-/// Single grouping pass over the code columns. Returns every group with
-/// at least one non-NULL member (the incremental seeding and partial
-/// export paths need non-violating groups too).
+/// The grouping scan of a variable CFD, the one every evaluation runs:
+/// returns every group with at least one non-NULL member, in no order (a
+/// first computation materializes the violating ones; seeding and the
+/// partial export keep clean groups too).
 ///
-/// Row filtering and key packing are [`ChunkScan`]'s — the same
-/// `packed_key` / `wide_key` the detection path scans with, so the
-/// seeding, export, and detection paths group by construction-identical
-/// keys. The three group stores (dense, hashed `u64`, wide) differ only in
-/// how a member finds its group; the scan is [`for_each_member`]'s.
+/// Row filtering and key packing are [`ChunkScan`]'s `packed_key` /
+/// `wide_key`. The three group stores (dense, hashed `u64`, wide) differ
+/// only in how a member finds its group; the scan is [`for_each_member`]'s.
+/// Records the rows scanned and the store taken, in the global counters and
+/// as the current span's `path` and `chunks` notes.
 pub(crate) fn group_by_codes(snap: &Snapshot, r: &Resolved) -> Vec<(Key, Group)> {
     let scan = Scan::new(snap, r);
     let rhs = snap.column(r.rhs_col);
+    let o = detect_obs();
+    o.rows_scanned.add(snap.n_rows() as u64);
+    obs::trace::note("chunks", rhs.n_chunks());
     let Some(total_bits) = scan.packed_bits() else {
+        // Wide keys (rare: > 64 key bits).
+        o.path_wide.inc();
+        obs::trace::note("path", "wide");
         let mut groups: FxHashMap<Box<[u32]>, Group> = FxHashMap::default();
         for_each_member(&scan, rhs, |cs, i, pos, rc| {
             if let Some(key) = cs.wide_key(i) {
-                groups.entry(key).or_default().add(pos, rc);
+                groups.entry(key).or_default().rows.push((pos, rc));
             }
         });
         return groups.into_iter().map(|(k, g)| (Key::Wide(k), g)).collect();
     };
     // Dense when the packed key space is small relative to the data: a
-    // plain vector, grouping without any hashing. Group slots are an order
-    // of magnitude wider than the u32 state of the detection path, so the
-    // absolute ceiling is tighter.
+    // plain vector, grouping without any hashing.
     let slots = 1u64 << total_bits.min(63);
     if slots <= (2 * snap.n_rows() as u64).clamp(4_096, MAX_DENSE_GROUP_SLOTS) {
+        o.path_dense.inc();
+        obs::trace::note("path", "dense");
         let mut groups: Vec<Group> = Vec::new();
         groups.resize_with(slots as usize, Group::default);
         for_each_member(&scan, rhs, |cs, i, pos, rc| {
             if let Some(key) = cs.packed_key(i) {
-                groups[key as usize].add(pos, rc);
+                groups[key as usize].rows.push((pos, rc));
             }
         });
         groups
@@ -845,10 +654,12 @@ pub(crate) fn group_by_codes(snap: &Snapshot, r: &Resolved) -> Vec<(Key, Group)>
             .map(|(k, g)| (Key::Packed(k as u64), g))
             .collect()
     } else {
+        o.path_hashed.inc();
+        obs::trace::note("path", "hashed");
         let mut groups: FxHashMap<u64, Group> = FxHashMap::default();
         for_each_member(&scan, rhs, |cs, i, pos, rc| {
             if let Some(key) = cs.packed_key(i) {
-                groups.entry(key).or_default().add(pos, rc);
+                groups.entry(key).or_default().rows.push((pos, rc));
             }
         });
         groups
@@ -877,29 +688,6 @@ where
             }
         }
     }
-}
-
-/// Decode a group key back into the `Vec<Value>` LHS key the report format
-/// uses: pattern order, constants included, wildcard codes decoded.
-fn decode_key(snap: &Snapshot, b: &BoundCfd, r: &Resolved, key: &Key) -> Vec<Value> {
-    debug_assert_eq!(r.cells.len(), b.cfd.lhs_pat.len());
-    r.decode_codes(snap, &r.key_codes(snap, key))
-}
-
-/// Decode group members into `(RowId, Value)` pairs under the decoded
-/// LHS `key`, plus each member's value multiplicity within the group —
-/// counted over codes, so the report layer never compares values.
-fn decode_group(snap: &Snapshot, r: &Resolved, key: Vec<Value>, g: &Group) -> DecodedGroup {
-    let dict = snap.column(r.rhs_col).dictionary();
-    let mut counter: DistinctCounter<u32> = DistinctCounter::new();
-    let idxs: Vec<u32> = g.rows.iter().map(|&(_, code)| counter.add(code)).collect();
-    let members = g
-        .rows
-        .iter()
-        .map(|&(pos, code)| (snap.row_id(pos as usize), dict.decode(code)))
-        .collect();
-    let own = idxs.into_iter().map(|i| counter.count_at(i)).collect();
-    (key, std::sync::Arc::new(members), std::sync::Arc::new(own))
 }
 
 /// Export the partial detection state of every CFD over `snap` — the
@@ -938,11 +726,9 @@ pub fn cfd_partial_one(snap: &Snapshot, b: &BoundCfd) -> CfdPartial {
             violating: scratch.dirty_rows(),
         }
     } else {
-        obs::trace::note("path", "export");
-        obs::trace::note("chunks", snap.n_chunks());
         let groups = group_by_codes(snap, &r)
             .into_iter()
-            .map(|(key, g)| export_partial(snap, b, &r, &key, &g))
+            .map(|(key, g)| export_partial(snap, &r, &key, &g))
             .collect();
         CfdPartial::Variable { groups }
     }
@@ -951,18 +737,12 @@ pub fn cfd_partial_one(snap: &Snapshot, b: &BoundCfd) -> CfdPartial {
 /// Turn one code-keyed group into its wire-format partial: distinct RHS
 /// codes counted once ([`DistinctCounter`]), each decoded once; members
 /// carried as `(row id, value index)` — no `Value` per member.
-fn export_partial(
-    snap: &Snapshot,
-    b: &BoundCfd,
-    r: &Resolved,
-    key: &Key,
-    g: &Group,
-) -> GroupPartial {
+fn export_partial(snap: &Snapshot, r: &Resolved, key: &Key, g: &Group) -> GroupPartial {
     let mut counter: DistinctCounter<u32> = DistinctCounter::new();
     let member_idx: Vec<u32> = g.rows.iter().map(|&(_, code)| counter.add(code)).collect();
     let dict = snap.column(r.rhs_col).dictionary();
     GroupPartial {
-        key: decode_key(snap, b, r, key),
+        key: r.decode_codes(snap, &r.key_codes(snap, key)),
         values: counter
             .into_counts()
             .into_iter()

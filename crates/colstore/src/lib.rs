@@ -52,7 +52,6 @@ pub mod spill;
 pub use self::column::{default_chunk_rows, Column, ColumnBuilder};
 pub use self::detect::{
     cfd_partial_one, cfd_partials, detect_columnar, detect_on_snapshot, detect_on_snapshot_threads,
-    detect_one_columnar,
 };
 pub use self::dictionary::{Dictionary, NULL_CODE};
 pub use self::lifecycle::{

@@ -72,8 +72,8 @@ use detect::{VioTally, Violation, ViolationKind, ViolationReport};
 use minidb::{RowId, Table, Value};
 
 use crate::detect::{
-    detect_constant, group_by_codes, needed_columns, resolve, verify_constant, violating_groups,
-    DecodedGroup, LaneKey, Resolved,
+    detect_constant, group_by_codes, needed_columns, note_violating_group, resolve,
+    verify_constant, DecodedGroup, LaneKey, Resolved,
 };
 use crate::snapshot::Snapshot;
 use crate::spill::ChunkStore;
@@ -586,13 +586,6 @@ impl SnapshotCache {
         Ok(checked)
     }
 
-    /// Drop the cached snapshot and the detect state; the next access pays
-    /// a full encode and a full detect.
-    pub fn invalidate(&mut self) {
-        self.cached = None;
-        self.state = DetectState::default();
-    }
-
     /// Is a result computed at `epoch` over columns `cols` (schema
     /// positions) still current? True iff the live-row membership and every
     /// one of those columns are unchanged since then — the freshness probe
@@ -934,10 +927,10 @@ impl CfdState {
     }
 
     /// Rescan the CFD over `snap` under resolution `r`. A constant CFD's
-    /// state is its fragment, so it is always kept. A variable CFD seeds
-    /// its group state only on a recompute: a first computation takes the
-    /// two-pass scan, which builds no member list for a clean group, and
-    /// the state pays off only once a write has made the fragment stale.
+    /// state is its fragment, so it is always kept. A variable CFD keeps
+    /// its groups only on a recompute: a first computation materializes
+    /// the violating groups of its grouping scan and keeps none, for the
+    /// state pays off only once a write has made the fragment stale.
     fn recompute(
         &mut self,
         snap: &Snapshot,
@@ -957,10 +950,8 @@ impl CfdState {
                 let mut scratch = ViolationReport::default();
                 detect_constant(snap, 0, r, &mut scratch);
                 self.singles = scratch.dirty_rows();
-            } else if let Some(vg) = &mut groups {
-                self.seed(snap, r, vg);
             } else {
-                self.groups = violating_groups(snap, b, r);
+                self.seed(snap, r, groups.as_mut());
             }
         }
         sort_groups(&mut self.groups, groups.as_mut());
@@ -972,10 +963,15 @@ impl CfdState {
         tally.fragment(self, true);
     }
 
-    /// Fill `vg` with every group of a fresh grouping scan, and the
-    /// fragment with the violating ones.
-    fn seed(&mut self, snap: &Snapshot, r: &Resolved, vg: &mut VarGroups) {
+    /// Fill the fragment with the violating groups of a fresh grouping
+    /// scan, and `keep`, if given, with every group.
+    fn seed(&mut self, snap: &Snapshot, r: &Resolved, mut keep: Option<&mut VarGroups>) {
         for (key, scanned) in group_by_codes(snap, r) {
+            let first = scanned.rows[0].1;
+            let violates = scanned.rows.iter().any(|&(_, code)| code != first);
+            if !violates && keep.is_none() {
+                continue;
+            }
             let mut g = CodeGroup::new(r.lane_key(snap, &key));
             g.members = scanned
                 .rows
@@ -989,14 +985,19 @@ impl CfdState {
             for &(_, code) in &scanned.rows {
                 g.count(code);
             }
-            let slot = vg.groups.len() as u32;
-            if g.violates() {
+            if violates {
+                note_violating_group(g.members.len());
                 g.at = self.groups.len() as u32;
                 self.groups.push(g.materialize(snap, r));
-                vg.owner.push(slot);
             }
-            vg.index.insert(g.key.clone(), slot);
-            vg.groups.push(g);
+            if let Some(vg) = keep.as_deref_mut() {
+                let slot = vg.groups.len() as u32;
+                if violates {
+                    vg.owner.push(slot);
+                }
+                vg.index.insert(g.key.clone(), slot);
+                vg.groups.push(g);
+            }
         }
     }
 
@@ -1364,10 +1365,12 @@ impl DetectState {
 /// * **patch** (`memo=patched groups=n`): its group state was patched in
 ///   step with the snapshot, so only the `n` groups those patches touched
 ///   are re-materialized, and the standing `vio(t)` tally moves with them;
-/// * **rescan** (`memo=recompute`): no usable state — a first computation
-///   (the two-pass scan), a state seeded from an earlier encode, or
-///   pattern constants that resolve differently since seeding. A rescan
-///   after the first seeds the group state from its grouping scan.
+/// * **rescan** (`memo=recompute`): no usable state — a first computation,
+///   a state seeded from an earlier encode, or pattern constants that
+///   resolve differently since seeding. Every rescan of a variable CFD is
+///   one grouping scan; a first computation keeps only its violating
+///   groups, decoded, and a later rescan also keeps every group as the
+///   CFD's group state.
 ///
 /// The rule set is matched to the kept states by index; only a changed
 /// rule set pays a lookup.
@@ -1418,6 +1421,21 @@ pub fn detect_cached(
         s.epoch = Some(epoch);
     }
     Ok(cache.state.report())
+}
+
+/// Detect `bound` over `snap` on a throwaway state: every CFD takes
+/// [`detect_cached`]'s first computation, traced as a `detect.cfd` span.
+pub(crate) fn detect_once(snap: &Snapshot, bound: &[BoundCfd]) -> ViolationReport {
+    let mut state = DetectState {
+        cfds: bound.iter().map(|b| CfdState::new(b.cfd.clone())).collect(),
+        tally: Tally::default(),
+    };
+    for (idx, b) in bound.iter().enumerate() {
+        let sp = obs::trace::span("detect.cfd");
+        sp.attr("cfd", idx);
+        state.cfds[idx].recompute(snap, b, resolve(snap, b), 0, &mut state.tally);
+    }
+    state.report()
 }
 
 /// The Fig. 4 quality report of `table` under `cfds` and its detection

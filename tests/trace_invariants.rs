@@ -11,6 +11,7 @@ use semandaq::api::{dispatch_line, QualityBackend, Request, Response};
 use semandaq::cluster::{HashRouter, ShardedQualityServer};
 use semandaq::colstore::Snapshot;
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
+use semandaq::minidb::{RowId, Value};
 use semandaq::obs::{trace, TraceReport};
 use semandaq::system::{DataMonitor, MonitorMode, QualityServer};
 
@@ -240,6 +241,34 @@ fn detect_spans_carry_grouping_path_on_the_request_thread() {
     assert!(
         cfd_spans.iter().all(|s| s.thread == root.thread),
         "every detect.cfd span sits on the request's thread"
+    );
+
+    // One cell update: the variable CFDs over CNT rescan to seed their
+    // group state, through the same grouping scan, tagged the same way.
+    dispatch_line(
+        &mut s,
+        &Request::UpdateCell {
+            row: RowId(0),
+            col: 1,
+            value: Value::str("NOWHERE"),
+        }
+        .encode(),
+    );
+    dispatch_line(&mut s, &Request::Detect.encode());
+    let after = trace::last_trace().unwrap();
+    assert_eq!(after.name, "api.detect");
+    let rescans: Vec<Option<&str>> = after
+        .spans
+        .iter()
+        .filter(|s| s.name == "detect.cfd" && s.attr("memo") == Some("recompute"))
+        .map(|s| s.attr("path"))
+        .collect();
+    assert!(
+        !rescans.is_empty()
+            && rescans.iter().all(|p| {
+                p.is_some_and(|p| ["dense", "hashed", "wide", "constant"].contains(&p))
+            }),
+        "every rescan after a write is tagged with its grouping path, got {rescans:?}"
     );
 }
 
