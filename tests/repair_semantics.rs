@@ -264,3 +264,111 @@ fn batch_repair_change_list_is_golden() {
         assert_eq!(got, digest, "rows {rows}: change-list digest {got:#x}");
     }
 }
+
+/// IncRepair's change list, iteration count, cost and residual size on
+/// `delta`, as `(changes, iterations, total_cost bits, residual
+/// violations, change-list digest)`.
+fn incremental_outcome(
+    db: &mut semandaq::minidb::Database,
+    cfds: &[semandaq::cfd::Cfd],
+    delta: &[semandaq::minidb::RowId],
+) -> (usize, usize, u64, usize, u64) {
+    let result = incremental_repair(
+        db,
+        "customer",
+        cfds,
+        delta,
+        &RepairConfig::default(),
+        &mut SnapshotCache::new(),
+    )
+    .unwrap();
+    (
+        result.changes.len(),
+        result.iterations,
+        result.total_cost.to_bits(),
+        result.residual.violations.len(),
+        fnv1a(format!("{:?}", result.changes).as_bytes()),
+    )
+}
+
+/// IncRepair's change list is pinned byte for byte, like BatchRepair's.
+/// Where a delta row's consensus is read from may change only if the
+/// changes, the rounds, the cost and the residual stay exactly these.
+#[test]
+fn incremental_repair_change_list_is_golden() {
+    // A dirty base with every `stride`-th row as the delta: the rest is
+    // not clean, so groups hold several clean values and the consensus
+    // must pick the same one.
+    let strided = [
+        (
+            (2_000, 0.05, 7, 25),
+            (19, 3, 0x402d_2f19_7d3a_bc67, 280, 0x5838_2d85_013d_79ad),
+        ),
+        (
+            (2_000, 0.05, 7, 10),
+            (51, 3, 0x4044_56d9_1079_c1ca, 268, 0x80e3_c728_66a3_eaea),
+        ),
+        (
+            (1_000, 0.10, 3, 3),
+            (141, 3, 0x405d_5928_1e24_cb06, 177, 0x7e2a_d36c_cfa3_598b),
+        ),
+    ];
+    for ((rows, noise, seed, stride), want) in strided {
+        let w = dirty_customers(rows, noise, seed);
+        let mut db = w.db;
+        let ids = db.table("customer").unwrap().row_ids();
+        let delta: Vec<_> = ids.into_iter().step_by(stride).collect();
+        let got = incremental_outcome(&mut db, &w.cfds, &delta);
+        assert_eq!(got, want, "rows {rows}, stride {stride}: {got:#x?}");
+    }
+
+    // A clean base with 200 dirty inserts: a wrong CITY for a known ZIP,
+    // a ZIP no clean row holds (the inserts then agree among themselves),
+    // a NULL CITY, a broken CC → CNT binding and a wrong UK street. The
+    // delta is repaired in insert order and reversed.
+    use semandaq::datagen::{generate_customers, CustomerConfig};
+    let clean = generate_customers(&CustomerConfig {
+        rows: 1_000,
+        ..CustomerConfig::default()
+    });
+    let cfds = semandaq::datagen::canonical_cfds();
+    let donors: Vec<Vec<Value>> = clean.iter().map(|(_, r)| r.to_vec()).collect();
+    let inserts = |db: &mut semandaq::minidb::Database| {
+        (0..200)
+            .map(|k| {
+                let mut row = donors[(k * 37) % donors.len()].clone();
+                match k % 5 {
+                    0 => row[2] = Value::str(format!("BAD{}", k % 7)),
+                    1 => {
+                        row[3] = Value::str(format!("NEW {}", k % 9));
+                        row[2] = Value::str(format!("C{}", k % 4));
+                    }
+                    2 => row[2] = Value::Null,
+                    3 => row[1] = Value::str("XX"),
+                    _ => row[4] = Value::str("Bad St"),
+                }
+                db.insert_row("customer", row).unwrap()
+            })
+            .collect::<Vec<_>>()
+    };
+    let cases = [
+        (
+            false,
+            (119, 2, 0x4058_bc33_2049_4a66, 0, 0xe2c1_bec4_da1a_6591),
+        ),
+        (
+            true,
+            (120, 2, 0x4058_fc54_39a0_b14f, 0, 0x9548_1616_5a50_a659),
+        ),
+    ];
+    for (reversed, want) in cases {
+        let mut db = semandaq::minidb::Database::new();
+        db.register_table(clean.clone());
+        let mut delta = inserts(&mut db);
+        if reversed {
+            delta.reverse();
+        }
+        let got = incremental_outcome(&mut db, &cfds, &delta);
+        assert_eq!(got, want, "dirty inserts, reversed {reversed}: {got:#x?}");
+    }
+}
