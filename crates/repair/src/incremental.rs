@@ -4,11 +4,18 @@
 //! tuples arrives (the Data Monitor scenario), only the delta needs
 //! repairing — and the clean data acts as ground truth: a delta tuple that
 //! disagrees with its LHS-group adopts the group's established RHS value.
+//!
+//! The groups are the ones detection already keeps. A delta tuple that
+//! disagrees with its group sits in one of the report's violating groups,
+//! whose members are in row-id order; the established value is that of
+//! the last member outside the delta. A tuple whose group is not in the
+//! report agrees with every non-NULL member of it, so it needs no lookup.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use cfd::{BoundCfd, Cfd, CfdResult};
 use colstore::{detect_cached, SnapshotCache};
+use detect::{ViolationKind, ViolationReport};
 use minidb::{Database, DbError, RowId, Value};
 
 use crate::batch::{CellChange, ChangeReason, RepairConfig, RepairResult};
@@ -18,34 +25,51 @@ fn db_err(e: DbError) -> cfd::CfdError {
     cfd::CfdError::Malformed(format!("incremental repair failed: {e}"))
 }
 
-/// Per-variable-CFD consensus index over the clean part of the data:
-/// LHS key → established RHS value.
-struct Consensus {
-    map: HashMap<Vec<Value>, Value>,
-}
-
-/// Overwrite one cell and patch the caller's snapshot cache in step.
+/// Overwrite one cell, patch the caller's snapshot cache in step, and
+/// bring `report` up to date with the write.
 fn set_cell(
     db: &mut Database,
     relation: &str,
+    cfds: &[Cfd],
     cache: &mut SnapshotCache,
-    row: RowId,
-    col: usize,
+    report: &mut ViolationReport,
+    (row, col): (RowId, usize),
     value: Value,
 ) -> CfdResult<Value> {
     let old = db.update_cell(relation, row, col, value).map_err(db_err)?;
-    cache.note_set_cell(db.table(relation).map_err(db_err)?, row, col);
+    let table = db.table(relation).map_err(db_err)?;
+    cache.note_set_cell(table, row, col);
+    *report = detect_cached(cache, table, cfds)?;
     Ok(old)
 }
 
+/// The members of `row`'s violating group under CFD `cfd_idx`, in row-id
+/// order, or `None` when `row` is in no violating group of that CFD.
+fn violating_group(
+    report: &ViolationReport,
+    cfd_idx: usize,
+    row: RowId,
+) -> Option<&[(RowId, Value)]> {
+    report.violations.iter().find_map(|v| match &v.kind {
+        ViolationKind::MultiTuple { rows, .. }
+            if v.cfd_idx == cfd_idx && rows.binary_search_by_key(&row, |&(r, _)| r).is_ok() =>
+        {
+            Some(rows.as_slice())
+        }
+        _ => None,
+    })
+}
+
 /// Repair only the rows in `delta`, assuming every other row satisfies
-/// `cfds`. Processes delta rows in order; earlier repaired rows join the
-/// consensus for later ones.
+/// `cfds`. Processes delta rows in order; a group with no member outside
+/// the delta adopts the value of its first repaired delta row.
 ///
-/// Every cell write patches `cache` (`note_set_cell`) and the residual is
-/// a [`detect_cached`] over it, so a cache that was in step with the table
-/// on entry pays no encode and leaves fresh detect fragments behind. The
-/// consensus indexes cost one pass over the table's rows per call.
+/// The consensus is read off a [`detect_cached`] report taken on entry
+/// and refreshed after every cell write. Each write patches `cache`
+/// (`note_set_cell`), so a refresh replays the untouched CFDs and
+/// re-materializes the few groups the write touched; the last refresh is
+/// the residual. A cache that was in step with the table on entry pays no
+/// encode and is left with fresh detect fragments.
 pub fn incremental_repair(
     db: &mut Database,
     relation: &str,
@@ -59,31 +83,11 @@ pub fn incremental_repair(
         .iter()
         .map(|c| c.bind(&schema))
         .collect::<CfdResult<_>>()?;
-    let delta_set: std::collections::HashSet<RowId> = delta.iter().copied().collect();
-
-    // Build consensus indexes from the clean rows.
-    let mut consensus: Vec<Option<Consensus>> = Vec::with_capacity(bound.len());
-    {
-        let table = db.table(relation).map_err(db_err)?;
-        for b in &bound {
-            if !b.cfd.rhs_pat.is_wild() {
-                consensus.push(None);
-                continue;
-            }
-            let mut map: HashMap<Vec<Value>, Value> = HashMap::new();
-            for (id, row) in table.iter() {
-                if delta_set.contains(&id) || !b.lhs_matches(row) {
-                    continue;
-                }
-                let rhs = &row[b.rhs_col];
-                if rhs.is_null() {
-                    continue;
-                }
-                map.insert(b.lhs_key(row), rhs.clone());
-            }
-            consensus.push(Some(Consensus { map }));
-        }
-    }
+    let delta_set: HashSet<RowId> = delta.iter().copied().collect();
+    // Per variable CFD, LHS key → RHS value of the first repaired delta
+    // row there: the consensus of a group no clean row is in.
+    let mut rolling: Vec<HashMap<Vec<Value>, Value>> = vec![HashMap::new(); bound.len()];
+    let mut report = detect_cached(cache, db.table(relation).map_err(db_err)?, cfds)?;
 
     let mut changes: Vec<CellChange> = Vec::new();
     let mut iterations = 0usize;
@@ -97,91 +101,87 @@ pub fn incremental_repair(
                     Ok(r) => r.to_vec(),
                     Err(_) => break,
                 };
-                if let Some(a) = b.cfd.rhs_pat.constant() {
-                    if b.single_tuple_violation(&current) {
-                        let old = set_cell(db, relation, cache, row, b.rhs_col, a.clone())?;
-                        let cost =
-                            cfg.weights.weight(row, b.rhs_col) * normalized_distance(&old, a);
-                        changes.push(CellChange {
-                            row,
-                            col: b.rhs_col,
-                            old,
-                            new: a.clone(),
-                            cost,
-                            reason: ChangeReason::ConstantRhs { cfd_idx },
-                            iteration: round,
-                        });
-                        changed = true;
+                let (new, reason) = if let Some(a) = b.cfd.rhs_pat.constant() {
+                    if !b.single_tuple_violation(&current) {
+                        continue;
                     }
-                    continue;
-                }
-                // Variable CFD: adopt the consensus value of the group.
-                if !b.lhs_matches(&current) {
-                    continue;
-                }
-                let Some(Some(cons)) = consensus.get(cfd_idx) else {
-                    continue;
-                };
-                let key = b.lhs_key(&current);
-                if let Some(v) = cons.map.get(&key) {
+                    (a.clone(), ChangeReason::ConstantRhs { cfd_idx })
+                } else {
+                    // Variable CFD: adopt the consensus value of the group.
                     let mine = &current[b.rhs_col];
-                    if !mine.is_null() && !mine.strong_eq(v) {
-                        // Check the consensus value does not trip a constant
-                        // rule for this tuple; if it does, the constant wins
-                        // next round.
-                        let mut sim = current.clone();
-                        sim[b.rhs_col] = v.clone();
-                        if bound.iter().any(|cb| cb.single_tuple_violation(&sim)) {
-                            continue;
-                        }
-                        let old = set_cell(db, relation, cache, row, b.rhs_col, v.clone())?;
-                        let cost =
-                            cfg.weights.weight(row, b.rhs_col) * normalized_distance(&old, v);
-                        changes.push(CellChange {
-                            row,
-                            col: b.rhs_col,
-                            old,
-                            new: v.clone(),
-                            cost,
-                            reason: ChangeReason::VariableMerge { cfd_idx },
-                            iteration: round,
-                        });
-                        changed = true;
+                    if mine.is_null() || !b.lhs_matches(&current) {
+                        continue;
                     }
-                }
+                    let Some(members) = violating_group(&report, cfd_idx, row) else {
+                        continue;
+                    };
+                    let clean = members.iter().rev().find(|(r, _)| !delta_set.contains(r));
+                    let v = match clean {
+                        Some((_, v)) => v,
+                        None => match rolling[cfd_idx].get(&b.lhs_key(&current)) {
+                            Some(v) => v,
+                            None => continue,
+                        },
+                    };
+                    if mine.strong_eq(v) {
+                        continue;
+                    }
+                    // Check the consensus value does not trip a constant
+                    // rule for this tuple; if it does, the constant wins
+                    // next round.
+                    let mut sim = current.clone();
+                    sim[b.rhs_col] = v.clone();
+                    if bound.iter().any(|cb| cb.single_tuple_violation(&sim)) {
+                        continue;
+                    }
+                    (v.clone(), ChangeReason::VariableMerge { cfd_idx })
+                };
+                let at = (row, b.rhs_col);
+                let old = set_cell(db, relation, cfds, cache, &mut report, at, new.clone())?;
+                let cost = cfg.weights.weight(row, b.rhs_col) * normalized_distance(&old, &new);
+                changes.push(CellChange {
+                    row,
+                    col: b.rhs_col,
+                    old,
+                    new,
+                    cost,
+                    reason,
+                    iteration: round,
+                });
+                changed = true;
             }
             if !changed {
                 break;
             }
         }
-        // The (repaired) row now joins the consensus for subsequent rows.
+        // The (repaired) row now sets the consensus of a group no clean
+        // row is in, for subsequent rows.
         let final_row: Vec<Value> = db
             .table(relation)
             .map_err(db_err)?
             .get(row)
             .map_err(db_err)?
             .to_vec();
-        for (cfd_idx, b) in bound.iter().enumerate() {
-            if let Some(Some(cons)) = consensus.get_mut(cfd_idx).map(Option::as_mut) {
-                if b.lhs_matches(&final_row) && !final_row[b.rhs_col].is_null() {
-                    cons.map
-                        .entry(b.lhs_key(&final_row))
-                        .or_insert_with(|| final_row[b.rhs_col].clone());
-                }
+        for (b, keys) in bound.iter().zip(&mut rolling) {
+            if b.cfd.rhs_pat.is_wild()
+                && b.lhs_matches(&final_row)
+                && !final_row[b.rhs_col].is_null()
+            {
+                keys.entry(b.lhs_key(&final_row))
+                    .or_insert_with(|| final_row[b.rhs_col].clone());
             }
         }
     }
 
-    // Honest residual: re-detect over the whole table (delta rows might
-    // still disagree with each other on keys absent from the clean part),
-    // through the snapshot the writes above patched.
-    let residual = detect_cached(cache, db.table(relation).map_err(db_err)?, cfds)?;
+    // The last refresh is an honest residual over the whole table: delta
+    // rows might still disagree with each other on keys absent from the
+    // clean part.
     let total_cost = changes.iter().map(|c| c.cost).sum();
     Ok(RepairResult {
         changes,
         iterations,
         total_cost,
-        residual,
+        residual: report,
     })
 }
 
