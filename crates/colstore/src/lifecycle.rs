@@ -51,9 +51,13 @@
 //! costs O(touched groups), not a scan of the relation. The report's
 //! `vio(t)` tally is kept standing beside the fragments and patched with
 //! them. Codes only mean something in the snapshot they were read from,
-//! so the group state lives for one encode; a rebuild drops it, and a CFD
+//! so the group state lives for one encode: a rebuild drops it, and a CFD
 //! whose pattern constants resolve differently since seeding (a patch
-//! interned a constant that was absent) is reseeded.
+//! interned a constant that was absent) is reseeded. A rebuild forced by
+//! the patch budget keeps the table's lineage, so its detect reseeds
+//! every CFD that had state from its own rescan, and the next write
+//! patches it; a rebuild after an epoch gap or a failed replay starts
+//! over.
 //!
 //! The auditor needs no state of its own. [`audit_cached`] builds the
 //! Fig. 4 quality report from the detection report — each violating
@@ -246,6 +250,10 @@ impl Cached {
 /// converge on one snapshot instead of thrashing.
 pub struct SnapshotCache {
     cached: Option<Cached>,
+    /// Table name and epoch of a snapshot dropped for running out of
+    /// patch budget: the table it mirrored is still the one observed, so
+    /// the next encode keeps the detect state.
+    budget_dropped: Option<(String, u64)>,
     delta_threshold: f64,
     /// Rows per code chunk for snapshots this cache encodes; `None` uses
     /// the process default ([`crate::column::default_chunk_rows`]).
@@ -253,8 +261,10 @@ pub struct SnapshotCache {
     encodes: u64,
     patches: u64,
     /// Per-CFD detect state kept by [`detect_cached`]. Fragments survive
-    /// snapshot rebuilds (the epoch bookkeeping decides their freshness,
-    /// not the rebuild); group state lives for one encode.
+    /// snapshot rebuilds on the same table lineage, a budget rebuild
+    /// included (the epoch bookkeeping decides their freshness, not the
+    /// rebuild); group state lives for one encode, and a CFD that had
+    /// state is reseeded by the rescan after the rebuild.
     state: DetectState,
     fragments_computed: u64,
     fragments_reused: u64,
@@ -277,6 +287,7 @@ impl SnapshotCache {
     pub fn new() -> SnapshotCache {
         SnapshotCache {
             cached: None,
+            budget_dropped: None,
             delta_threshold: DEFAULT_DELTA_THRESHOLD,
             chunk_rows: None,
             encodes: 0,
@@ -355,16 +366,22 @@ impl SnapshotCache {
         sp.attr("decision", "encode");
         // Fragment freshness is pure epoch arithmetic, so it can only be
         // trusted across a re-encode that provably stays on the same table
-        // lineage moving forward (same name, epoch not regressed). Anything
+        // lineage moving forward (same name, epoch not regressed), from the
+        // cached snapshot or one dropped only for its patch budget. Anything
         // else — a different table handed to this cache, an epoch that went
         // backwards, or a cache that was invalidated and lost its identity
         // — drops the detect state wholesale; a fragment whose epoch is ≥
         // the new table's epoch would otherwise replay another table's
         // violations. (Group state never outlives its encode either way.)
-        let same_lineage = self
-            .cached
-            .as_ref()
-            .is_some_and(|c| c.snap.name() == table.name() && table.epoch() >= c.epoch);
+        let last = match (&self.cached, &self.budget_dropped) {
+            (Some(c), _) => Some((c.snap.name(), c.epoch)),
+            (None, dropped) => dropped
+                .as_ref()
+                .map(|(name, epoch)| (name.as_str(), *epoch)),
+        };
+        let same_lineage =
+            last.is_some_and(|(name, epoch)| name == table.name() && table.epoch() >= epoch);
+        self.budget_dropped = None;
         if !same_lineage {
             self.state = DetectState::default();
         }
@@ -493,15 +510,7 @@ impl SnapshotCache {
         for s in &self.state.cfds {
             want.fragment(s, true);
         }
-        let nonzero = |t: &Tally| -> Vec<(usize, u64)> {
-            t.dense
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(i, &n)| (i, n))
-                .collect()
-        };
-        if nonzero(&want) != nonzero(&self.state.tally) {
+        if want.0 != self.state.tally.0 {
             return Err("the standing tally differs from its fragments' sum".into());
         }
         let Some(c) = &self.cached else {
@@ -648,7 +657,13 @@ impl SnapshotCache {
     /// in order, or invalidate the cache when they cannot be replayed.
     fn apply(&mut self, table: &Table, deltas: &[TableDelta]) {
         let steps = deltas.len() as u64;
-        let Some(c) = patchable(&mut self.cached, self.delta_threshold, table, steps) else {
+        let Some(c) = patchable(
+            &mut self.cached,
+            &mut self.budget_dropped,
+            self.delta_threshold,
+            table,
+            steps,
+        ) else {
             return;
         };
         let mut rest = deltas;
@@ -670,8 +685,11 @@ impl SnapshotCache {
 /// epochs behind `table` and under the patch budget; otherwise invalidate
 /// and return `None` (the caller's mutation stream missed an update, or
 /// the threshold was crossed — either way the next access re-encodes).
+/// Only a crossed threshold leaves the table's lineage in
+/// `budget_dropped`: the snapshot was in step, so the state stays valid.
 fn patchable<'a>(
     cached: &'a mut Option<Cached>,
+    budget_dropped: &mut Option<(String, u64)>,
     threshold: f64,
     table: &Table,
     steps: u64,
@@ -688,6 +706,9 @@ fn patchable<'a>(
         (((c.snap.n_rows() as f64) * threshold) as usize).max(MIN_DELTA)
     };
     if !in_step || c.patched + steps as usize > budget {
+        if in_step {
+            *budget_dropped = Some((c.snap.name().to_string(), c.epoch));
+        }
         *cached = None;
         cache_obs().rebuild_fallbacks.inc();
         obs::trace::note("cache", "rebuild_fallback");
@@ -1074,56 +1095,24 @@ fn sort_groups(groups: &mut Vec<DecodedGroup>, vg: Option<&mut VarGroups>) {
     }
 }
 
-/// The standing `vio(t)` tally of every fragment [`detect_cached`] keeps,
-/// by row index, and its report form as of the last detect.
+/// The standing `vio(t)` tally of every fragment [`detect_cached`] keeps.
 #[derive(Default)]
-struct Tally {
-    dense: Vec<u64>,
-    /// `dense` as a [`VioTally`]; `None` once `dense` moved.
-    built: Option<VioTally>,
-}
+struct Tally(VioTally);
 
 impl Tally {
     fn shift(&mut self, row: RowId, delta: u64, add: bool) {
-        if delta == 0 {
-            return;
-        }
-        self.built = None;
-        let i = row.index();
         if add {
-            if i >= self.dense.len() {
-                self.dense.resize(i + 1, 0);
-            }
-            self.dense[i] += delta;
+            self.0.add(row, delta);
         } else {
-            self.dense[i] -= delta;
+            self.0.sub(row, delta);
         }
     }
 
     /// Add (or take away) one violating group's conflict partners.
     fn group(&mut self, (_, rows, own): &DecodedGroup, add: bool) {
-        self.built = None;
         let total = rows.len() as u64;
-        let partners = rows
-            .iter()
-            .zip(own.iter())
-            .map(|((row, _), n)| (row.index(), total - n));
-        if add {
-            let end = rows
-                .iter()
-                .map(|(row, _)| row.index() + 1)
-                .max()
-                .unwrap_or(0);
-            if end > self.dense.len() {
-                self.dense.resize(end, 0);
-            }
-            for (i, d) in partners {
-                self.dense[i] += d;
-            }
-        } else {
-            for (i, d) in partners {
-                self.dense[i] -= d;
-            }
+        for ((row, _), n) in rows.iter().zip(own.iter()) {
+            self.shift(*row, total - n, add);
         }
     }
 
@@ -1135,19 +1124,6 @@ impl Tally {
         for g in &s.groups {
             self.group(g, add);
         }
-    }
-
-    fn report_tally(&mut self) -> VioTally {
-        let dense = &self.dense;
-        self.built
-            .get_or_insert_with(|| {
-                let mut vio = VioTally::default();
-                for (i, &n) in dense.iter().enumerate() {
-                    vio.add(RowId(i as u64), n);
-                }
-                vio
-            })
-            .clone()
     }
 }
 
@@ -1319,9 +1295,9 @@ impl DetectState {
     }
 
     /// The report of the current fragments, under the standing tally.
-    fn report(&mut self) -> ViolationReport {
+    fn report(&self) -> ViolationReport {
         let mut report = ViolationReport {
-            vio: self.tally.report_tally(),
+            vio: self.tally.0.clone(),
             ..ViolationReport::default()
         };
         for (cfd_idx, s) in self.cfds.iter().enumerate() {

@@ -52,6 +52,18 @@ impl VioTally {
         *slot += delta;
     }
 
+    /// Take `delta` off `vio(row)`, which must hold at least `delta`.
+    pub fn sub(&mut self, row: RowId, delta: u64) {
+        if delta == 0 {
+            return;
+        }
+        let slot = &mut self.dense[row.index()];
+        *slot -= delta;
+        if *slot == 0 {
+            self.nonzero -= 1;
+        }
+    }
+
     /// `vio(row)`, zero when clean.
     pub fn get(&self, row: RowId) -> u64 {
         self.dense.get(row.index()).copied().unwrap_or(0)
@@ -355,6 +367,23 @@ mod tests {
         assert_eq!(a.vio, c.vio);
         assert_eq!(b.vio.len(), 2);
         assert_eq!(b.vio.rows().collect::<Vec<_>>(), vec![RowId(1), RowId(900)]);
+    }
+
+    #[test]
+    fn sub_undoes_add() {
+        // A row taken back to zero leaves iteration, length and equality.
+        let mut a = VioTally::default();
+        a.add(RowId(1), 1);
+        let mut b = a.clone();
+        b.add(RowId(7), 2);
+        b.add(RowId(1), 4);
+        b.sub(RowId(7), 1);
+        assert_eq!(b.get(RowId(7)), 1);
+        b.sub(RowId(7), 1);
+        b.sub(RowId(1), 4);
+        assert_eq!(a, b);
+        assert_eq!(b.len(), 1);
+        assert!(!b.contains(RowId(7)));
     }
 
     #[test]

@@ -291,9 +291,10 @@ proptest! {
 
     /// Per-delta `note_*` calls into a default cache, a cache with
     /// `chunk_rows` down to 1, a spilled cache with a zero budget and the
-    /// zero-threshold cache (whose state is dropped and reseeded on every
-    /// rebuild), and `note_batch` in random chunks: after every step each
-    /// cache's group state equals a fresh grouping of its snapshot.
+    /// zero-threshold cache (which rebuilds on every write and reseeds its
+    /// state from each rebuild's rescan), and `note_batch` in random
+    /// chunks: after every step each cache's group state equals a fresh
+    /// grouping of its snapshot.
     #[test]
     fn group_state_equals_a_fresh_grouping_after_every_step(
         table in arb_table(20),
@@ -330,12 +331,10 @@ proptest! {
         }
         if rows_changed {
             // A row-set change makes every fragment stale, so every CFD
-            // has been (re)seeded by now. The zero-threshold cache loses
-            // its lineage on every write, so each detect is a first
-            // computation: only the constant CFDs, whose state is their
-            // violating rows, keep state there.
-            let constant = cfds.iter().filter(|c| !c.rhs_pat.is_wild()).count();
-            prop_assert_eq!(&checked, &[cfds.len(), cfds.len(), cfds.len(), constant]);
+            // has been (re)seeded by now. The zero-threshold cache keeps
+            // its lineage across its budget rebuilds, so it holds state
+            // for every CFD too.
+            prop_assert_eq!(&checked, &[cfds.len(); 4]);
         }
 
         // The batch arm (chunks never carry a row they then delete; see
@@ -510,6 +509,51 @@ fn threshold_crossing_rebuilds_and_stays_correct() {
         "600 patches must cross the delta threshold at least once"
     );
     assert!(cache.patches() > 0, "and still patch between rebuilds");
+}
+
+/// A rebuild forced by the patch budget stays on the table's lineage: its
+/// detect rescans each CFD once and reseeds the group state from that
+/// scan, so the write after it patches and rescans nothing.
+#[test]
+fn budget_rebuild_keeps_the_detect_state() {
+    let mut table = Table::new("r", Schema::of_strings(&COLS));
+    for i in 0..40 {
+        table
+            .insert(vec![
+                Value::str(format!("a{}", i % 3)),
+                Value::str(format!("b{}", i % 4)),
+                Value::str(format!("c{}", i % 2)),
+                Value::str(format!("d{}", i % 5)),
+            ])
+            .unwrap();
+    }
+    let cfds = parse_cfds("r: [A] -> [B]\nr: [A='a0'] -> [C='c0']\nr: [B, C] -> [D]").unwrap();
+    let mut cache = SnapshotCache::new();
+    detect_and_verify(&mut cache, &table, &cfds, "initially");
+    // Write and detect until the patch budget (the 256-patch floor) runs
+    // out and the cache re-encodes; then once more.
+    let mut rescans = Vec::new();
+    let mut step = 0usize;
+    while rescans.len() < 2 {
+        let ids = table.row_ids();
+        let id = ids[step % ids.len()];
+        let col = step % 4;
+        let val = Value::str(format!("{}{}", ["a", "b", "c", "d"][col], step % 6));
+        table.update_cell(id, col, val).unwrap();
+        cache.note_set_cell(&table, id, col);
+        let before = cache.fragments_computed();
+        detect_and_verify(&mut cache, &table, &cfds, &format!("at step {step}"));
+        if cache.encodes() == 2 {
+            rescans.push(cache.fragments_computed() - before);
+        }
+        step += 1;
+        assert!(step < 400, "the patch budget never ran out");
+    }
+    assert_eq!(
+        rescans,
+        [cfds.len() as u64, 0],
+        "the rebuild rescans every CFD once; the next write rescans none"
+    );
 }
 
 // ------------------------------------------------------------------ audit
