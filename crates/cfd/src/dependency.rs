@@ -82,14 +82,6 @@ impl Cfd {
         }
     }
 
-    /// The embedded FD.
-    pub fn embedded_fd(&self) -> Fd {
-        Fd {
-            lhs: self.lhs.clone(),
-            rhs: self.rhs.clone(),
-        }
-    }
-
     /// Is this a *constant* CFD (all LHS cells and the RHS cell constants)?
     pub fn is_constant(&self) -> bool {
         self.rhs_pat.constant().is_some() && self.lhs_pat.iter().all(|p| !p.is_wild())

@@ -1,8 +1,6 @@
 //! Minimal RFC-4180-style CSV reader/writer (quoted fields, embedded
 //! commas/newlines/quotes), plus typed table import/export.
 
-use std::io::{BufRead, Write};
-
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
 use crate::table::Table;
@@ -197,19 +195,6 @@ pub fn table_to_csv(table: &Table) -> String {
         records.push(row.iter().map(Value::render).collect());
     }
     to_csv(&records)
-}
-
-/// Stream a table as CSV to a writer (buffvon the caller's choice).
-pub fn write_table_csv<W: Write>(table: &Table, w: &mut W) -> std::io::Result<()> {
-    w.write_all(table_to_csv(table).as_bytes())
-}
-
-/// Read CSV from a buffered reader and build a table.
-pub fn read_table_csv<R: BufRead>(name: &str, schema: Schema, r: &mut R) -> DbResult<Table> {
-    let mut text = String::new();
-    r.read_to_string(&mut text)
-        .map_err(|e| DbError::Csv(e.to_string()))?;
-    table_from_csv(name, schema, &text)
 }
 
 #[cfg(test)]
