@@ -53,14 +53,20 @@ impl VioTally {
     }
 
     /// Take `delta` off `vio(row)`, which must hold at least `delta`.
+    /// Trailing clean slots are dropped, so a tally that returns to clean
+    /// clones for free.
     pub fn sub(&mut self, row: RowId, delta: u64) {
         if delta == 0 {
             return;
         }
-        let slot = &mut self.dense[row.index()];
-        *slot -= delta;
-        if *slot == 0 {
+        let i = row.index();
+        self.dense[i] -= delta;
+        if self.dense[i] == 0 {
             self.nonzero -= 1;
+            if i + 1 == self.dense.len() {
+                let end = self.dense.iter().rposition(|&v| v > 0).map_or(0, |j| j + 1);
+                self.dense.truncate(end);
+            }
         }
     }
 
@@ -384,6 +390,10 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(b.len(), 1);
         assert!(!b.contains(RowId(7)));
+        // The clean tail went with row 7.
+        assert_eq!(b.dense.len(), 2);
+        b.sub(RowId(1), 1);
+        assert!(b.is_empty() && b.dense.is_empty());
     }
 
     #[test]
