@@ -25,24 +25,6 @@ fn db_err(e: DbError) -> cfd::CfdError {
     cfd::CfdError::Malformed(format!("incremental repair failed: {e}"))
 }
 
-/// Overwrite one cell, patch the caller's snapshot cache in step, and
-/// bring `report` up to date with the write.
-fn set_cell(
-    db: &mut Database,
-    relation: &str,
-    cfds: &[Cfd],
-    cache: &mut SnapshotCache,
-    report: &mut ViolationReport,
-    (row, col): (RowId, usize),
-    value: Value,
-) -> CfdResult<Value> {
-    let old = db.update_cell(relation, row, col, value).map_err(db_err)?;
-    let table = db.table(relation).map_err(db_err)?;
-    cache.note_set_cell(table, row, col);
-    *report = detect_cached(cache, table, cfds)?;
-    Ok(old)
-}
-
 /// The members of `row`'s violating group under CFD `cfd_idx`, in row-id
 /// order, or `None` when `row` is in no violating group of that CFD.
 fn violating_group(
@@ -116,12 +98,9 @@ pub fn incremental_repair(
                         continue;
                     };
                     let clean = members.iter().rev().find(|(r, _)| !delta_set.contains(r));
-                    let v = match clean {
-                        Some((_, v)) => v,
-                        None => match rolling[cfd_idx].get(&b.lhs_key(&current)) {
-                            Some(v) => v,
-                            None => continue,
-                        },
+                    let rolled = || rolling[cfd_idx].get(&b.lhs_key(&current));
+                    let Some(v) = clean.map(|(_, v)| v).or_else(rolled) else {
+                        continue;
                     };
                     if mine.strong_eq(v) {
                         continue;
@@ -136,8 +115,12 @@ pub fn incremental_repair(
                     }
                     (v.clone(), ChangeReason::VariableMerge { cfd_idx })
                 };
-                let at = (row, b.rhs_col);
-                let old = set_cell(db, relation, cfds, cache, &mut report, at, new.clone())?;
+                let old = db
+                    .update_cell(relation, row, b.rhs_col, new.clone())
+                    .map_err(db_err)?;
+                let table = db.table(relation).map_err(db_err)?;
+                cache.note_set_cell(table, row, b.rhs_col);
+                report = detect_cached(cache, table, cfds)?;
                 let cost = cfg.weights.weight(row, b.rhs_col) * normalized_distance(&old, &new);
                 changes.push(CellChange {
                     row,
