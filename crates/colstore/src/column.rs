@@ -118,7 +118,7 @@ impl Column {
     }
 
     /// The codes of chunk `ci`, behind a guard: a plain borrow when the
-    /// chunk is resident, a pool-backed fault-in when it is spilled. The
+    /// chunk is resident, a fault-in from the store when it is spilled. The
     /// guard derefs to `[u32]`. Chunk `ci` covers global positions
     /// `ci * chunk_rows ..`; every chunk except the last holds exactly
     /// `chunk_rows` codes.
@@ -269,9 +269,10 @@ impl Column {
     fn resident_mut(&mut self, ci: usize) -> &mut Vec<u32> {
         if let SealedChunk::Spilled(handle) = &self.sealed[ci] {
             let codes = handle.fault();
-            // The buffer pool usually holds another reference, so this is
-            // a clone; the page itself is freed when the handle's last
-            // owner (possibly a snapshot clone) drops.
+            // A paged store's fault-in is the only reference, so this
+            // takes the codes without a copy (the in-memory test store
+            // keeps its own and pays one); the page itself is freed when
+            // the handle's last owner (possibly a snapshot clone) drops.
             let owned = Arc::try_unwrap(codes).unwrap_or_else(|shared| (*shared).clone());
             self.sealed[ci] = SealedChunk::Resident(Arc::new(owned));
         }

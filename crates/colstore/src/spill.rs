@@ -3,18 +3,16 @@
 //! A sealed chunk is a fixed-width `Vec<u32>` — trivially seekable, which
 //! is exactly what a paged spill file wants. This module defines the
 //! *interface* ([`ChunkStore`]) and the ownership glue ([`PageHandle`],
-//! [`ChunkGuard`]); the real disk-backed implementation with its
-//! clock-eviction buffer pool lives in `durable::PagedStore`, keeping
-//! colstore free of file-format concerns. [`MemChunkStore`] is a
-//! heap-backed stand-in for tests.
+//! [`ChunkGuard`]); the real disk-backed implementation lives in
+//! `durable::PagedStore`, keeping colstore free of file-format concerns.
+//! [`MemChunkStore`] is a heap-backed stand-in for tests.
 //!
 //! Ownership model: a spilled chunk inside a [`crate::Column`] is an
 //! `Arc<PageHandle>`. Column clones (snapshots hand these out freely)
 //! share the handle; the backing page is freed when the **last** clone
 //! drops, so patching one clone back to resident never invalidates the
-//! page another clone still reads. Faulting returns `Arc<Vec<u32>>` out
-//! of the store's buffer pool — eviction only drops the pool's reference,
-//! never a reader's.
+//! page another clone still reads. Faulting returns a fresh
+//! `Arc<Vec<u32>>` that the reader owns, usually alone.
 
 use std::io;
 use std::ops::Deref;
@@ -29,8 +27,7 @@ pub trait ChunkStore: std::fmt::Debug + Send + Sync {
     /// Write `codes` out and return the page id it now lives under.
     fn store(&self, codes: &[u32]) -> io::Result<u64>;
 
-    /// Read the `len` codes of `page` back. Implementations with a buffer
-    /// pool return the pooled `Arc` (possibly without touching disk).
+    /// Read the `len` codes of `page` back.
     fn load(&self, page: u64, len: usize) -> io::Result<Arc<Vec<u32>>>;
 
     /// Release `page` for reuse. Called from [`PageHandle`]'s `Drop`;
@@ -93,8 +90,8 @@ impl Drop for PageHandle {
     }
 }
 
-// Debug without recursing into the store (which may transitively
-// reference thousands of pooled pages).
+// Debug without recursing into the store (its file and allocator state
+// say nothing about this one page).
 impl std::fmt::Debug for PageHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageHandle")
@@ -104,8 +101,8 @@ impl std::fmt::Debug for PageHandle {
     }
 }
 
-/// Access to one chunk's codes: a plain borrow for resident chunks, a
-/// pool-backed `Arc` for chunks faulted in from the store. Derefs to
+/// Access to one chunk's codes: a plain borrow for resident chunks, an
+/// owned `Arc` for chunks faulted in from the store. Derefs to
 /// `[u32]`, so `guard.len()`, `guard.iter()`, `guard[i]` and `&guard`
 /// in `&[u32]` argument position all work unchanged.
 pub enum ChunkGuard<'a> {

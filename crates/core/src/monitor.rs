@@ -156,14 +156,18 @@ impl DataMonitor {
 
     /// Detect after an update to `row` (`None` for a delete). In
     /// [`MonitorMode::RepairOnArrival`] a row the update left violating is
-    /// repaired, and detected again, before the outcome is taken.
+    /// repaired before the outcome is taken; the repair's residual, a
+    /// detect of the repaired table, is then the current report.
     fn settle(&mut self, row: Option<RowId>) -> CfdResult<UpdateOutcome> {
         let mut report = self.server.refresh()?;
         let mut repairs = 0usize;
         if let (MonitorMode::RepairOnArrival, Some(id)) = (self.mode, row) {
             if report.vio.contains(id) {
-                repairs = self.server.repair_rows(&[id])?.changes.len();
-                report = self.server.refresh()?;
+                repairs = self.server.repair_rows(&[id])?;
+                report = self
+                    .server
+                    .last_report()
+                    .expect("repair_rows caches its residual");
             }
         }
         Ok(UpdateOutcome {

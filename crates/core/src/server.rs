@@ -39,10 +39,6 @@ pub struct ServerConfig {
     pub detector: DetectorKind,
     /// Repair configuration.
     pub repair: RepairConfig,
-    /// Enable request-scoped tracing (`obs::trace`) process-wide. The
-    /// flag is sticky — `true` turns the (global) tracing layer on,
-    /// `false` leaves whatever `SDQ_TRACE` / a sibling component chose.
-    pub tracing: bool,
     /// Resident-byte budget for the columnar snapshot cache. When set,
     /// sealed snapshot chunks beyond the budget spill to `spill_store`
     /// (oldest chunks first) and detect faults them back page-at-a-time —
@@ -64,7 +60,6 @@ impl Default for ServerConfig {
             // `with_config` away.
             detector: DetectorKind::Columnar,
             repair: RepairConfig::default(),
-            tracing: false,
             mem_budget: None,
             spill_store: None,
         }
@@ -72,13 +67,12 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The default configuration with the environment knobs applied:
-    /// `SDQ_MEM_BUDGET` (a byte size like `64m`) bounds snapshot
-    /// residency, `SDQ_TRACE` turns request tracing on.
+    /// The default configuration with `SDQ_MEM_BUDGET` (a byte size like
+    /// `64m`) bounding snapshot residency. Request tracing reads its own
+    /// `SDQ_TRACE` (see `obs::trace`).
     pub fn from_env() -> ServerConfig {
         ServerConfig {
             mem_budget: obs::env::bytes("SDQ_MEM_BUDGET"),
-            tracing: obs::env::flag("SDQ_TRACE").unwrap_or(false),
             ..ServerConfig::default()
         }
     }
@@ -128,9 +122,6 @@ impl QualityServer {
                 .clone()
                 .unwrap_or_else(MemChunkStore::shared);
             self.snapshots = std::mem::take(&mut self.snapshots).with_spill(store, budget);
-        }
-        if config.tracing {
-            obs::trace::set_enabled(true);
         }
         self.config = config;
         self
@@ -403,10 +394,13 @@ impl QualityServer {
     }
 
     /// Repair-on-arrival for the data monitor: repair only `rows` against
-    /// the rest of the relation ([`incremental_repair`]). Its cell writes
-    /// patch the snapshot cache and its residual detect leaves fresh
-    /// fragments there, so the monitor's following detect replays them.
-    pub(crate) fn repair_rows(&mut self, rows: &[RowId]) -> CfdResult<RepairResult> {
+    /// the rest of the relation ([`incremental_repair`]) and return the
+    /// number of cell changes. Its cell writes patch the snapshot cache,
+    /// and its residual is a columnar detect of the repaired table, so it
+    /// becomes the cached report. An error leaves no report: cells may
+    /// already have been written.
+    pub(crate) fn repair_rows(&mut self, rows: &[RowId]) -> CfdResult<usize> {
+        self.last_report = None;
         let result = incremental_repair(
             &mut self.db,
             &self.relation,
@@ -415,8 +409,8 @@ impl QualityServer {
             &self.config.repair,
             &mut self.snapshots,
         )?;
-        self.last_report = None;
-        Ok(result)
+        self.last_report = Some(result.residual);
+        Ok(result.changes.len())
     }
 
     /// Open a cleansing review session (Fig. 5) over a repair result. An

@@ -13,9 +13,10 @@
 //!   checkpointing.
 //! * **Spill** ([`pages`]) — sealed dictionary-code chunks evict from the
 //!   snapshot cache to a paged file ([`PagedStore`], a
-//!   `colstore::ChunkStore`), fronted by a small clock-eviction buffer
-//!   pool. The chunk-at-a-time detect scan faults pages back, so a
-//!   scan runs in `O(memory budget)` residency instead of `O(table)`.
+//!   `colstore::ChunkStore`). The chunk-at-a-time detect scan faults
+//!   pages back through the OS page cache, checking each page's CRC-32,
+//!   so a scan runs in `O(memory budget)` residency instead of
+//!   `O(table)`.
 //!
 //! Reusing the wire encoding as the log format means the WAL inherits the
 //! codec's pinned round-trip guarantees (embedded newlines, control

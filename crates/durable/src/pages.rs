@@ -1,5 +1,4 @@
-//! The paged cold-chunk store: fixed-width pages in one spill file,
-//! fronted by a small clock-eviction buffer pool.
+//! The paged cold-chunk store: fixed-width pages in one spill file.
 //!
 //! Sealed column chunks are `chunk_rows` little-endian `u32` codes —
 //! fixed width, so page `p` lives at byte offset `p * chunk_rows * 4`
@@ -7,26 +6,22 @@
 //! a free list and are reused by later spills, so the file's footprint
 //! tracks the *live* spilled set, not the spill history.
 //!
-//! The buffer pool holds up to `pool_pages` recently-faulted pages and
-//! evicts with the clock (second-chance) sweep: each frame has a
-//! referenced bit, set on hit; the hand sweeps frames, clearing set bits
-//! and evicting the first frame found clear. Eviction only drops the
-//! pool's `Arc` — a detect scan still reading the page keeps it alive
-//! through its `ChunkGuard`, so eviction can never invalidate a reader.
+//! There is no buffer pool: every fault-in reads its page from the file
+//! (the OS page cache keeps hot pages) and hands back a fresh `Arc`,
+//! which the reader's `ChunkGuard` owns alone. A patch that faults a
+//! chunk back to residency therefore takes the codes without copying.
 //!
 //! Every page is checksummed: `store` computes the CRC-32 of the bytes it
 //! writes and keeps it in memory (four bytes per page, indexed by page
-//! id), and every fault-in from the file checks the bytes it read against
-//! it. A mismatch — a flipped bit on disk, a torn or foreign write — is an
+//! id), and every fault-in checks the bytes it read against it. A
+//! mismatch — a flipped bit on disk, a torn or foreign write — is an
 //! `io::ErrorKind::InvalidData` error naming the page and its byte
 //! offset, which `ChunkGuard::fault` turns into a named panic: a corrupt
 //! page is never decoded into codes, so it can never become a wrong
-//! violation report. A pool hit serves bytes that were already checked
-//! and skips the check. The checksums live only as long as the store,
+//! violation report. The checksums live only as long as the store,
 //! which is as long as the spill file means anything: it is truncated at
 //! every `create`.
 
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -38,30 +33,18 @@ use crate::crc::crc32;
 
 struct PageObs {
     faults: Arc<obs::Counter>,
-    pool_hits: Arc<obs::Counter>,
     writes: Arc<obs::Counter>,
-    evictions: Arc<obs::Counter>,
 }
 
 fn page_obs() -> &'static PageObs {
     static OBS: OnceLock<PageObs> = OnceLock::new();
     OBS.get_or_init(|| PageObs {
         faults: obs::counter("spill_page_faults_total"),
-        pool_hits: obs::counter("spill_pool_hits_total"),
         writes: obs::counter("spill_pages_written_total"),
-        evictions: obs::counter("spill_pool_evictions_total"),
     })
 }
 
-/// One buffer-pool frame.
-struct Frame {
-    page: u64,
-    data: Arc<Vec<u32>>,
-    /// Second-chance bit: set on hit, cleared by the sweeping hand.
-    referenced: bool,
-}
-
-/// Pool + allocator state, under one lock (spills and faults are page
+/// File and allocator state, under one lock (spills and faults are page
 /// granular and rare relative to scans; the lock is not on the scan's
 /// per-row path).
 struct Inner {
@@ -72,35 +55,28 @@ struct Inner {
     free: Vec<u64>,
     /// CRC-32 of each page's stored bytes, indexed by page id.
     crcs: Vec<u32>,
-    frames: Vec<Frame>,
-    /// `page id → frame index` for pooled pages.
-    map: HashMap<u64, usize>,
-    /// Clock hand: next frame the eviction sweep inspects.
-    hand: usize,
 }
 
-/// Disk-backed [`ChunkStore`]: one spill file of fixed-width pages plus a
-/// clock-eviction buffer pool. Construct with [`PagedStore::create`] and
-/// share the returned `Arc` with every cache (and shard) that spills.
+/// Disk-backed [`ChunkStore`]: one spill file of fixed-width pages.
+/// Construct with [`PagedStore::create`] and share the returned `Arc`
+/// with every cache (and shard) that spills.
 pub struct PagedStore {
     inner: Mutex<Inner>,
     /// Codes per page (the snapshots' `chunk_rows`).
     page_codes: usize,
-    /// Buffer pool capacity in pages.
-    pool_pages: usize,
 }
 
 impl PagedStore {
     /// Create (truncating) the spill file at `path`, with pages of
-    /// `page_codes` codes and a pool of `pool_pages` frames. The page
-    /// size must equal the chunk size of every snapshot spilling here.
+    /// `page_codes` codes. The page size must equal the chunk size of
+    /// every snapshot spilling here. `_pool_pages` is ignored, and kept
+    /// only because the benchmark harness still passes it.
     pub fn create(
         path: &Path,
         page_codes: usize,
-        pool_pages: usize,
+        _pool_pages: usize,
     ) -> io::Result<Arc<PagedStore>> {
         assert!(page_codes >= 1, "page_codes must be positive");
-        assert!(pool_pages >= 1, "pool_pages must be positive");
         let file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -113,12 +89,8 @@ impl PagedStore {
                 allocated: 0,
                 free: Vec::new(),
                 crcs: Vec::new(),
-                frames: Vec::new(),
-                map: HashMap::new(),
-                hand: 0,
             }),
             page_codes,
-            pool_pages,
         }))
     }
 
@@ -133,57 +105,10 @@ impl PagedStore {
         inner.allocated - inner.free.len() as u64
     }
 
-    /// Pages currently held by the buffer pool.
-    pub fn pooled_pages(&self) -> usize {
-        self.lock().frames.len()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         // A poisoned lock means a writer panicked mid-I/O; the state is
         // still structurally sound (worst case a leaked page), so read on.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Insert `(page, data)` into the pool, evicting via the clock sweep
-    /// if it is full.
-    fn pool_insert(inner: &mut Inner, pool_pages: usize, page: u64, data: Arc<Vec<u32>>) {
-        if let Some(&fi) = inner.map.get(&page) {
-            inner.frames[fi].data = data;
-            inner.frames[fi].referenced = true;
-            return;
-        }
-        if inner.frames.len() < pool_pages {
-            inner.map.insert(page, inner.frames.len());
-            inner.frames.push(Frame {
-                page,
-                data,
-                referenced: true,
-            });
-            return;
-        }
-        // Clock sweep: clear referenced bits until a clear frame turns up.
-        // Terminates within two revolutions (after one full sweep every
-        // bit is clear).
-        loop {
-            let fi = inner.hand;
-            inner.hand = (inner.hand + 1) % inner.frames.len();
-            if inner.frames[fi].referenced {
-                inner.frames[fi].referenced = false;
-            } else {
-                let evicted = std::mem::replace(
-                    &mut inner.frames[fi],
-                    Frame {
-                        page,
-                        data,
-                        referenced: true,
-                    },
-                );
-                inner.map.remove(&evicted.page);
-                inner.map.insert(page, fi);
-                page_obs().evictions.inc();
-                return;
-            }
-        }
     }
 }
 
@@ -191,7 +116,6 @@ impl std::fmt::Debug for PagedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PagedStore")
             .field("page_codes", &self.page_codes)
-            .field("pool_pages", &self.pool_pages)
             .finish_non_exhaustive()
     }
 }
@@ -222,18 +146,11 @@ impl ChunkStore for PagedStore {
         }
         inner.crcs[slot] = crc32(&bytes);
         page_obs().writes.inc();
-        // Freshly spilled chunks are *cold* by definition — do not cache
-        // them; the pool is for read traffic.
         Ok(page)
     }
 
     fn load(&self, page: u64, len: usize) -> io::Result<Arc<Vec<u32>>> {
         let mut inner = self.lock();
-        if let Some(&fi) = inner.map.get(&page) {
-            inner.frames[fi].referenced = true;
-            page_obs().pool_hits.inc();
-            return Ok(Arc::clone(&inner.frames[fi].data));
-        }
         page_obs().faults.inc();
         let offset = page * self.page_codes as u64 * 4;
         inner.file.seek(SeekFrom::Start(offset))?;
@@ -254,28 +171,11 @@ impl ChunkStore for PagedStore {
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
             .collect();
-        let data = Arc::new(codes);
-        Self::pool_insert(&mut inner, self.pool_pages, page, Arc::clone(&data));
-        Ok(data)
+        Ok(Arc::new(codes))
     }
 
     fn free(&self, page: u64) {
-        let mut inner = self.lock();
-        if let Some(fi) = inner.map.remove(&page) {
-            inner.frames.swap_remove(fi);
-            // swap_remove moved the last frame into `fi`; fix its map
-            // entry and keep the hand in range.
-            if fi < inner.frames.len() {
-                let moved = inner.frames[fi].page;
-                inner.map.insert(moved, fi);
-            }
-            if !inner.frames.is_empty() {
-                inner.hand %= inner.frames.len();
-            } else {
-                inner.hand = 0;
-            }
-        }
-        inner.free.push(page);
+        self.lock().free.push(page);
     }
 }
 
@@ -283,19 +183,34 @@ impl ChunkStore for PagedStore {
 mod tests {
     use super::*;
 
-    fn store(tag: &str, page_codes: usize, pool: usize) -> (Arc<PagedStore>, std::path::PathBuf) {
+    fn store(tag: &str, page_codes: usize) -> (Arc<PagedStore>, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("sdq_pages_test_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         (
-            PagedStore::create(&dir.join("spill.pages"), page_codes, pool).unwrap(),
+            PagedStore::create(&dir.join("spill.pages"), page_codes, 0).unwrap(),
             dir,
         )
     }
 
+    /// Flip bit `bit` of byte `byte` of the spill file in `dir`.
+    fn flip(dir: &Path, byte: u64, bit: u8) {
+        let mut f = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(dir.join("spill.pages"))
+            .unwrap();
+        let mut b = [0u8];
+        f.seek(SeekFrom::Start(byte)).unwrap();
+        f.read_exact(&mut b).unwrap();
+        b[0] ^= 1 << bit;
+        f.seek(SeekFrom::Start(byte)).unwrap();
+        f.write_all(&b).unwrap();
+    }
+
     #[test]
     fn store_load_roundtrip_and_reuse() {
-        let (s, dir) = store("roundtrip", 8, 2);
+        let (s, dir) = store("roundtrip", 8);
         let a: Vec<u32> = (0..8).collect();
         let b: Vec<u32> = (100..108).collect();
         let pa = s.store(&a).unwrap();
@@ -313,45 +228,13 @@ mod tests {
     }
 
     #[test]
-    fn pool_caps_and_clock_evicts() {
-        let (s, dir) = store("clock", 4, 2);
-        let pages: Vec<u64> = (0u32..5).map(|i| s.store(&[i, i, i, i]).unwrap()).collect();
-        // Fault all five through a 2-frame pool.
-        for (i, &p) in pages.iter().enumerate() {
-            let got = s.load(p, 4).unwrap();
-            assert_eq!(got.as_slice(), &[i as u32; 4]);
-            assert!(s.pooled_pages() <= 2, "pool never exceeds its frame cap");
-        }
-        // A pooled page answers without touching the file (observable as a
-        // pool hit; the data is shared, not re-read).
-        let last = *pages.last().unwrap();
-        let first = s.load(last, 4).unwrap();
-        let second = s.load(last, 4).unwrap();
-        assert!(Arc::ptr_eq(&first, &second), "pool hit shares the Arc");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn every_flipped_bit_fails_the_fault_in() {
-        let (s, dir) = store("crc", 4, 2);
+        let (s, dir) = store("crc", 4);
         let codes = [7u32, 0, 0xDEAD_BEEF, 42];
         // The page under test sits past page 0, at a nonzero offset.
         s.store(&[1, 2, 3, 4]).unwrap();
         let page = s.store(&codes).unwrap();
-        let path = dir.join("spill.pages");
-        let flip = |byte: u64, bit: u8| {
-            let mut f = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(&path)
-                .unwrap();
-            let mut b = [0u8];
-            f.seek(SeekFrom::Start(byte)).unwrap();
-            f.read_exact(&mut b).unwrap();
-            b[0] ^= 1 << bit;
-            f.seek(SeekFrom::Start(byte)).unwrap();
-            f.write_all(&b).unwrap();
-        };
+        let flip = |byte, bit| flip(&dir, byte, bit);
         let offset = page * 4 * 4;
         for byte in offset..offset + 16 {
             for bit in 0..8 {
@@ -366,19 +249,20 @@ mod tests {
                 flip(byte, bit);
             }
         }
-        assert_eq!(s.pooled_pages(), 0, "a failed fault-in pools nothing");
         assert_eq!(s.load(page, 4).unwrap().as_slice(), &codes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn eviction_does_not_invalidate_held_readers() {
-        let (s, dir) = store("readers", 2, 1);
-        let p0 = s.store(&[1, 2]).unwrap();
-        let p1 = s.store(&[3, 4]).unwrap();
-        let held = s.load(p0, 2).unwrap();
-        let _other = s.load(p1, 2).unwrap(); // evicts p0 from the 1-frame pool
-        assert_eq!(held.as_slice(), &[1, 2], "reader's Arc survives eviction");
+    fn a_page_read_before_is_checked_again() {
+        let (s, dir) = store("reread", 4);
+        let page = s.store(&[5, 6, 7, 8]).unwrap();
+        assert_eq!(s.load(page, 4).unwrap().as_slice(), &[5, 6, 7, 8]);
+        flip(&dir, page * 4 * 4 + 1, 3);
+        let err = s
+            .load(page, 4)
+            .expect_err("a page corrupted after its first read must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

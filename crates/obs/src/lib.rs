@@ -9,10 +9,10 @@
 //! - [`Histogram`] — a log₂-bucketed distribution with atomic count,
 //!   sum, and max, read out as p50/p95/p99/max,
 //!
-//! all hanging off a sharded global [`Registry`]. Call sites hold cheap
-//! `Arc` handles (typically cached in a `OnceLock` so the name hash and
-//! shard lock are paid once per process, not per increment); the hot-path
-//! cost of an increment is one relaxed atomic add.
+//! all hanging off one global [`Registry`]. Call sites hold cheap `Arc`
+//! handles (typically cached in a `OnceLock` so the name lookup and the
+//! registry lock are paid once per process, not per increment); the
+//! hot-path cost of an increment is one relaxed atomic add.
 //!
 //! Latency is captured with [`SpanTimer`], an RAII guard that records
 //! elapsed nanoseconds into its histogram on drop:
@@ -30,7 +30,7 @@
 //! Metric names may embed a literal label set (`requests_total{kind="x"}`);
 //! histogram readouts splice their `quantile` label into it.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -227,52 +227,39 @@ impl Drop for SpanTimer {
     }
 }
 
-/// One named metric slot in a registry shard.
+/// One named metric slot in the registry.
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
-/// Shard count: a small power of two so concurrent registrations of
-/// different names rarely contend on the same lock.
-const SHARDS: usize = 8;
-
-/// A sharded name → metric map. Registration (`counter`/`gauge`/
+/// A name → metric map under one mutex. Registration (`counter`/`gauge`/
 /// `histogram`) is get-or-create and returns a shared handle; the
-/// per-call cost is one FNV hash plus one shard mutex, which call sites
+/// per-call cost is one lock plus one ordered lookup, which call sites
 /// amortize away by caching the handle.
+#[derive(Default)]
 pub struct Registry {
-    shards: [Mutex<HashMap<String, Metric>>; SHARDS],
-}
-
-/// FNV-1a: tiny, allocation-free, good enough to spread names over 8
-/// shards.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-        }
-    }
+    metrics: Mutex<BTreeMap<String, Metric>>,
 }
 
 impl Registry {
-    fn shard(&self, name: &str) -> std::sync::MutexGuard<'_, HashMap<String, Metric>> {
-        let idx = (fnv1a(name) % SHARDS as u64) as usize;
-        // A poisoned shard only means some thread panicked while holding
-        // the lock; the map itself is always in a consistent state.
-        self.shards[idx]
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Metric>> {
+        // A poisoned lock only means some thread panicked while holding
+        // it; the map itself is always in a consistent state.
+        self.metrics
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The metric registered as `name`, created by `make` if absent.
+    fn get_or_insert(&self, name: &str, make: fn() -> Metric) -> Metric {
+        let mut metrics = self.lock();
+        if let Some(m) = metrics.get(name) {
+            return m.clone();
+        }
+        metrics.entry(name.to_string()).or_insert_with(make).clone()
     }
 
     /// Get or create the counter `name`.
@@ -280,13 +267,9 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut shard = self.shard(name);
-        match shard
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => panic!("metric '{name}' is already registered with a different kind"),
+        match self.get_or_insert(name, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
+            _ => kind_mismatch(name),
         }
     }
 
@@ -295,13 +278,9 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut shard = self.shard(name);
-        match shard
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric '{name}' is already registered with a different kind"),
+        match self.get_or_insert(name, || Metric::Gauge(Arc::default())) {
+            Metric::Gauge(g) => g,
+            _ => kind_mismatch(name),
         }
     }
 
@@ -310,35 +289,24 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut shard = self.shard(name);
-        match shard
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::default())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("metric '{name}' is already registered with a different kind"),
+        match self.get_or_insert(name, || Metric::Histogram(Arc::default())) {
+            Metric::Histogram(h) => h,
+            _ => kind_mismatch(name),
         }
     }
 
     /// Freeze every metric into a [`MetricsReport`], sorted by name
-    /// within each kind so output (and wire encoding) is deterministic.
+    /// within each kind (the map's own order) so output (and wire
+    /// encoding) is deterministic.
     pub fn snapshot(&self) -> MetricsReport {
         let mut report = MetricsReport::default();
-        for shard in &self.shards {
-            let shard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (name, metric) in shard.iter() {
-                match metric {
-                    Metric::Counter(c) => report.counters.push((name.clone(), c.get())),
-                    Metric::Gauge(g) => report.gauges.push((name.clone(), g.get())),
-                    Metric::Histogram(h) => report.histograms.push(h.snapshot(name)),
-                }
+        for (name, metric) in self.lock().iter() {
+            match metric {
+                Metric::Counter(c) => report.counters.push((name.clone(), c.get())),
+                Metric::Gauge(g) => report.gauges.push((name.clone(), g.get())),
+                Metric::Histogram(h) => report.histograms.push(h.snapshot(name)),
             }
         }
-        report.counters.sort();
-        report.gauges.sort();
-        report.histograms.sort_by(|a, b| a.name.cmp(&b.name));
         report
     }
 
@@ -350,7 +318,7 @@ impl Registry {
     /// Zero every registered metric **in place**.
     ///
     /// Instrumented modules cache their `Arc<Counter>`/`Arc<Histogram>`
-    /// handles in module-local `OnceLock`s (one name hash + shard lock
+    /// handles in module-local `OnceLock`s (one lookup under the lock
     /// per process, not per increment), so a reset MUST NOT remove or
     /// replace registry entries: a cached handle pointing at an orphaned
     /// metric would keep counting into an object [`Registry::snapshot`]
@@ -361,19 +329,19 @@ impl Registry {
     /// snapshot. Pinned by `reset_keeps_cached_module_handles_live` in
     /// `tests/metrics_invariants.rs`.
     pub fn reset(&self) {
-        for shard in &self.shards {
-            let shard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for metric in shard.values() {
-                match metric {
-                    Metric::Counter(c) => c.reset(),
-                    Metric::Gauge(g) => g.reset(),
-                    Metric::Histogram(h) => h.reset(),
-                }
+        for metric in self.lock().values() {
+            match metric {
+                Metric::Counter(c) => c.reset(),
+                Metric::Gauge(g) => g.reset(),
+                Metric::Histogram(h) => h.reset(),
             }
         }
     }
+}
+
+/// The kind-mismatch panic, raised after the registry lock is released.
+fn kind_mismatch(name: &str) -> ! {
+    panic!("metric '{name}' is already registered with a different kind")
 }
 
 /// The process-wide registry every instrumented crate records into.
@@ -605,12 +573,20 @@ mod tests {
 
     #[test]
     fn kind_collision_panics() {
-        // A local registry: the deliberate panic must not poison shards
+        // A local registry: the deliberate panics must not touch the one
         // other tests share.
         let r = Registry::default();
-        r.counter("t_collision");
+        r.counter("t_collision").inc();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.gauge("t_collision")));
         assert!(err.is_err());
+        // A panic while the lock is held poisons it; the registry reads on.
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = r.lock();
+            panic!("poison the registry lock");
+        }));
+        assert!(poison.is_err() && r.metrics.is_poisoned());
+        assert_eq!(r.counter("t_collision").get(), 1);
+        assert_eq!(r.snapshot().counter("t_collision"), Some(1));
     }
 
     #[test]

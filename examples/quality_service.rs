@@ -63,15 +63,14 @@ const SEED: u64 = 42;
 
 /// The spill store for `SDQ_MEM_BUDGET`, if one is configured: a paged
 /// file in `dir` (the WAL directory when logging, the temp dir
-/// otherwise) behind a small buffer pool.
-fn spill_store(dir: Option<&Path>, budget: usize) -> Arc<dyn ChunkStore> {
+/// otherwise).
+fn spill_store(dir: Option<&Path>) -> Arc<dyn ChunkStore> {
     let dir = dir
         .map(Path::to_path_buf)
         .unwrap_or_else(std::env::temp_dir);
     std::fs::create_dir_all(&dir).expect("create spill dir");
     let page_codes = semandaq::colstore::default_chunk_rows();
-    let pool_pages = (budget / 4 / (page_codes * 4)).max(2);
-    PagedStore::create(&dir.join(SPILL_FILE), page_codes, pool_pages).expect("create spill file")
+    PagedStore::create(&dir.join(SPILL_FILE), page_codes, 0).expect("create spill file")
 }
 
 /// Stand up the chosen backend over the dirty customer workload (`rows`
@@ -88,7 +87,7 @@ fn backend_seeded(
     match kind {
         "single" => {
             let mut config = ServerConfig::from_env();
-            config.spill_store = budget.map(|b| spill_store(spill_dir, b));
+            config.spill_store = budget.map(|_| spill_store(spill_dir));
             Box::new(
                 QualityServer::new(w.db, "customer")
                     .unwrap()
@@ -104,7 +103,7 @@ fn backend_seeded(
             )
             .unwrap();
             if let Some(b) = budget {
-                c = c.with_spill(spill_store(spill_dir, b), b);
+                c = c.with_spill(spill_store(spill_dir), b);
             }
             Box::new(c)
         }

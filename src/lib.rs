@@ -20,8 +20,8 @@
 //! * [`datagen`] — seeded workload generators.
 //! * [`durable`] — the durability tier: CRC-framed mutation write-ahead
 //!   log with startup replay and checkpointing (`Durable`), plus the
-//!   paged cold-chunk spill store (`PagedStore`) behind a clock-eviction
-//!   buffer pool.
+//!   paged cold-chunk spill store (`PagedStore`), whose every fault-in
+//!   checks its page's CRC-32.
 //! * [`net`] — the TCP service tier: a single-writer / lock-free
 //!   multi-reader `ConcurrentEngine` over any backend, a newline-framed
 //!   `NetServer` transport, and a blocking `Client`.

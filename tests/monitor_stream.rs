@@ -97,6 +97,13 @@ fn repair_on_arrival_keeps_inserts_clean() {
         }
         let out = m.apply(Update::Insert(row)).unwrap();
         assert_eq!(out.violations, 0, "arrival {step} left violations");
+        let batch =
+            detect_native(m.database().table("customer").unwrap(), &canonical_cfds()).unwrap();
+        assert_eq!(
+            m.report().normalized(),
+            batch.normalized(),
+            "arrival {step}: the monitor's report equals a batch detect"
+        );
     }
     let batch = detect_native(m.database().table("customer").unwrap(), &canonical_cfds()).unwrap();
     assert!(batch.is_empty());
