@@ -12,6 +12,8 @@ use cfd::{CfdError, CfdResult};
 use detect::ViolationReport;
 use minidb::{RowId, Value};
 
+use crate::wire::ReportSummary;
+
 /// One mutation against the audited relation — the vocabulary shared by
 /// every backend's ingest path (the monitor's update stream, the sharded
 /// router, the wire protocol's batches).
@@ -186,6 +188,13 @@ pub trait QualityBackend {
     /// invalidate it; streaming backends always have one).
     fn last_report(&self) -> Option<ViolationReport>;
 
+    /// The wire summary of [`QualityBackend::last_report`]. The default
+    /// summarizes a copy; a backend that holds its report overrides it to
+    /// summarize the report where it lies.
+    fn last_summary(&self) -> Option<ReportSummary> {
+        self.last_report().map(|r| ReportSummary::of(&r))
+    }
+
     /// Number of live rows in the audited relation.
     fn len(&self) -> usize;
 
@@ -321,6 +330,9 @@ impl<T: QualityBackend + ?Sized> QualityBackend for Box<T> {
     }
     fn last_report(&self) -> Option<ViolationReport> {
         (**self).last_report()
+    }
+    fn last_summary(&self) -> Option<ReportSummary> {
+        (**self).last_summary()
     }
     fn len(&self) -> usize {
         (**self).len()

@@ -37,4 +37,4 @@ pub use backend::{
     RepairSummary,
 };
 pub use obs::{HistogramSnapshot, MetricsReport};
-pub use wire::{dispatch, dispatch_line, Request, Response, MAX_FRAME_BYTES};
+pub use wire::{dispatch, dispatch_line, Request, Response, MAX_FRAME_BYTES, REQUEST_KINDS};

@@ -15,6 +15,8 @@
 //! encoded, which is what lets the round-trip tests assert equality on
 //! every variant.
 
+use std::sync::{Arc, OnceLock};
+
 use cfd::{CfdError, CfdResult};
 use detect::ViolationReport;
 use minidb::{RowId, Value};
@@ -74,26 +76,49 @@ pub enum Request {
     Trace,
 }
 
+/// Every request's wire op name, by [`Request::kind_index`].
+pub const REQUEST_KINDS: [&str; 13] = [
+    "register_cfds",
+    "insert",
+    "delete",
+    "update_cell",
+    "apply_batch",
+    "detect",
+    "audit",
+    "repair",
+    "last_report",
+    "len",
+    "capabilities",
+    "metrics",
+    "trace",
+];
+
 impl Request {
+    /// The request's position in [`REQUEST_KINDS`]: a per-kind table
+    /// (of metric handles, say) is indexed by it.
+    pub fn kind_index(&self) -> usize {
+        match self {
+            Request::RegisterCfds { .. } => 0,
+            Request::Insert { .. } => 1,
+            Request::Delete { .. } => 2,
+            Request::UpdateCell { .. } => 3,
+            Request::ApplyBatch { .. } => 4,
+            Request::Detect => 5,
+            Request::Audit => 6,
+            Request::Repair => 7,
+            Request::LastReport => 8,
+            Request::Len => 9,
+            Request::Capabilities => 10,
+            Request::Metrics => 11,
+            Request::Trace => 12,
+        }
+    }
+
     /// The request's wire op name — also the `kind` label the dispatcher
     /// (and the network tier's per-connection counters) record per-request
     /// counters and latency histograms under.
     pub fn kind_str(&self) -> &'static str {
-        match self {
-            Request::RegisterCfds { .. } => "register_cfds",
-            Request::Insert { .. } => "insert",
-            Request::Delete { .. } => "delete",
-            Request::UpdateCell { .. } => "update_cell",
-            Request::ApplyBatch { .. } => "apply_batch",
-            Request::Detect => "detect",
-            Request::Audit => "audit",
-            Request::Repair => "repair",
-            Request::LastReport => "last_report",
-            Request::Len => "len",
-            Request::Capabilities => "capabilities",
-            Request::Metrics => "metrics",
-            Request::Trace => "trace",
-        }
+        REQUEST_KINDS[self.kind_index()]
     }
 
     /// True when serving the request cannot change the relation, the rule
@@ -260,6 +285,22 @@ pub enum Response {
 
 // --------------------------------------------------------------- dispatch
 
+/// `api_requests_total{kind=...}` and `api_request_ns{kind=...}` of
+/// `request`'s kind, registered by the first dispatch of that kind: after
+/// it, a dispatch takes no registry lock and formats no name.
+fn request_obs(request: &Request) -> &'static (Arc<obs::Counter>, Arc<obs::Histogram>) {
+    type Slot = OnceLock<(Arc<obs::Counter>, Arc<obs::Histogram>)>;
+    static SLOTS: [Slot; REQUEST_KINDS.len()] = [const { OnceLock::new() }; REQUEST_KINDS.len()];
+    let i = request.kind_index();
+    SLOTS[i].get_or_init(|| {
+        let kind = REQUEST_KINDS[i];
+        (
+            obs::counter(&format!("api_requests_total{{kind=\"{kind}\"}}")),
+            obs::histogram(&format!("api_request_ns{{kind=\"{kind}\"}}")),
+        )
+    })
+}
+
 /// Serve one request against a backend. Never panics and never returns
 /// `Err` — failures become [`Response::Error`], which is what a request
 /// loop wants to send back rather than tear down the connection.
@@ -267,16 +308,17 @@ pub enum Response {
 /// Every dispatch bumps `api_requests_total{kind=...}` and records its
 /// wall time into `api_request_ns{kind=...}` in the `obs` global
 /// registry, so a `Request::Metrics` over the same connection reads back
-/// the service's own traffic profile.
+/// the service's own traffic profile. Each kind's handles are resolved
+/// once per process, by its first dispatch.
 pub fn dispatch(backend: &mut dyn QualityBackend, request: Request) -> Response {
     fn err(e: CfdError) -> Response {
         Response::Error {
             message: e.to_string(),
         }
     }
-    let kind = request.kind_str();
-    obs::counter(&format!("api_requests_total{{kind=\"{kind}\"}}")).inc();
-    let _span = obs::span(&format!("api_request_ns{{kind=\"{kind}\"}}"));
+    let (requests, ns) = request_obs(&request);
+    requests.inc();
+    let _span = obs::SpanTimer::new(Arc::clone(ns));
     // Root span of the request's trace (inert unless tracing is on). The
     // trace completes — and lands in the flight recorder — when this
     // guard drops, after the response is built; a `Request::Trace`
@@ -318,8 +360,8 @@ pub fn dispatch(backend: &mut dyn QualityBackend, request: Request) -> Response 
             Ok(summary) => Response::Repaired(summary),
             Err(e) => err(e),
         },
-        Request::LastReport => match backend.last_report() {
-            Some(report) => Response::Report(ReportSummary::of(&report)),
+        Request::LastReport => match backend.last_summary() {
+            Some(summary) => Response::Report(summary),
             None => Response::NoReport,
         },
         Request::Len => Response::Len {
@@ -1488,6 +1530,13 @@ mod tests {
             Request::Metrics,
             Request::Trace,
         ]
+    }
+
+    #[test]
+    fn every_variant_has_its_own_kind_slot() {
+        let mut slots: Vec<usize> = every_request().iter().map(Request::kind_index).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..REQUEST_KINDS.len()).collect::<Vec<_>>());
     }
 
     #[test]

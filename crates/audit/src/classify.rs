@@ -37,6 +37,12 @@ impl CleanClass {
             CleanClass::Dirty => "dirty",
         }
     }
+
+    /// Position in a report's `[verified, probably, arguably, dirty]`
+    /// class counts.
+    pub fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// Classification output: tuple classes and per-cell classes.
@@ -159,7 +165,10 @@ pub(crate) fn constrained_columns(bound: &[BoundCfd]) -> Vec<usize> {
     constrained
 }
 
-pub(crate) fn grade(
+/// The class of a tuple or cell from its involvement — in a single-tuple
+/// violation, on the minority side of a multi-tuple one, on the majority
+/// side of one — and whether a constant-RHS CFD verified it.
+pub fn grade(
     (in_single, in_multi_minority, in_multi_majority): (bool, bool, bool),
     verified: bool,
 ) -> CleanClass {

@@ -16,10 +16,16 @@
 //! tested against, and the benchmark harness's probe. Every server audits
 //! in code space instead: [`ReportBuilder::mark_report`] reads each
 //! group's majority off the value counts its violation carries, and the
-//! grading scans snapshot codes — `colstore::audit_cached` for the
-//! columnar server and the data monitor, the shards' snapshots for the
-//! sharded cluster (`cluster::ShardedQualityServer::audit`). The taxonomy
-//! itself exists once.
+//! grading scans snapshot codes — the shards' snapshots for the sharded
+//! cluster (`cluster::ShardedQualityServer::audit`), and the cached
+//! snapshot for a columnar server's or the data monitor's audit that has
+//! no counters to read. `colstore::audit_cached` keeps those counters
+//! beside its detect state (involvement and verification counts per row
+//! and constrained column, class counts, a `vio(t)` histogram) and reads
+//! the report off them with [`QualityReport::from_counts`] and a
+//! [`StatsFold`](crate::StatsFold); a [`ReportBuilder`] pass stays the
+//! fallback and the oracle the counters are checked against. The
+//! taxonomy itself ([`grade`]) exists once.
 
 use std::collections::HashMap;
 use std::iter::once;
@@ -60,15 +66,6 @@ pub struct QualityReport {
     pub stats: ViolationStats,
 }
 
-fn class_slot(c: CleanClass) -> usize {
-    match c {
-        CleanClass::VerifiedClean => 0,
-        CleanClass::ProbablyClean => 1,
-        CleanClass::ArguablyClean => 2,
-        CleanClass::Dirty => 3,
-    }
-}
-
 /// `audit_report_ns`: wall time of one audit, from
 /// [`ReportBuilder::new`] to [`ReportBuilder::finish`].
 fn report_ns() -> &'static Arc<obs::Histogram> {
@@ -76,20 +73,27 @@ fn report_ns() -> &'static Arc<obs::Histogram> {
     H.get_or_init(|| obs::histogram("audit_report_ns"))
 }
 
+/// Start the `audit_report_ns` timer of an audit assembled without a
+/// [`ReportBuilder`] (from counts kept elsewhere, through
+/// [`QualityReport::from_counts`]); dropping it records the one sample.
+pub fn report_timer() -> obs::SpanTimer {
+    obs::SpanTimer::new(Arc::clone(report_ns()))
+}
+
 // Involvement flags, per row and per (row, constrained column).
 const SINGLE: u8 = 1;
 const MINORITY: u8 = 2;
 const MAJORITY: u8 = 4;
 
-fn graded(flags: u8, verified: bool) -> usize {
-    class_slot(grade(
+fn graded(flags: u8, verified: bool) -> CleanClass {
+    grade(
         (
             flags & SINGLE != 0,
             flags & MINORITY != 0,
             flags & MAJORITY != 0,
         ),
         verified,
-    ))
+    )
 }
 
 /// One quality report under construction: the involvement flags of pass
@@ -222,28 +226,33 @@ impl ReportBuilder {
         debug_assert_eq!(verified.len(), width);
         let i = row.index();
         self.live += 1;
-        self.tuple_classes[graded(self.row_flags[i], verified.contains(&true))] += 1;
+        self.tuple_classes[graded(self.row_flags[i], verified.contains(&true)).index()] += 1;
         let cells = &self.cell_flags[i * width..(i + 1) * width];
         for ((counts, &flags), &v) in self.cell_classes.iter_mut().zip(cells).zip(verified) {
-            counts[graded(flags, v)] += 1;
+            counts[graded(flags, v).index()] += 1;
         }
+    }
+
+    /// The classes [`ReportBuilder::grade_row`] would count for `row`
+    /// under `verified`: the tuple's, then one per cell slot. For checking
+    /// class counts kept outside a builder against a fresh pass 1.
+    pub fn classes_of(&self, row: RowId, verified: &[bool]) -> (CleanClass, Vec<CleanClass>) {
+        let width = self.width();
+        let i = row.index();
+        let cells = &self.cell_flags[i * width..(i + 1) * width];
+        (
+            graded(self.row_flags[i], verified.contains(&true)),
+            cells
+                .iter()
+                .zip(verified)
+                .map(|(&flags, &v)| graded(flags, v))
+                .collect(),
+        )
     }
 
     /// Assemble the report from the graded rows, taking the per-CFD
     /// counts and statistics from the detection `report`.
     pub fn finish(self, report: &ViolationReport) -> QualityReport {
-        let n = self.live.max(1) as f64;
-        let attributes = self
-            .constrained
-            .iter()
-            .zip(self.names)
-            .zip(&self.cell_classes)
-            .map(|((&col, name), counts)| AttributeBreakdown {
-                col,
-                name,
-                fractions: counts.map(|k| k as f64 / n),
-            })
-            .collect();
         let per_cfd = self
             .bound
             .iter()
@@ -255,13 +264,16 @@ impl ReportBuilder {
                 )
             })
             .collect();
-        QualityReport {
-            tuples: self.live,
-            tuple_classes: self.tuple_classes,
-            attributes,
+        QualityReport::from_counts(
+            (self.live, self.tuple_classes),
+            self.constrained
+                .iter()
+                .zip(self.names)
+                .zip(self.cell_classes)
+                .map(|((&col, name), counts)| (col, name, counts)),
             per_cfd,
-            stats: violation_stats(report),
-        }
+            violation_stats(report),
+        )
     }
 }
 
@@ -329,6 +341,33 @@ fn grade_table(table: &Table, audit: &mut ReportBuilder) {
 }
 
 impl QualityReport {
+    /// Assemble a report from class counts: the live tuple count and its
+    /// tuple class counts, each constrained column's `(column, name, cell
+    /// class counts)`, the per-CFD violation counts and the statistics.
+    /// Fractions are of the live tuples (all 0 over an empty relation).
+    pub fn from_counts(
+        (tuples, tuple_classes): (usize, [usize; 4]),
+        attributes: impl IntoIterator<Item = (usize, String, [usize; 4])>,
+        per_cfd: Vec<(String, usize)>,
+        stats: ViolationStats,
+    ) -> QualityReport {
+        let n = tuples.max(1) as f64;
+        QualityReport {
+            tuples,
+            tuple_classes,
+            attributes: attributes
+                .into_iter()
+                .map(|(col, name, counts)| AttributeBreakdown {
+                    col,
+                    name,
+                    fractions: counts.map(|k| k as f64 / n),
+                })
+                .collect(),
+            per_cfd,
+            stats,
+        }
+    }
+
     /// Fraction of tuples that are dirty.
     pub fn dirty_fraction(&self) -> f64 {
         if self.tuples == 0 {

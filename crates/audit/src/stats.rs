@@ -31,60 +31,102 @@ pub struct ViolationStats {
     pub avg_group: f64,
 }
 
-/// Compute statistics from a report.
-pub fn violation_stats(report: &ViolationReport) -> ViolationStats {
-    let mut single = 0usize;
-    let mut multi = 0usize;
-    let mut group_sizes: Vec<usize> = Vec::new();
-    for v in &report.violations {
-        match &v.kind {
-            ViolationKind::SingleTuple { .. } => single += 1,
-            ViolationKind::MultiTuple { rows, .. } => {
-                multi += 1;
-                group_sizes.push(rows.len());
-            }
-        }
+/// [`ViolationStats`] folded in one pass, from counts alone: every
+/// single-tuple violation, every violating group's size and every dirty
+/// tuple's `vio(t)`, fed in any order and any grouping. [`violation_stats`]
+/// feeds it a report; a cache that keeps a `vio(t)` histogram and a
+/// group-size histogram beside its detection state feeds it those.
+#[derive(Debug, Clone, Default)]
+pub struct StatsFold {
+    single: usize,
+    multi: usize,
+    group_sum: usize,
+    min_group: usize,
+    max_group: usize,
+    dirty: usize,
+    vio_sum: u64,
+    min_vio: u64,
+    max_vio: u64,
+    vio_histogram: [usize; 5],
+}
+
+impl StatsFold {
+    /// Count `n` single-tuple violations.
+    pub fn singles(&mut self, n: usize) {
+        self.single += n;
     }
-    let vios: Vec<u64> = report.vio.values().collect();
-    let dirty_tuples = vios.len();
-    let max_vio = vios.iter().copied().max().unwrap_or(0);
-    let min_vio = vios.iter().copied().min().unwrap_or(0);
-    let avg_vio = if vios.is_empty() {
-        0.0
-    } else {
-        vios.iter().sum::<u64>() as f64 / vios.len() as f64
-    };
-    let mut vio_histogram = [0usize; 5];
-    for v in &vios {
-        let bucket = match v {
+
+    /// Count `n` violating groups of `size` members each.
+    pub fn groups(&mut self, size: usize, n: usize) {
+        if n == 0 {
+            return;
+        }
+        self.min_group = if self.multi == 0 {
+            size
+        } else {
+            self.min_group.min(size)
+        };
+        self.max_group = self.max_group.max(size);
+        self.multi += n;
+        self.group_sum += size * n;
+    }
+
+    /// Count `n` tuples whose `vio(t)` is `vio` (> 0).
+    pub fn tuples(&mut self, vio: u64, n: usize) {
+        if n == 0 || vio == 0 {
+            return;
+        }
+        self.min_vio = if self.dirty == 0 {
+            vio
+        } else {
+            self.min_vio.min(vio)
+        };
+        self.max_vio = self.max_vio.max(vio);
+        self.dirty += n;
+        self.vio_sum += vio * n as u64;
+        let bucket = match vio {
             1 => 0,
             2 => 1,
             3..=4 => 2,
             5..=8 => 3,
             _ => 4,
         };
-        vio_histogram[bucket] += 1;
+        self.vio_histogram[bucket] += n;
     }
-    let min_group = group_sizes.iter().copied().min().unwrap_or(0);
-    let max_group = group_sizes.iter().copied().max().unwrap_or(0);
-    let avg_group = if group_sizes.is_empty() {
-        0.0
-    } else {
-        group_sizes.iter().sum::<usize>() as f64 / group_sizes.len() as f64
-    };
-    ViolationStats {
-        total: report.len(),
-        single,
-        multi,
-        dirty_tuples,
-        max_vio,
-        min_vio,
-        avg_vio,
-        vio_histogram,
-        min_group,
-        max_group,
-        avg_group,
+
+    /// The statistics of everything counted.
+    pub fn finish(self) -> ViolationStats {
+        let mean = |sum: f64, n: usize| if n == 0 { 0.0 } else { sum / n as f64 };
+        ViolationStats {
+            total: self.single + self.multi,
+            single: self.single,
+            multi: self.multi,
+            dirty_tuples: self.dirty,
+            max_vio: self.max_vio,
+            min_vio: self.min_vio,
+            avg_vio: mean(self.vio_sum as f64, self.dirty),
+            vio_histogram: self.vio_histogram,
+            min_group: self.min_group,
+            max_group: self.max_group,
+            avg_group: mean(self.group_sum as f64, self.multi),
+        }
     }
+}
+
+/// Compute statistics from a report, in one pass over its violations and
+/// one over its `vio(t)` tally.
+pub fn violation_stats(report: &ViolationReport) -> ViolationStats {
+    let mut fold = StatsFold::default();
+    for v in &report.violations {
+        match &v.kind {
+            ViolationKind::SingleTuple { .. } => fold.singles(1),
+            ViolationKind::MultiTuple { rows, .. } => fold.groups(rows.len(), 1),
+        }
+    }
+    for vio in report.vio.values() {
+        fold.tuples(vio, 1);
+    }
+    fold.finish()
 }
 
 #[cfg(test)]

@@ -45,6 +45,7 @@
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use api::wire::ReportSummary;
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
 use audit::{QualityReport, ReportBuilder};
 use cfd::parse::parse_cfds;
@@ -784,6 +785,10 @@ impl QualityBackend for ShardedQualityServer {
 
     fn last_report(&self) -> Option<ViolationReport> {
         self.last_report.clone()
+    }
+
+    fn last_summary(&self) -> Option<ReportSummary> {
+        self.last_report.as_ref().map(ReportSummary::of)
     }
 
     fn len(&self) -> usize {

@@ -172,6 +172,16 @@ impl Resolved {
         rc != NULL_CODE && Some(rc) != self.rhs_code && self.matches_at(snap, pos)
     }
 
+    /// Does this constant-RHS CFD verify the row at snapshot position
+    /// `pos` ([`verify_constant`]'s predicate for one row)?
+    pub(crate) fn verifies_at(&self, snap: &Snapshot, pos: usize) -> bool {
+        self.rhs_code.is_some_and(|target| {
+            target != NULL_CODE
+                && snap.column(self.rhs_col).code_at(pos) == target
+                && self.matches_at(snap, pos)
+        })
+    }
+
     /// The wildcard codes of a scan key, in pattern order.
     fn key_codes(&self, snap: &Snapshot, key: &Key) -> Vec<u32> {
         match key {

@@ -34,16 +34,20 @@
 //!   groups the write touched. The steady-state engine under
 //!   `QualityServer::detect`, `DataMonitor` and `batch_repair`.
 //! * [`audit_cached`] — the code-space auditor of the server and the data
-//!   monitor: the Fig. 4 quality report assembled from the detection
-//!   report's per-member value counts and the snapshot codes, equal to
-//!   `audit::quality_report` field for field. Its second pass,
-//!   [`grade_snapshot`], also grades the sharded cluster's shards.
+//!   monitor: the Fig. 4 quality report, equal to `audit::quality_report`
+//!   field for field. After a [`detect_cached`] it is read off counters
+//!   the cache keeps beside the detect state and moves with every write,
+//!   so an audit costs O(rows touched since the last one); the first
+//!   audit seeds them. Any other report is graded afresh from its
+//!   per-member value counts and the snapshot codes; that pass's second
+//!   half, [`grade_snapshot`], also grades the sharded cluster's shards.
 
 #![warn(missing_docs)]
 
 pub mod column;
 pub mod detect;
 pub mod dictionary;
+mod grades;
 pub mod lifecycle;
 pub mod morsel;
 pub mod snapshot;

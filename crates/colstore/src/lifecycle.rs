@@ -59,13 +59,29 @@
 //! patches it; a rebuild after an epoch gap or a failed replay starts
 //! over.
 //!
-//! The auditor needs no state of its own. [`audit_cached`] builds the
-//! Fig. 4 quality report from the detection report — each violating
+//! Once an audit has run, the auditor keeps state of its own beside the
+//! detect state: per (row, constrained column), how many CFDs the row
+//! violates on its own, sits on the minority or the majority side of, and
+//! is verified by, plus the class counts, a `vio(t)` histogram and a
+//! group-size histogram (`crate::grades`). They move at the same places
+//! as the tally: a re-materialized group diffs its old and new members,
+//! a rescanned variable CFD moves its fragment out and in, and a patched
+//! row re-evaluates the constant CFDs over the touched column. So an
+//! audit after a write grades only the rows the write touched. The
+//! counters answer only when a [`detect_cached`] under the same rule set
+//! left every fragment current at the table's epoch; a re-encode, a
+//! changed rule set or a constant CFD's rescan drops them, and the next
+//! such audit seeds them again from a full pass. A server that never
+//! audits never seeds them and pays nothing.
+//!
+//! Without them — a SQL detector's report, say — [`audit_cached`] builds
+//! the Fig. 4 quality report from the detection report (each violating
 //! group carries its members' RHS value counts, so the majority side is
-//! read off them — plus [`grade_snapshot`], one code scan per constant
-//! CFD over the cached snapshot for the rows it verifies. It reads no
-//! `Value` row and hashes no `Value`. The sharded cluster grades its
-//! shards' snapshots with the same [`grade_snapshot`].
+//! read off them) plus [`grade_snapshot`], one code scan per constant CFD
+//! over the cached snapshot for the rows it verifies. That pass is also
+//! the oracle [`SnapshotCache::verify_state`] checks the counters
+//! against. Neither path reads or hashes a `Value` row. The sharded
+//! cluster grades its shards' snapshots with the same [`grade_snapshot`].
 
 use std::sync::{Arc, OnceLock};
 
@@ -79,6 +95,7 @@ use crate::detect::{
     detect_constant, group_by_codes, needed_columns, note_violating_group, resolve,
     verify_constant, DecodedGroup, LaneKey, Resolved,
 };
+use crate::grades::{Grades, SINGLE, VERIFIED};
 use crate::snapshot::Snapshot;
 use crate::spill::ChunkStore;
 
@@ -99,6 +116,7 @@ struct CacheObs {
     fragments_computed: Arc<obs::Counter>,
     fragments_reused: Arc<obs::Counter>,
     groups_rematerialized: Arc<obs::Counter>,
+    audit_seeds: Arc<obs::Counter>,
     spill_chunks: Arc<obs::Counter>,
 }
 
@@ -113,6 +131,7 @@ fn cache_obs() -> &'static CacheObs {
         fragments_computed: obs::counter("colstore_detect_fragments_computed_total"),
         fragments_reused: obs::counter("colstore_detect_fragments_reused_total"),
         groups_rematerialized: obs::counter("colstore_groups_rematerialized_total"),
+        audit_seeds: obs::counter("audit_seeds_total"),
         spill_chunks: obs::counter("colstore_spill_chunks_total"),
     })
 }
@@ -269,6 +288,7 @@ pub struct SnapshotCache {
     fragments_computed: u64,
     fragments_reused: u64,
     groups_rematerialized: u64,
+    audit_seeds: u64,
     /// Cold-chunk spill target and resident-byte budget: when set, every
     /// snapshot this cache serves is evicted down to the budget first
     /// (oldest chunks out, [`Snapshot::spill_to_budget`]).
@@ -296,6 +316,7 @@ impl SnapshotCache {
             fragments_computed: 0,
             fragments_reused: 0,
             groups_rematerialized: 0,
+            audit_seeds: 0,
             spill: None,
             spilled_chunks: 0,
         }
@@ -385,6 +406,9 @@ impl SnapshotCache {
         if !same_lineage {
             self.state = DetectState::default();
         }
+        // The audit's counters track the live rows of the snapshot they
+        // were seeded on, through its patches; a re-encode drops them.
+        self.state.tally.grades = None;
         // Re-encode with the union of the requested and previously encoded
         // columns, so the cached projection grows monotonically.
         let chunk_rows = self
@@ -496,26 +520,41 @@ impl SnapshotCache {
         self.groups_rematerialized
     }
 
+    /// Number of times [`audit_cached`] seeded the audit's counters from
+    /// a full grading pass: once after a detect on a fresh lineage, a
+    /// rebuild, a constant CFD's rescan or a changed rule set. An audit
+    /// after a write the counters followed seeds nothing.
+    pub fn audit_seeds(&self) -> u64 {
+        self.audit_seeds
+    }
+
     /// Check the detect state against a fresh scan of the cached snapshot,
     /// for tests: every group state still tied to this snapshot must hold
     /// exactly the groups (keys, RHS code counts, members) a grouping scan
     /// finds, or the violating rows a constant scan finds, with no patched
     /// group left un-materialized and each violating group's fragment
-    /// entry equal to a fresh materialization; and the standing tally must
-    /// equal the sum over every fragment. Call it after a
+    /// entry equal to a fresh materialization; the standing tally must
+    /// equal the sum over every fragment; and the audit's counters, once
+    /// seeded, must grade every live row as a fresh
+    /// [`ReportBuilder::mark_report`] + [`grade_snapshot`] pass does, with
+    /// class counts and histograms to match. Call it after a
     /// [`detect_cached`]. Returns how many group states were checked, or
     /// the first difference. Rescans every CFD.
     pub fn verify_state(&self) -> Result<usize, String> {
         let mut want = Tally::default();
-        for s in &self.state.cfds {
-            want.fragment(s, true);
+        for (idx, s) in self.state.cfds.iter().enumerate() {
+            want.fragment(idx, s, true);
         }
-        if want.0 != self.state.tally.0 {
+        if want.vio != self.state.tally.vio {
             return Err("the standing tally differs from its fragments' sum".into());
         }
         let Some(c) = &self.cached else {
             return Ok(0);
         };
+        if let Some(grades) = &self.state.tally.grades {
+            self.verify_grades(grades, &c.snap)
+                .map_err(|e| format!("audit counters: {e}"))?;
+        }
         let snap = &c.snap;
         let mut checked = 0;
         for (idx, s) in self.state.cfds.iter().enumerate() {
@@ -593,6 +632,28 @@ impl SnapshotCache {
             checked += 1;
         }
         Ok(checked)
+    }
+
+    /// Check `grades` against a fresh pass 1 over the detect state's
+    /// report and a fresh pass 2 over `snap`.
+    fn verify_grades(&self, grades: &Grades, snap: &Snapshot) -> Result<(), String> {
+        let cfds: Vec<Cfd> = self.state.cfds.iter().map(|s| s.cfd.clone()).collect();
+        let arena = snap.row_ids().iter().map(|id| id.index() + 1).max();
+        let mut oracle = ReportBuilder::new(snap.schema(), arena.unwrap_or(0), &cfds)
+            .map_err(|e| e.to_string())?;
+        oracle.mark_report(&self.state.report());
+        let verified = verified_cells(snap, &oracle);
+        let (width, n) = (oracle.width(), snap.n_rows());
+        let graded = snap.row_ids().iter().enumerate().map(|(pos, &id)| {
+            let cells: Vec<bool> = (0..width).map(|s| verified[s * n + pos]).collect();
+            (id, oracle.classes_of(id, &cells))
+        });
+        let sizes = self
+            .state
+            .cfds
+            .iter()
+            .flat_map(|s| s.groups.iter().map(|(_, rows, _)| rows.len()));
+        grades.check(graded, &self.state.tally.vio, sizes)
     }
 
     /// Is a result computed at `epoch` over columns `cols` (schema
@@ -947,21 +1008,28 @@ impl CfdState {
         }
     }
 
-    /// Rescan the CFD over `snap` under resolution `r`. A constant CFD's
-    /// state is its fragment, so it is always kept. A variable CFD keeps
-    /// its groups only on a recompute: a first computation materializes
-    /// the violating groups of its grouping scan and keeps none, for the
-    /// state pays off only once a write has made the fragment stale.
+    /// Rescan the CFD, number `idx` of the rule set, over `snap` under
+    /// resolution `r`. A constant CFD's state is its fragment, so it is
+    /// always kept. A variable CFD keeps its groups only on a recompute: a
+    /// first computation materializes the violating groups of its grouping
+    /// scan and keeps none, for the state pays off only once a write has
+    /// made the fragment stale. The audit's counters follow a variable
+    /// CFD's fragment out and in; a constant CFD's rescan drops them, for
+    /// the rows it verified under its old state are not known.
     fn recompute(
         &mut self,
+        idx: usize,
         snap: &Snapshot,
         b: &BoundCfd,
         r: Option<Resolved>,
         gen: u64,
         tally: &mut Tally,
     ) {
-        tally.fragment(self, false);
         let constant = b.cfd.rhs_pat.constant().is_some();
+        if constant {
+            tally.grades = None;
+        }
+        tally.fragment(idx, self, false);
         let seed = constant || self.epoch.is_some();
         self.singles.clear();
         self.groups.clear();
@@ -981,7 +1049,7 @@ impl CfdState {
             res: r,
             groups,
         });
-        tally.fragment(self, true);
+        tally.fragment(idx, self, true);
     }
 
     /// Fill the fragment with the violating groups of a fresh grouping
@@ -1023,8 +1091,9 @@ impl CfdState {
     }
 
     /// Re-materialize the groups patched since the last detect, moving
-    /// `tally` with them; returns how many there were.
-    fn flush(&mut self, snap: &Snapshot, tally: &mut Tally) -> u64 {
+    /// `tally` with them (the CFD is number `idx` of the rule set);
+    /// returns how many there were.
+    fn flush(&mut self, idx: usize, snap: &Snapshot, tally: &mut Tally) -> u64 {
         let Some(CodeState {
             res: Some(r),
             groups: Some(vg),
@@ -1037,12 +1106,10 @@ impl CfdState {
         for &slot in &dirty {
             let g = &mut vg.groups[slot as usize];
             g.dirty = false;
-            if g.at != NO_SLOT {
-                tally.group(&self.groups[g.at as usize], false);
-            }
-            if g.violates() {
-                let m = g.materialize(snap, r);
-                tally.group(&m, true);
+            let m = g.violates().then(|| g.materialize(snap, r));
+            let old = (g.at != NO_SLOT).then(|| &self.groups[g.at as usize]);
+            tally.regroup(idx, old, m.as_ref());
+            if let Some(m) = m {
                 if g.at == NO_SLOT {
                     g.at = self.groups.len() as u32;
                     self.groups.push(m);
@@ -1095,34 +1162,74 @@ fn sort_groups(groups: &mut Vec<DecodedGroup>, vg: Option<&mut VarGroups>) {
     }
 }
 
-/// The standing `vio(t)` tally of every fragment [`detect_cached`] keeps.
+/// The standing `vio(t)` tally of every fragment [`detect_cached`] keeps,
+/// and the audit's counters once an audit has seeded them: both move
+/// wherever a fragment does.
 #[derive(Default)]
-struct Tally(VioTally);
+struct Tally {
+    vio: VioTally,
+    grades: Option<Box<Grades>>,
+}
 
 impl Tally {
     fn shift(&mut self, row: RowId, delta: u64, add: bool) {
-        if add {
-            self.0.add(row, delta);
+        if delta == 0 {
+            return;
+        }
+        let was = self.vio.get(row);
+        let now = if add {
+            self.vio.add(row, delta);
+            was + delta
         } else {
-            self.0.sub(row, delta);
+            self.vio.sub(row, delta);
+            was - delta
+        };
+        if let Some(g) = &mut self.grades {
+            g.vio_moved(was, now);
         }
     }
 
     /// Add (or take away) one violating group's conflict partners.
-    fn group(&mut self, (_, rows, own): &DecodedGroup, add: bool) {
+    fn partners(&mut self, (_, rows, own): &DecodedGroup, add: bool) {
         let total = rows.len() as u64;
         for ((row, _), n) in rows.iter().zip(own.iter()) {
             self.shift(*row, total - n, add);
         }
     }
 
-    /// Add (or take away) a whole fragment.
-    fn fragment(&mut self, s: &CfdState, add: bool) {
+    /// A violating group of CFD `cfd` went from `old` to `new` (`None`:
+    /// no violation).
+    fn regroup(&mut self, cfd: usize, old: Option<&DecodedGroup>, new: Option<&DecodedGroup>) {
+        if let Some(g) = old {
+            self.partners(g, false);
+        }
+        if let Some(g) = new {
+            self.partners(g, true);
+        }
+        if let Some(grades) = &mut self.grades {
+            grades.regroup(cfd, old, new);
+        }
+    }
+
+    /// Row `row` became (or stopped being) a single-tuple violation of
+    /// CFD `cfd`.
+    fn single(&mut self, cfd: usize, row: RowId, add: bool) {
+        self.shift(row, 1, add);
+        if let Some(g) = &mut self.grades {
+            g.touch(cfd, row, SINGLE, add);
+        }
+    }
+
+    /// Add (or take away) the whole fragment `s` of CFD `cfd`.
+    fn fragment(&mut self, cfd: usize, s: &CfdState, add: bool) {
         for &row in &s.singles {
-            self.shift(row, 1, add);
+            self.single(cfd, row, add);
         }
         for g in &s.groups {
-            self.group(g, add);
+            self.partners(g, add);
+            if let Some(grades) = &mut self.grades {
+                grades.group(cfd, g, add);
+            }
         }
     }
 }
@@ -1140,19 +1247,42 @@ fn cfd_key(c: &Cfd) -> CfdKey<'_> {
 struct DetectState {
     cfds: Vec<CfdState>,
     tally: Tally,
+    /// Table epoch at which [`detect_cached`] last brought every fragment
+    /// up to date: the state describes the table while it stays there.
+    detected: Option<u64>,
+}
+
+/// The live code states (seeded from encode `gen` and resolvable) of the
+/// CFDs that read `col` — all of them for `None` — with each CFD's index
+/// and the fragment it patches.
+fn live(
+    cfds: &mut [CfdState],
+    gen: u64,
+    col: Option<usize>,
+) -> impl Iterator<Item = (usize, &Resolved, &mut Option<VarGroups>, &mut Vec<RowId>)> {
+    cfds.iter_mut().enumerate().filter_map(move |(idx, s)| {
+        let code = s.code.as_mut().filter(|c| c.gen == gen)?;
+        let r = code
+            .res
+            .as_ref()
+            .filter(|r| col.is_none_or(|c| r.mentions(c)))?;
+        Some((idx, r, &mut code.groups, &mut s.singles))
+    })
 }
 
 impl DetectState {
     /// Line the states up with `cfds`: afterwards `self.cfds[i]` is the
     /// state of `cfds[i]`. An unchanged rule set costs one comparison per
     /// CFD. Otherwise a CFD not at its old index is looked up by its
-    /// patterns, a new CFD starts empty, and the fragments of CFDs no
-    /// longer checked leave the tally.
+    /// patterns, a new CFD starts empty, the fragments of CFDs no longer
+    /// checked leave the tally, and the audit's counters, which are laid
+    /// out for one rule set, are dropped.
     fn align(&mut self, cfds: &[Cfd]) {
         let same = |s: &CfdState, c: &Cfd| s.cfd == *c;
         if self.cfds.len() == cfds.len() && self.cfds.iter().zip(cfds).all(|(s, c)| same(s, c)) {
             return;
         }
+        self.tally.grades = None;
         let old = std::mem::take(&mut self.cfds);
         let mut pick: Vec<Option<usize>> = cfds
             .iter()
@@ -1183,34 +1313,21 @@ impl DetectState {
                     .unwrap_or_else(|| CfdState::new(c.clone()))
             })
             .collect();
-        for s in old.into_iter().flatten() {
-            self.tally.fragment(&s, false);
+        for (j, s) in old.into_iter().enumerate() {
+            if let Some(s) = s {
+                self.tally.fragment(j, &s, false);
+            }
         }
-    }
-
-    /// The live code states (seeded from encode `gen` and resolvable) of
-    /// the CFDs that read `col` — all of them for `None` — with the
-    /// fragments they patch.
-    fn live(
-        &mut self,
-        gen: u64,
-        col: Option<usize>,
-    ) -> impl Iterator<Item = (&Resolved, &mut Option<VarGroups>, &mut Vec<RowId>)> {
-        self.cfds.iter_mut().filter_map(move |s| {
-            let code = s.code.as_mut().filter(|c| c.gen == gen)?;
-            let r = code
-                .res
-                .as_ref()
-                .filter(|r| col.is_none_or(|c| r.mentions(c)))?;
-            Some((r, &mut code.groups, &mut s.singles))
-        })
     }
 
     /// Take the row `id` at snapshot position `pos` out of every live
     /// state: call before the position goes.
     fn retract(&mut self, snap: &Snapshot, gen: u64, pos: usize, id: RowId) {
-        let mut gone = 0;
-        for (r, groups, singles) in self.live(gen, None) {
+        let DetectState { cfds, tally, .. } = self;
+        if let Some(g) = &mut tally.grades {
+            g.went(id);
+        }
+        for (idx, r, groups, singles) in live(cfds, gen, None) {
             match groups {
                 Some(vg) => {
                     if let Some((key, _)) = r.member_at(snap, pos) {
@@ -1220,19 +1337,26 @@ impl DetectState {
                 None => {
                     if let Ok(i) = singles.binary_search(&id) {
                         singles.remove(i);
-                        gone += 1;
+                        tally.single(idx, id, false);
+                    }
+                    if let Some(g) = &mut tally.grades {
+                        if r.verifies_at(snap, pos) {
+                            g.touch(idx, id, VERIFIED, false);
+                        }
                     }
                 }
             }
         }
-        self.tally.shift(id, gone, false);
     }
 
     /// Put the row `id` at snapshot position `pos` into every live state:
     /// call once the position holds the new row.
     fn admit(&mut self, snap: &Snapshot, gen: u64, pos: usize, id: RowId) {
-        let mut came = 0;
-        for (r, groups, singles) in self.live(gen, None) {
+        let DetectState { cfds, tally, .. } = self;
+        if let Some(g) = &mut tally.grades {
+            g.came(id);
+        }
+        for (idx, r, groups, singles) in live(cfds, gen, None) {
             match groups {
                 Some(vg) => {
                     if let Some((key, code)) = r.member_at(snap, pos) {
@@ -1243,21 +1367,31 @@ impl DetectState {
                     if r.violates_at(snap, pos) {
                         if let Err(i) = singles.binary_search(&id) {
                             singles.insert(i, id);
-                            came += 1;
+                            tally.single(idx, id, true);
+                        }
+                    }
+                    if let Some(g) = &mut tally.grades {
+                        if r.verifies_at(snap, pos) {
+                            g.touch(idx, id, VERIFIED, true);
                         }
                     }
                 }
             }
         }
-        self.tally.shift(id, came, true);
     }
 
-    /// Where the row at snapshot position `pos` sits in each live
-    /// variable-CFD state reading `col` (`None` for constant CFDs), in
-    /// [`DetectState::overwrite`]'s order: read before the cell changes.
-    fn places(&mut self, snap: &Snapshot, gen: u64, pos: usize, col: usize) -> Vec<Place> {
-        self.live(gen, Some(col))
-            .map(|(r, groups, _)| groups.as_ref().and_then(|_| r.member_at(snap, pos)))
+    /// Where the row at snapshot position `pos` stands in each live state
+    /// reading `col`, in [`DetectState::overwrite`]'s order: read before
+    /// the cell changes. A variable CFD's is the row's place in its
+    /// grouping; a constant CFD's is whether it verifies the row, read
+    /// only while the audit's counters are kept.
+    fn places(&mut self, snap: &Snapshot, gen: u64, pos: usize, col: usize) -> Vec<(Place, bool)> {
+        let counted = self.tally.grades.is_some();
+        live(&mut self.cfds, gen, Some(col))
+            .map(|(_, r, groups, _)| match groups {
+                Some(_) => (r.member_at(snap, pos), false),
+                None => (None, counted && r.verifies_at(snap, pos)),
+            })
             .collect()
     }
 
@@ -1271,33 +1405,39 @@ impl DetectState {
         snap: &Snapshot,
         gen: u64,
         (pos, id, col): (usize, RowId, usize),
-        before: Vec<Place>,
+        before: Vec<(Place, bool)>,
     ) {
-        let (mut came, mut gone) = (0, 0);
-        for ((r, groups, singles), old) in self.live(gen, Some(col)).zip(before) {
+        let DetectState { cfds, tally, .. } = self;
+        for ((idx, r, groups, singles), (old, verified)) in live(cfds, gen, Some(col)).zip(before) {
             match groups {
                 Some(vg) => vg.relocate(id, old, r.member_at(snap, pos)),
-                None => match (singles.binary_search(&id), r.violates_at(snap, pos)) {
-                    (Ok(i), false) => {
-                        singles.remove(i);
-                        gone += 1;
+                None => {
+                    match (singles.binary_search(&id), r.violates_at(snap, pos)) {
+                        (Ok(i), false) => {
+                            singles.remove(i);
+                            tally.single(idx, id, false);
+                        }
+                        (Err(i), true) => {
+                            singles.insert(i, id);
+                            tally.single(idx, id, true);
+                        }
+                        _ => {}
                     }
-                    (Err(i), true) => {
-                        singles.insert(i, id);
-                        came += 1;
+                    if let Some(g) = &mut tally.grades {
+                        let now = r.verifies_at(snap, pos);
+                        if now != verified {
+                            g.touch(idx, id, VERIFIED, now);
+                        }
                     }
-                    _ => {}
-                },
+                }
             }
         }
-        self.tally.shift(id, gone, false);
-        self.tally.shift(id, came, true);
     }
 
     /// The report of the current fragments, under the standing tally.
     fn report(&self) -> ViolationReport {
         let mut report = ViolationReport {
-            vio: self.tally.0.clone(),
+            vio: self.tally.vio.clone(),
             ..ViolationReport::default()
         };
         for (cfd_idx, s) in self.cfds.iter().enumerate() {
@@ -1380,22 +1520,24 @@ pub fn detect_cached(
         let DetectState {
             cfds: states,
             tally,
+            ..
         } = &mut cache.state;
         let s = &mut states[idx];
         if s.code.as_ref().is_some_and(|c| c.gen == gen && c.res == r) {
-            let n = s.flush(&snap, tally);
+            let n = s.flush(idx, &snap, tally);
             cache.groups_rematerialized += n;
             cache_obs().groups_rematerialized.add(n);
             sp.attr("memo", "patched");
             sp.attr("groups", n);
         } else {
-            s.recompute(&snap, b, r, gen, tally);
+            s.recompute(idx, &snap, b, r, gen, tally);
             cache.fragments_computed += 1;
             cache_obs().fragments_computed.inc();
             sp.attr("memo", "recompute");
         }
         s.epoch = Some(epoch);
     }
+    cache.state.detected = Some(epoch);
     Ok(cache.state.report())
 }
 
@@ -1404,12 +1546,12 @@ pub fn detect_cached(
 pub(crate) fn detect_once(snap: &Snapshot, bound: &[BoundCfd]) -> ViolationReport {
     let mut state = DetectState {
         cfds: bound.iter().map(|b| CfdState::new(b.cfd.clone())).collect(),
-        tally: Tally::default(),
+        ..DetectState::default()
     };
     for (idx, b) in bound.iter().enumerate() {
         let sp = obs::trace::span("detect.cfd");
         sp.attr("cfd", idx);
-        state.cfds[idx].recompute(snap, b, resolve(snap, b), 0, &mut state.tally);
+        state.cfds[idx].recompute(idx, snap, b, resolve(snap, b), 0, &mut state.tally);
     }
     state.report()
 }
@@ -1420,24 +1562,123 @@ pub(crate) fn detect_once(snap: &Snapshot, bound: &[BoundCfd]) -> ViolationRepor
 /// `report` must describe `table` as it is now — any detector's report
 /// will do.
 ///
-/// No `Value` is read or hashed:
+/// No `Value` is read or hashed. When a [`detect_cached`] under `cfds`
+/// brought the cache's state up to date at the table's epoch (and
+/// `report` has that state's size), the report is read off the audit's
+/// counters that the cache keeps beside its detect state: grading the
+/// rows touched since the last audit is all the work left. The first such
+/// audit seeds the counters, traced as an `audit.seed` span and counted
+/// by [`SnapshotCache::audit_seeds`]. Otherwise — a SQL detector's
+/// report, a state a write has moved past — the report is built afresh:
 ///
 /// * **pass 1** is [`ReportBuilder::mark_report`], which reads each
 ///   violating group's majority off its members' value counts;
 /// * **pass 2** is [`grade_snapshot`] over the cached snapshot, which a
 ///   [`detect_cached`] at the same epoch left fresh (otherwise it is
 ///   patched or encoded here).
+///
+/// That pass is also the oracle the counters are checked against
+/// ([`SnapshotCache::verify_state`]).
 pub fn audit_cached(
     cache: &mut SnapshotCache,
     table: &Table,
     cfds: &[Cfd],
     report: &ViolationReport,
 ) -> CfdResult<QualityReport> {
+    if cache.counts_current(table, cfds, report) {
+        return cache.audit_counted(table, cfds);
+    }
     let mut audit = ReportBuilder::new(table.schema(), table.arena_size(), cfds)?;
     audit.mark_report(report);
     let snap = cache.snapshot_projected(table, &needed_columns(audit.bound()));
     grade_snapshot(&snap, &mut audit);
     Ok(audit.finish(report))
+}
+
+impl SnapshotCache {
+    /// Does the detect state describe `table` as it is now under `cfds`,
+    /// with `report`'s size: may the audit's counters answer?
+    fn counts_current(&self, table: &Table, cfds: &[Cfd], report: &ViolationReport) -> bool {
+        let st = &self.state;
+        let violations: usize = st
+            .cfds
+            .iter()
+            .map(|s| s.singles.len() + s.groups.len())
+            .sum();
+        st.detected == Some(table.epoch())
+            && self
+                .cached
+                .as_ref()
+                .is_some_and(|c| c.epoch == table.epoch() && c.snap.name() == table.name())
+            && st.cfds.len() == cfds.len()
+            && st.cfds.iter().zip(cfds).all(|(s, c)| s.cfd == *c)
+            && report.len() == violations
+            && report.vio.len() == st.tally.vio.len()
+    }
+
+    /// The audit off the counters, seeding them first if none are kept.
+    fn audit_counted(&mut self, table: &Table, cfds: &[Cfd]) -> CfdResult<QualityReport> {
+        let _timer = audit::report::report_timer();
+        if self.state.tally.grades.is_none() {
+            let bound: Vec<BoundCfd> = cfds
+                .iter()
+                .map(|c| c.bind(table.schema()))
+                .collect::<CfdResult<_>>()?;
+            let snap = Arc::clone(&self.cached.as_ref().expect("checked current").snap);
+            let sp = obs::trace::span("audit.seed");
+            self.state.seed_grades(&snap, table, &bound);
+            sp.attr("rows", snap.n_rows());
+            self.audit_seeds += 1;
+            cache_obs().audit_seeds.inc();
+        }
+        let per_cfd: Vec<(usize, usize)> = self
+            .state
+            .cfds
+            .iter()
+            .map(|s| (s.singles.len(), s.groups.len()))
+            .collect();
+        let grades = self.state.tally.grades.as_mut().expect("seeded");
+        Ok(grades.report(&per_cfd))
+    }
+}
+
+impl DetectState {
+    /// Seed the audit's counters from the fragments, one verification
+    /// scan per constant CFD over `snap` and the standing tally: pass 1
+    /// and pass 2 of a fresh audit, counted per (row, slot) instead of
+    /// flagged. Every live row is graded by the first report.
+    fn seed_grades(&mut self, snap: &Snapshot, table: &Table, bound: &[BoundCfd]) {
+        let mut g = Grades::new(table.schema(), bound, table.arena_size());
+        for &id in snap.row_ids() {
+            g.came(id);
+        }
+        for (idx, s) in self.cfds.iter().enumerate() {
+            for &row in &s.singles {
+                g.touch(idx, row, SINGLE, true);
+            }
+            for group in &s.groups {
+                g.group(idx, group, true);
+            }
+        }
+        for vio in self.tally.vio.values() {
+            g.vio_moved(0, vio);
+        }
+        let mut hits = vec![false; snap.n_rows()];
+        for (idx, b) in bound.iter().enumerate() {
+            if b.cfd.rhs_pat.constant().is_none() {
+                continue;
+            }
+            let Some(r) = resolve(snap, b) else {
+                continue;
+            };
+            hits.fill(false);
+            verify_constant(snap, &r, &mut hits);
+            for (pos, _) in hits.iter().enumerate().filter(|(_, &h)| h) {
+                g.touch(idx, snap.row_id(pos), VERIFIED, true);
+            }
+        }
+        self.tally.grades = Some(Box::new(g));
+    }
 }
 
 /// Pass 2 of a code-space audit: grade every row of `snap` under its row
@@ -1451,7 +1692,20 @@ pub fn audit_cached(
 ///
 /// [`ChunkGuard`]: crate::ChunkGuard
 pub fn grade_snapshot(snap: &Snapshot, audit: &mut ReportBuilder) {
-    // One "verified" flag per (cell slot, position), slot-major.
+    let (width, n) = (audit.width(), snap.n_rows());
+    let verified = verified_cells(snap, audit);
+    let mut cells = vec![false; width];
+    for (pos, &id) in snap.row_ids().iter().enumerate() {
+        for (s, v) in cells.iter_mut().enumerate() {
+            *v = verified[s * n + pos];
+        }
+        audit.grade_row(id, &cells);
+    }
+}
+
+/// [`grade_snapshot`]'s mask: one "verified" flag per (cell slot of
+/// `audit`, position of `snap`), slot-major.
+fn verified_cells(snap: &Snapshot, audit: &ReportBuilder) -> Vec<bool> {
     let (width, n) = (audit.width(), snap.n_rows());
     let mut verified = vec![false; width * n];
     let mut hits = vec![false; n];
@@ -1471,13 +1725,7 @@ pub fn grade_snapshot(snap: &Snapshot, audit: &mut ReportBuilder) {
             }
         }
     }
-    let mut cells = vec![false; width];
-    for (pos, &id) in snap.row_ids().iter().enumerate() {
-        for (s, v) in cells.iter_mut().enumerate() {
-            *v = verified[s * n + pos];
-        }
-        audit.grade_row(id, &cells);
-    }
+    verified
 }
 
 /// [`detect_cached`]; ignores `threads`. Kept for the benchmark harness,

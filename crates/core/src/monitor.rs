@@ -17,6 +17,7 @@
 //! the relation and replays the changed cells into the same cache, so a
 //! steady stream never re-encodes the table.
 
+use api::wire::ReportSummary;
 use api::{Capabilities, Mutation, QualityBackend};
 use audit::QualityReport;
 use cfd::parse::parse_cfds;
@@ -229,6 +230,10 @@ impl QualityBackend for DataMonitor {
 
     fn last_report(&self) -> Option<ViolationReport> {
         QualityBackend::last_report(&self.server)
+    }
+
+    fn last_summary(&self) -> Option<ReportSummary> {
+        self.server.last_summary()
     }
 
     fn len(&self) -> usize {

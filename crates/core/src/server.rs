@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use api::wire::ReportSummary;
 use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
 use audit::{quality_map, QualityMap, QualityReport};
 use cfd::{CfdError, CfdResult, Consistency};
@@ -498,6 +499,10 @@ impl QualityBackend for QualityServer {
 
     fn last_report(&self) -> Option<ViolationReport> {
         self.last_report.clone()
+    }
+
+    fn last_summary(&self) -> Option<ReportSummary> {
+        self.last_report.as_ref().map(ReportSummary::of)
     }
 
     fn len(&self) -> usize {

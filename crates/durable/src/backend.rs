@@ -43,6 +43,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
+use api::wire::ReportSummary;
 use api::{Capabilities, MutationBatch, QualityBackend, RepairSummary, Request};
 use cfd::{CfdError, CfdResult};
 use minidb::{RowId, Value};
@@ -525,6 +526,10 @@ impl<B: QualityBackend> QualityBackend for Durable<B> {
 
     fn last_report(&self) -> Option<detect::ViolationReport> {
         self.inner.last_report()
+    }
+
+    fn last_summary(&self) -> Option<ReportSummary> {
+        self.inner.last_summary()
     }
 
     fn len(&self) -> usize {

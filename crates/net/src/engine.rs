@@ -83,8 +83,9 @@ fn capture<B: QualityBackend>(backend: &mut B, epoch: u64, writes_applied: u64) 
         Err(e) => err(e),
     };
     // After the refresh above, the cached report *is* this epoch's
-    // detect answer (when detection succeeded).
-    let last_report = backend.last_report().map(|r| ReportSummary::of(&r));
+    // detect answer (when detection succeeded); it is summarized where
+    // the backend holds it, not cloned out first.
+    let last_report = backend.last_summary();
     EpochState {
         epoch,
         writes_applied,

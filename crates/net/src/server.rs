@@ -24,9 +24,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use api::wire::{Request, Response, MAX_FRAME_BYTES};
+use api::wire::{Request, Response, MAX_FRAME_BYTES, REQUEST_KINDS};
 use api::QualityBackend;
-use obs::{Counter, Gauge};
+use obs::{Counter, Gauge, Histogram};
 
 use crate::engine::{recv_reply, ConcurrentEngine, EngineConfig, EngineHandle};
 
@@ -91,24 +91,8 @@ struct NetObs {
     requests: Vec<(&'static str, Arc<Counter>)>,
 }
 
-/// Wire op names, mirrored from `Request::kind_str` (the wire tests pin
-/// the inventory); `"invalid"` counts undecodable frames.
-const KINDS: [&str; 14] = [
-    "register_cfds",
-    "insert",
-    "delete",
-    "update_cell",
-    "apply_batch",
-    "detect",
-    "audit",
-    "repair",
-    "last_report",
-    "len",
-    "capabilities",
-    "metrics",
-    "trace",
-    "invalid",
-];
+/// `"invalid"` counts undecodable frames beside the wire ops.
+const INVALID: &str = "invalid";
 
 fn net_obs() -> &'static NetObs {
     static OBS: OnceLock<NetObs> = OnceLock::new();
@@ -116,8 +100,9 @@ fn net_obs() -> &'static NetObs {
         connections_total: obs::counter("net_connections_total"),
         connections_open: obs::gauge("net_connections_open"),
         backpressure_total: obs::counter("net_backpressure_total"),
-        requests: KINDS
+        requests: REQUEST_KINDS
             .iter()
+            .chain([&INVALID])
             .map(|k| {
                 (
                     *k,
@@ -126,6 +111,17 @@ fn net_obs() -> &'static NetObs {
             })
             .collect(),
     })
+}
+
+/// `net_request_ns{kind="…"}` of `request`'s kind, registered when a
+/// connection first serves that kind: later requests take no registry
+/// lock and format no name.
+fn request_ns(request: &Request) -> &'static Arc<Histogram> {
+    static SLOTS: [OnceLock<Arc<Histogram>>; REQUEST_KINDS.len()] =
+        [const { OnceLock::new() }; REQUEST_KINDS.len()];
+    let i = request.kind_index();
+    SLOTS[i]
+        .get_or_init(|| obs::histogram(&format!("net_request_ns{{kind=\"{}\"}}", REQUEST_KINDS[i])))
 }
 
 fn count_request(kind: &str) {
@@ -409,7 +405,7 @@ fn serve_connection(mut stream: TcpStream, handle: &EngineHandle, config: &NetCo
             let served = match event {
                 FrameEvent::Frame(line) => serve_frame(&line, handle, &mut pending, &mut stream),
                 FrameEvent::Oversized(seen) => {
-                    count_request("invalid");
+                    count_request(INVALID);
                     net_obs().backpressure_total.inc();
                     flush_pending(&mut pending, &mut stream).and_then(|()| {
                         write_frame(
@@ -471,7 +467,7 @@ fn serve_frame(
     let request = match Request::decode(line) {
         Ok(request) => request,
         Err(e) => {
-            count_request("invalid");
+            count_request(INVALID);
             obs::trace::note("kind", "invalid");
             drop(trace);
             flush_pending(pending, stream)?;
@@ -486,7 +482,7 @@ fn serve_frame(
     let kind = request.kind_str();
     count_request(kind);
     obs::trace::note("kind", kind);
-    let _span = obs::span(&format!("net_request_ns{{kind=\"{kind}\"}}"));
+    let _span = obs::SpanTimer::new(Arc::clone(request_ns(&request)));
     if request.is_read_only() {
         // In-order semantics: answers to earlier queued writes first.
         flush_pending(pending, stream)?;

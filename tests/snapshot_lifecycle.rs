@@ -813,3 +813,190 @@ fn server_audit_over_a_spilled_snapshot_equals_oracle() {
     server.repair().unwrap();
     check(&mut server, "after repair");
 }
+
+// ------------------------------------------------------- audit counters
+//
+// Once an audit has seeded them, the cache keeps the audit's counters
+// beside its detect state and moves them with every patch and every
+// re-materialized group. After every step they must grade every live row
+// as a fresh `mark_report` + `grade_snapshot` pass does
+// (`SnapshotCache::verify_state`), and the audit read off them must
+// equal the oracle.
+
+/// Detect and audit through `cache`, check the audit against the oracle
+/// and the counters against a fresh grading.
+fn audit_and_verify(cache: &mut SnapshotCache, table: &Table, text: &str, when: &str) {
+    let cfds = parse_cfds(text).unwrap();
+    let report = detect_cached(cache, table, &cfds).unwrap();
+    let got = audit_cached(cache, table, &cfds, &report).unwrap();
+    assert_audit_matches_oracle(&got, table, text, when);
+    cache
+        .verify_state()
+        .unwrap_or_else(|e| panic!("state diverged {when}: {e}"));
+}
+
+/// A rule set drawn from [`AUDIT_POOL`], one rule per line.
+fn audit_rules(picks: &[usize]) -> String {
+    let mut picked: Vec<&str> = Vec::new();
+    for &i in picks {
+        if !picked.contains(&AUDIT_POOL[i]) {
+            picked.push(AUDIT_POOL[i]);
+        }
+    }
+    picked.join("\n")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The `snapshot_lifecycle` streams with an audit after every detect:
+    /// per-delta `note_*` calls into a default cache, a cache with
+    /// `chunk_rows` down to 1, a spilled cache with a zero budget and the
+    /// zero-threshold cache (which re-encodes, and so reseeds, on every
+    /// write), and `note_batch` in random chunks. After every step each
+    /// cache's counters equal a fresh grading.
+    #[test]
+    fn audit_counters_equal_a_fresh_grading_after_every_step(
+        table in arb_table(20),
+        picks in proptest::collection::vec(0usize..AUDIT_POOL.len(), 1..=AUDIT_POOL.len()),
+        ops in arb_ops(20),
+        chunk_rows in 1usize..4,
+        chunks in proptest::collection::vec(1usize..6, 1..8),
+    ) {
+        let text = audit_rules(&picks);
+        let mut table = table;
+        let mut batch_table = table.clone();
+        let mut caches = [
+            SnapshotCache::new(),
+            SnapshotCache::new().with_chunk_rows(chunk_rows),
+            SnapshotCache::new()
+                .with_chunk_rows(2)
+                .with_spill(MemChunkStore::shared(), 0),
+            SnapshotCache::new().with_delta_threshold(0.0),
+        ];
+        for cache in caches.iter_mut() {
+            audit_and_verify(cache, &table, &text, "initially");
+        }
+        let mut fresh = 0u32;
+        for op in &ops {
+            let mut refs: Vec<&mut SnapshotCache> = caches.iter_mut().collect();
+            if !apply(&mut table, &mut refs, op, &mut fresh) {
+                continue;
+            }
+            for cache in caches.iter_mut() {
+                audit_and_verify(cache, &table, &text, &format!("after {op:?}"));
+            }
+        }
+        for cache in &caches {
+            prop_assert!(cache.audit_seeds() >= 1, "the first audit seeds");
+        }
+
+        let mut batched = SnapshotCache::new();
+        audit_and_verify(&mut batched, &batch_table, &text, "initially (batched)");
+        let mut fresh = 0u32;
+        let mut lens = chunks.iter().cycle();
+        let mut room = *lens.next().unwrap();
+        let mut pending: Vec<TableDelta> = Vec::new();
+        for op in &ops {
+            let target = match op {
+                Op::Delete(i) => pick(&batch_table, *i),
+                _ => None,
+            };
+            let touches = |d: &TableDelta| match *d {
+                TableDelta::Inserted(id) | TableDelta::CellSet(id, _) => Some(id) == target,
+                TableDelta::Deleted(_) => false,
+            };
+            if pending.len() == room || pending.iter().any(touches) {
+                batched.note_batch(&batch_table, &pending);
+                pending.clear();
+                room = *lens.next().unwrap();
+                audit_and_verify(&mut batched, &batch_table, &text, "after a batch");
+            }
+            pending.extend(mutate(&mut batch_table, op, &mut fresh));
+        }
+        batched.note_batch(&batch_table, &pending);
+        audit_and_verify(&mut batched, &batch_table, &text, "after the last batch");
+    }
+}
+
+/// One-cell writes, each followed by a detect and an audit, ride the
+/// counters the first audit seeded: no write reseeds them, and every
+/// audit equals the oracle.
+#[test]
+fn one_cell_writes_audit_without_reseeding() {
+    let d = dirty_customers(3_000, 0.05, 44);
+    let mut table = d.db.table("customer").unwrap().clone();
+    let mut cache = SnapshotCache::new();
+    audit_and_verify(&mut cache, &table, CANONICAL_CFDS, "seeded");
+    assert_eq!(cache.audit_seeds(), 1);
+    let ids = table.row_ids();
+    const WRITES: usize = 24;
+    for k in 0..WRITES {
+        // Move a cell to another row's value (CNT, CITY, ZIP, CC in turn),
+        // or to a novel city.
+        let col = [1, 2, 3, 5][k % 4];
+        let (id, donor) = (ids[(k * 97) % ids.len()], ids[(k * 31 + 7) % ids.len()]);
+        let value = if k % 5 == 4 {
+            Value::str(format!("NOWHERE{k}"))
+        } else {
+            table.cell(donor, col).unwrap().clone()
+        };
+        table.update_cell(id, col, value).unwrap();
+        cache.note_set_cell(&table, id, col);
+        audit_and_verify(
+            &mut cache,
+            &table,
+            CANONICAL_CFDS,
+            &format!("after write {k}"),
+        );
+    }
+    assert_eq!(
+        cache.audit_seeds(),
+        1,
+        "{WRITES} one-cell writes reseed nothing"
+    );
+}
+
+/// A constant CFD's rescan and an epoch gap each drop the counters, and
+/// the next audit reseeds them once.
+#[test]
+fn constant_rescan_and_epoch_gap_each_reseed_once() {
+    let text = "r: [A] -> [B]\nr: [A='zz'] -> [B='b0']\nr: [B='b1'] -> [D='d1']";
+    let mut table = Table::new("r", Schema::of_strings(&COLS));
+    for (a, b) in [("a0", "b0"), ("a0", "b1"), ("a1", "b1"), ("a2", "b0")] {
+        table
+            .insert(vec![
+                Value::str(a),
+                Value::str(b),
+                Value::str("c0"),
+                Value::str("d1"),
+            ])
+            .unwrap();
+    }
+    let mut cache = SnapshotCache::new();
+    audit_and_verify(&mut cache, &table, text, "seeded");
+    audit_and_verify(&mut cache, &table, text, "again");
+    assert_eq!(cache.audit_seeds(), 1, "a repeat audit reads the counters");
+
+    // 'zz' is absent, so `[A='zz'] -> [B='b0']` holds vacuously; writing
+    // it interns the constant, and the CFD is rescanned.
+    table.update_cell(RowId(3), 0, Value::str("zz")).unwrap();
+    cache.note_set_cell(&table, RowId(3), 0);
+    audit_and_verify(&mut cache, &table, text, "after the constant arrived");
+    assert_eq!(
+        cache.audit_seeds(),
+        2,
+        "a constant CFD's rescan reseeds once"
+    );
+    audit_and_verify(&mut cache, &table, text, "after the rescan, again");
+    assert_eq!(cache.audit_seeds(), 2);
+
+    // A write the cache is not told about: an epoch gap.
+    table.update_cell(RowId(0), 1, Value::str("b1")).unwrap();
+    audit_and_verify(&mut cache, &table, text, "after an epoch gap");
+    assert_eq!(cache.audit_seeds(), 3, "an epoch gap reseeds once");
+    table.update_cell(RowId(1), 1, Value::str("b0")).unwrap();
+    cache.note_set_cell(&table, RowId(1), 1);
+    audit_and_verify(&mut cache, &table, text, "after a reported write");
+    assert_eq!(cache.audit_seeds(), 3);
+}
