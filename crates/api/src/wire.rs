@@ -124,9 +124,9 @@ impl Request {
     /// True when serving the request cannot change the relation, the rule
     /// set, or any derived state a later request could observe — the
     /// MVCC-lite split the network tier's `ConcurrentEngine` is built on:
-    /// read-only requests are served lock-free from the latest published
-    /// epoch snapshot while mutating ones funnel through the single
-    /// writer. `Detect` and `Audit` are read-only in this sense even
+    /// read-only requests are served from the latest published epoch
+    /// snapshot (a shared lock held for one `Arc` clone) while mutating
+    /// ones funnel through the single writer. `Detect` and `Audit` are read-only in this sense even
     /// though the serial trait takes `&mut self` for them (they only
     /// refresh caches, never data).
     pub fn is_read_only(&self) -> bool {

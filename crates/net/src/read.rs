@@ -1,171 +1,64 @@
-//! The lock-free read path: epoch-published `Arc` state + pinned readers.
-//!
-//! [`Published<T>`] holds one current value behind an atomic pointer. A
-//! single writer (enforced by ownership in `engine.rs`, not here)
-//! replaces it with [`Published::publish`]; any number of registered
-//! readers fetch it with [`Published::load`]. The read path is *genuinely
-//! lock-free*: a load is a bounded sequence of atomic operations — no
-//! blocking primitive, no spin-wait on the writer, no syscall. This file
-//! is the entire read path and is pinned by a code-structure test to
-//! contain no synchronization primitive beyond atomics.
-//!
-//! # Reclamation protocol
-//!
-//! The writer cannot drop a replaced value immediately — a reader may sit
-//! between loading the pointer and bumping the strong count. Instead of
-//! pulling in a hazard-pointer library, readers *pin* the epoch they are
-//! about to read in a pre-registered slot:
-//!
-//! 1. reader: `e = epoch`; `slot = e` (announce); re-check `epoch == e`
-//!    else re-announce with the newer value;
-//! 2. reader: load pointer, `Arc::increment_strong_count`, `slot = IDLE`;
-//! 3. writer: swap pointer, bump epoch to `e+1`, retire the old pointer
-//!    tagged `e`, and free a retired pointer only once every slot is
-//!    `> tag` (or unpinned).
-//!
-//! All operations are `SeqCst`, so one total order covers them. Suppose a
-//! reader obtains a pointer the writer retired with tag `t`: the load
-//! preceded the writer's swap, so the reader's announcement (step 1,
-//! before its load) precedes the writer's post-retire slot scan, and the
-//! announced value is ≤ `t` — the re-check guarantees the announced epoch
-//! was current *after* the announcement, and the swap precedes the bump
-//! to `t+1`. The scan therefore observes a pin ≤ `t` and refuses to free
-//! until the reader has its refcount and unpins. Conversely a reader
-//! announcing `> t` saw the epoch bump, which follows the swap, so its
-//! load returns the newer pointer — never the retired one.
+//! The read path. [`Published<T>`] holds the current epoch's value in an
+//! `RwLock<Arc<T>>`: a [`Published::load`] holds the shared lock for one
+//! `Arc` clone, and the single writer (by ownership in `engine.rs`) swaps
+//! in the next value with [`Published::publish`].
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::{Arc, PoisonError, RwLock};
 
-use api::wire::Response;
-use api::Request;
+use api::{Request, Response};
 
 use crate::engine::EpochState;
 
-/// Slot value: unregistered — free for a new reader to claim.
-const SLOT_FREE: u64 = u64::MAX;
-/// Slot value: registered reader, not currently inside a load.
-const SLOT_IDLE: u64 = u64::MAX - 1;
-
-/// One atomically published `Arc<T>` with epoch-pinned readers.
+/// One published `Arc<T>` and the count of publications so far. Neither
+/// critical section can panic, so a poisoned lock still holds a value.
 pub struct Published<T> {
-    /// `Arc::into_raw` of the current value. Never null.
-    current: AtomicPtr<T>,
-    /// Publication counter; bumped once per `publish`.
+    current: RwLock<Arc<T>>,
     epoch: AtomicU64,
-    /// One announcement slot per registered reader.
-    slots: Box<[AtomicU64]>,
 }
 
-// `Published` hands `Arc<T>` across threads and frees retired values on
-// the writer thread, so the usual `Send + Sync` payload bounds apply.
-unsafe impl<T: Send + Sync> Send for Published<T> {}
-unsafe impl<T: Send + Sync> Sync for Published<T> {}
-
 impl<T> Published<T> {
-    /// Publish `initial` as epoch 0 with capacity for `readers` slots.
-    pub fn new(initial: Arc<T>, readers: usize) -> Published<T> {
-        let slots: Vec<AtomicU64> = (0..readers).map(|_| AtomicU64::new(SLOT_FREE)).collect();
-        Published {
-            current: AtomicPtr::new(Arc::into_raw(initial).cast_mut()),
-            epoch: AtomicU64::new(0),
-            slots: slots.into_boxed_slice(),
-        }
+    /// Publish `initial` as epoch 0. The reader count is ignored: kept
+    /// for `sdqbench`; the next harness PR drops it.
+    pub fn new(initial: Arc<T>, _readers: usize) -> Published<T> {
+        let (current, epoch) = (RwLock::new(initial), AtomicU64::new(0));
+        Published { current, epoch }
     }
 
-    /// Claim a reader slot; `None` when all are taken.
+    /// `Some(0)`: kept for `sdqbench`; the next harness PR drops it.
     pub fn register(&self) -> Option<usize> {
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.compare_exchange(SLOT_FREE, SLOT_IDLE, SeqCst, SeqCst)
-                .is_ok()
-            {
-                return Some(i);
-            }
-        }
-        None
+        Some(0)
     }
 
-    /// Return a slot claimed by [`Published::register`].
-    pub fn release(&self, slot: usize) {
-        self.slots[slot].store(SLOT_FREE, SeqCst);
-    }
+    /// A no-op: kept for `sdqbench`; the next harness PR drops it.
+    pub fn release(&self, _slot: usize) {}
 
     /// The current publication epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(SeqCst)
     }
 
-    /// Fetch the current value — the lock-free hot path. `slot` must be
-    /// a slot this thread registered; concurrent loads on one slot are
-    /// not allowed (each reader owns its slot).
-    pub fn load(&self, slot: usize) -> Arc<T> {
-        let guard = &self.slots[slot];
-        let mut e = self.epoch.load(SeqCst);
-        loop {
-            guard.store(e, SeqCst);
-            let now = self.epoch.load(SeqCst);
-            if now == e {
-                break;
-            }
-            // A publish slipped between read and announcement; re-announce
-            // with the newer epoch. Bounded in practice by publish rate.
-            e = now;
-        }
-        // Pinned at `e`: the writer will not free the pointer this load
-        // observes until the pin is lifted (see module docs).
-        let p = self.current.load(SeqCst);
-        // SAFETY: `p` came from `Arc::into_raw` and cannot have been
-        // freed — any retire tag for it is ≥ the pinned epoch.
-        unsafe { Arc::increment_strong_count(p) };
-        guard.store(SLOT_IDLE, SeqCst);
-        // SAFETY: the strong count above is ours to consume.
-        unsafe { Arc::from_raw(p) }
+    /// The current value. The slot is ignored: kept for `sdqbench`; the
+    /// next harness PR drops it.
+    pub fn load(&self, _slot: usize) -> Arc<T> {
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Writer side: swap in `next`, bump the epoch, and return the
-    /// replaced raw pointer tagged with the epoch at which it stopped
-    /// being current. The caller (the single writer) must hand the pair
-    /// to its [`Reclaimer`](crate::publish::Reclaimer) — dropping the
-    /// pointer immediately would race in-flight loads. Returns the new
-    /// epoch as well.
-    pub fn publish(&self, next: Arc<T>) -> (u64, u64, *const T) {
-        let old = self.current.swap(Arc::into_raw(next).cast_mut(), SeqCst);
+    /// Swap in `next` and bump the epoch. Returns the new epoch, the old
+    /// one (kept for `sdqbench`; the next harness PR drops it) and the
+    /// replaced value, which the caller drops after the lock is released.
+    pub fn publish(&self, next: Arc<T>) -> (u64, u64, Arc<T>) {
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let old = std::mem::replace(&mut *current, next);
         let tag = self.epoch.fetch_add(1, SeqCst);
-        (tag + 1, tag, old.cast_const())
-    }
-
-    /// The smallest epoch any reader is currently pinned at, or
-    /// `u64::MAX` when no reader is mid-load. A retired pointer tagged
-    /// `t` is safe to free once `min_pinned() > t`.
-    pub fn min_pinned(&self) -> u64 {
-        self.slots
-            .iter()
-            .map(|s| s.load(SeqCst))
-            .filter(|&v| v != SLOT_FREE && v != SLOT_IDLE)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
-    /// True when every slot is unclaimed — used by the writer at
-    /// shutdown to know all readers are gone.
-    pub fn no_readers(&self) -> bool {
-        self.slots.iter().all(|s| s.load(SeqCst) == SLOT_FREE)
+        (tag + 1, tag, old)
     }
 }
 
-impl<T> Drop for Published<T> {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access; the pointer is a live `Arc::into_raw`.
-        unsafe { drop(Arc::from_raw(self.current.load(SeqCst).cast_const())) };
-    }
-}
-
-/// Serve a read-only request from a published [`EpochState`] — pure
-/// clones of responses the writer prepared at publish time, no backend
-/// call, no synchronization. Returns `None` for the two introspection
-/// reads (`Metrics` / `Trace`) that are answered from the live `obs`
-/// registry by the engine instead, and for mutating requests (the caller
-/// routes those to the writer).
+/// Serve a read-only request from a published [`EpochState`]: a clone of
+/// a response the writer prepared at publish time. `None` for mutating
+/// requests and for `Metrics` / `Trace`, which the engine answers from the
+/// live `obs` registry.
 pub fn serve_read(state: &EpochState, request: &Request) -> Option<Response> {
     match request {
         Request::Detect => Some(state.detect.clone()),
@@ -177,5 +70,59 @@ pub fn serve_read(state: &EpochState, request: &Request) -> Option<Response> {
         Request::Len => Some(Response::Len { rows: state.len }),
         Request::Capabilities => Some(Response::Caps(state.caps.clone())),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+    /// Live `Tracked` values: a leak or a double free shows here.
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+    struct Tracked;
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            LIVE.fetch_sub(1, SeqCst);
+        }
+    }
+
+    fn tracked() -> Arc<Tracked> {
+        LIVE.fetch_add(1, SeqCst);
+        Arc::new(Tracked)
+    }
+
+    #[test]
+    fn publish_load_churn_neither_leaks_nor_double_frees() {
+        let published = Published::new(tracked(), 0);
+        let (stop, loads) = (AtomicBool::new(false), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    while !stop.load(SeqCst) {
+                        drop(published.load(0));
+                        assert!(LIVE.load(SeqCst) >= 1);
+                        loads.fetch_add(1, SeqCst);
+                    }
+                });
+            }
+            // Churn until the readers overlapped real publishes (on one
+            // core they may not run until the writer yields).
+            let mut publishes = 0;
+            while publishes < 2_000 || loads.load(SeqCst) < 32 {
+                drop(published.publish(tracked()));
+                publishes += 1;
+                if publishes >= 2_000 {
+                    std::thread::yield_now();
+                }
+            }
+            stop.store(true, SeqCst);
+            assert_eq!(published.epoch(), publishes);
+        });
+        assert_eq!(LIVE.load(SeqCst), 1, "only the current value is live");
+        drop(published);
+        assert_eq!(LIVE.load(SeqCst), 0);
     }
 }

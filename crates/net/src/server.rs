@@ -86,13 +86,14 @@ struct NetObs {
     connections_total: Arc<Counter>,
     connections_open: Arc<Gauge>,
     backpressure_total: Arc<Counter>,
-    /// `net_requests_total{kind="…"}` per wire op, plus a slot for
-    /// frames that never decoded into a request.
-    requests: Vec<(&'static str, Arc<Counter>)>,
+    /// `net_requests_total{kind="…"}` by [`Request::kind_index`], plus a
+    /// last slot, [`INVALID`], for frames that never decoded into a
+    /// request.
+    requests: Vec<Arc<Counter>>,
 }
 
-/// `"invalid"` counts undecodable frames beside the wire ops.
-const INVALID: &str = "invalid";
+/// The `requests` slot counting undecodable frames as `kind="invalid"`.
+const INVALID: usize = REQUEST_KINDS.len();
 
 fn net_obs() -> &'static NetObs {
     static OBS: OnceLock<NetObs> = OnceLock::new();
@@ -102,13 +103,8 @@ fn net_obs() -> &'static NetObs {
         backpressure_total: obs::counter("net_backpressure_total"),
         requests: REQUEST_KINDS
             .iter()
-            .chain([&INVALID])
-            .map(|k| {
-                (
-                    *k,
-                    obs::counter(&format!("net_requests_total{{kind=\"{k}\"}}")),
-                )
-            })
+            .chain([&"invalid"])
+            .map(|k| obs::counter(&format!("net_requests_total{{kind=\"{k}\"}}")))
             .collect(),
     })
 }
@@ -124,11 +120,10 @@ fn request_ns(request: &Request) -> &'static Arc<Histogram> {
         .get_or_init(|| obs::histogram(&format!("net_request_ns{{kind=\"{}\"}}", REQUEST_KINDS[i])))
 }
 
-fn count_request(kind: &str) {
-    let o = net_obs();
-    if let Some((_, c)) = o.requests.iter().find(|(k, _)| *k == kind) {
-        c.inc();
-    }
+/// Count one frame under its kind's slot (a [`Request::kind_index`], or
+/// [`INVALID`]).
+fn count_request(slot: usize) {
+    net_obs().requests[slot].inc();
 }
 
 /// A running TCP service over one backend. Dropping without
@@ -153,9 +148,6 @@ impl<B: QualityBackend + Send + 'static> NetServer<B> {
             backend,
             EngineConfig {
                 queue_depth: config.queue_depth,
-                // Workers plus headroom for in-process handles
-                // (`NetServer::handle`) used by embedding code.
-                max_readers: config.net_threads + 8,
             },
         );
         let stop = Arc::new(AtomicBool::new(false));
@@ -165,7 +157,7 @@ impl<B: QualityBackend + Send + 'static> NetServer<B> {
 
         let workers: Vec<JoinHandle<()>> = (0..config.net_threads.max(1))
             .map(|i| {
-                let handle = engine.handle().expect("a reader slot per worker");
+                let handle = engine.handle();
                 let conn_rx = Arc::clone(&conn_rx);
                 let open = Arc::clone(&open);
                 let config = config.clone();
@@ -216,9 +208,10 @@ impl<B: QualityBackend + Send + 'static> NetServer<B> {
 
     /// An in-process [`EngineHandle`] on the served engine — what the
     /// embedding program (or a test) uses to read published epochs
-    /// without a socket.
+    /// without a socket. Always `Some`: the `Option` is kept for
+    /// `sdqbench`; the next harness PR drops it.
     pub fn handle(&self) -> Option<EngineHandle> {
-        self.engine.handle()
+        Some(self.engine.handle())
     }
 
     /// Stop accepting, wait for in-flight connections to finish, drain
@@ -479,9 +472,8 @@ fn serve_frame(
             );
         }
     };
-    let kind = request.kind_str();
-    count_request(kind);
-    obs::trace::note("kind", kind);
+    count_request(request.kind_index());
+    obs::trace::note("kind", request.kind_str());
     let _span = obs::SpanTimer::new(Arc::clone(request_ns(&request)));
     if request.is_read_only() {
         // In-order semantics: answers to earlier queued writes first.

@@ -22,8 +22,9 @@
 //!   log with startup replay and checkpointing (`Durable`), plus the
 //!   paged cold-chunk spill store (`PagedStore`), whose every fault-in
 //!   checks its page's CRC-32.
-//! * [`net`] — the TCP service tier: a single-writer / lock-free
-//!   multi-reader `ConcurrentEngine` over any backend, a newline-framed
+//! * [`net`] — the TCP service tier: a single-writer / multi-reader
+//!   `ConcurrentEngine` over any backend (a read takes a shared lock for
+//!   one `Arc` clone of the published epoch), a newline-framed
 //!   `NetServer` transport, and a blocking `Client`.
 //! * [`obs`] — zero-dependency telemetry: counters, gauges, latency
 //!   histograms and span timers on a global registry, snapshotted as a

@@ -431,7 +431,7 @@ fn one_capture_sample_per_published_epoch() {
     let server = QualityServer::new(d.db.clone(), "customer").unwrap();
     let engine = ConcurrentEngine::new(server, EngineConfig::default());
     let (c0, p0) = (capture_ns.count(), published.get());
-    let handle = engine.handle().unwrap();
+    let handle = engine.handle();
     let register = Request::RegisterCfds {
         text: CANONICAL_CFDS.to_string(),
     };

@@ -606,3 +606,24 @@ fn every_backend_is_send() {
     ));
     server.shutdown();
 }
+
+/// In-process handles are not capped by the worker count: a two-worker
+/// server hands out 32, and every one reads the same published epoch.
+#[test]
+fn in_process_handles_are_not_capped_by_the_worker_count() {
+    let config = NetConfig {
+        net_threads: 2,
+        ..test_config()
+    };
+    let server = NetServer::serve(single(), config).unwrap();
+    let handles: Vec<_> = (0..32)
+        .map(|_| server.handle().expect("handles are not capped"))
+        .collect();
+    let published = handles[0].state();
+    for h in &handles {
+        assert!(Arc::ptr_eq(&h.state(), &published), "one epoch for all");
+        assert_eq!(h.request(Request::Detect), published.detect);
+    }
+    drop(handles);
+    server.shutdown();
+}
