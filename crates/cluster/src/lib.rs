@@ -11,9 +11,9 @@
 //! * [`ShardedQualityServer`] — routes `insert` / `delete` / `update_cell`
 //!   to the owning shard, keeping each shard's epoch-versioned
 //!   [`colstore::SnapshotCache`] patched in lock-step; `detect()` scatters
-//!   per-CFD partial export across shards (scoped workers pulling shards
-//!   off one shared queue, per-shard memoization against column epochs)
-//!   and gathers with the partial-group merge of [`detect::exchange`],
+//!   per-CFD partial export across shards (one shard after another on the
+//!   caller's thread, per-shard memoization against column epochs) and
+//!   gathers with the partial-group merge of [`detect::exchange`],
 //!   kept per CFD between detects so only changed groups re-merge.
 //! * [`ShardedQualityServer::repair`] — cross-shard repair (see
 //!   [`repair`]): each round detects through the exchange, builds

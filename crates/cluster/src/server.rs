@@ -11,14 +11,13 @@
 //!
 //! Detection is scatter/gather:
 //!
-//! 1. **Scatter** — every shard (pulled off one shared queue by
-//!    `min(shards, cores)` scoped workers) exports one [`CfdPartial`]
-//!    per CFD from its cached snapshot: constant CFDs resolve fully
-//!    shard-local; variable CFDs export the per-group partial state of
-//!    `detect::exchange`. Exports are memoized per shard per CFD against
-//!    the cache's per-column epochs — a shard whose rows and relevant
-//!    columns are untouched since the last detect ships the same `Arc`
-//!    again.
+//! 1. **Scatter** — every shard, in shard order on the caller's thread,
+//!    exports one [`CfdPartial`] per CFD from its cached snapshot:
+//!    constant CFDs resolve fully shard-local; variable CFDs export the
+//!    per-group partial state of `detect::exchange`. Exports are
+//!    memoized per shard per CFD against the cache's per-column epochs —
+//!    a shard whose rows and relevant columns are untouched since the
+//!    last detect ships the same `Arc` again.
 //! 2. **Gather** — the coordinator keeps one [`MergedCfd`] per CFD
 //!    between detects: singles concatenate, groups union by LHS key, and
 //!    any merged group with ≥ 2 distinct RHS values becomes a violation —
@@ -42,7 +41,7 @@
 //! ([`colstore::grade_snapshot`]). After a detect at the same epoch it
 //! runs no detection and encodes nothing.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use api::wire::ReportSummary;
@@ -63,9 +62,9 @@ pub(crate) fn db_err(e: DbError) -> CfdError {
 }
 
 /// Global-registry handles for the exchange telemetry, resolved once per
-/// process. The scatter-side counters are bumped from the scatter's
-/// worker threads (the handles are plain atomics); the gather-side ones
-/// from the coordinator. After every detect, partials exported == partials merged —
+/// process. The scatter-side counters are bumped by each shard's export,
+/// the gather-side ones by the merge, both on the caller's thread. After
+/// every detect, partials exported == partials merged —
 /// the gather loop consumes exactly what the scatter shipped (pinned by
 /// `tests/metrics_invariants.rs`).
 struct ClusterObs {
@@ -128,8 +127,7 @@ impl Shard {
     /// The scatter phase on one shard: snapshot (cached / patched /
     /// re-encoded as the epoch dictates) and per-CFD partial export.
     fn export(&mut self, bound: &[BoundCfd], cols: &[Vec<usize>], needed: &[usize]) -> ShardExport {
-        // Per-shard detect wall-time: one sample per shard per detect,
-        // recorded from whichever worker thread ran this shard.
+        // Per-shard detect wall-time: one sample per shard per detect.
         let _span = obs::SpanTimer::new(Arc::clone(&cluster_obs().shard_export_ns));
         let snap = self.cache.snapshot_projected(&self.table, needed);
         let epoch = self.table.epoch();
@@ -172,7 +170,7 @@ impl Shard {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DetectStats {
     /// Wall time of the scatter phase (snapshot + partial export, all
-    /// shards, including thread fan-out overhead).
+    /// shards in turn).
     pub scatter_ns: u64,
     /// Wall time of the coordinator merge: re-merging the LHS keys whose
     /// shard groups changed, plus assembling the report from every CFD's
@@ -582,8 +580,8 @@ impl ShardedQualityServer {
 
     // ---------------------------------------------------------- detection
 
-    /// Scatter/gather detection: shard-local partial export (parallel
-    /// across shards) followed by the coordinator merge, which re-merges
+    /// Scatter/gather detection: shard-local partial export (one shard
+    /// after another) followed by the coordinator merge, which re-merges
     /// only the LHS keys whose shard groups changed. The result is
     /// `normalized()`-equal to single-node columnar detection over the
     /// union of the shards' rows.
@@ -599,45 +597,20 @@ impl ShardedQualityServer {
             .collect();
         let needed = needed_columns(&bound);
 
-        // Scatter: `min(shards, cores)` scoped workers pull shards off one
-        // shared iterator; the caller only joins. Each worker installs the
-        // caller's trace position, so every `shard.export` span parents
-        // under `cluster.scatter` whichever thread ran it.
+        // Scatter: export shard 0, 1, … in order on the caller's thread;
+        // the merge below is order-sensitive.
         let t0 = Instant::now();
         let scatter_span = obs::trace::span("cluster.scatter");
-        let workers = colstore::morsel::resolve_threads(None).min(self.shards.len());
-        let queue = Mutex::new(self.shards.iter_mut().enumerate());
-        let trace_ctx = obs::trace::current();
-        let (queue, trace_ctx, bound, cols, needed) = (&queue, &trace_ctx, &bound, &cols, &needed);
-        let mut exports: Vec<(usize, ShardExport)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(move || {
-                        let _trace = obs::trace::install(trace_ctx.as_ref());
-                        let mut got = Vec::new();
-                        loop {
-                            // Bind first: the queue lock drops at the end of
-                            // this statement, not after the export.
-                            let next = queue.lock().expect("shard queue lock").next();
-                            let Some((i, shard)) = next else { break };
-                            let sp = obs::trace::span("shard.export");
-                            sp.attr("shard", i);
-                            got.push((i, shard.export(bound, cols, needed)));
-                        }
-                        got
-                    })
-                })
-                .collect();
-            // A panicking export re-raises its own payload on the caller.
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        });
-        // Shard order, whichever worker ran which shard: the merge below
-        // is order-sensitive.
-        exports.sort_unstable_by_key(|&(i, _)| i);
-        let exports: Vec<ShardExport> = exports.into_iter().map(|(_, e)| e).collect();
+        let exports: Vec<ShardExport> = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .map(|(i, shard)| {
+                let sp = obs::trace::span("shard.export");
+                sp.attr("shard", i);
+                shard.export(&bound, &cols, &needed)
+            })
+            .collect();
         drop(scatter_span);
         let scatter_ns = t0.elapsed().as_nanos() as u64;
 

@@ -23,9 +23,8 @@
 //! Scans walk the column chunk by chunk ([`crate::column`]) on the
 //! caller's thread: fanned out as (CFD × chunk) morsels, detection lost
 //! to this serial scan end to end on two cores. The cluster's shards
-//! export per-group [`GroupPartial`]s ([`cfd_partials`]) that its gather
-//! merges; that scatter is the one fan-out left, sized by
-//! [`crate::morsel::resolve_threads`].
+//! export per-group [`GroupPartial`]s ([`cfd_partials`]), one shard after
+//! another, that its gather merges.
 //!
 //! The output is [`ViolationReport`]-identical (after `normalized()`) to the
 //! native detector on every instance; the property tests in

@@ -19,9 +19,10 @@
 //!   packed `u64` (or wide `[u32]`) LHS code keys. Returns reports
 //!   `normalized()`-equal to [`detect_native`](::detect::detect_native) on every instance.
 //! * [`cfd_partials`] — a shard's per-group partial state in the cluster's
-//!   exchange format; the cluster scatters these exports over scoped
-//!   workers sized by [`morsel::resolve_threads`]. Detection itself runs
-//!   on the caller's thread.
+//!   exchange format, which the cluster exports shard by shard. Detection
+//!   and the cluster scatter run on the caller's thread; the one fan-out
+//!   left is [`Snapshot::projected_with_chunk`]'s per-column encode on
+//!   large tables.
 //! * [`SnapshotCache`] / [`detect_cached`] — the epoch-versioned snapshot
 //!   lifecycle: one cached `Arc<Snapshot>` tagged with the table's mutation
 //!   epoch, returned for free while the epochs match and **incrementally

@@ -1,12 +1,13 @@
-//! Worker-count resolution for the cluster's scatter.
+//! Worker-count resolution, kept for `sdqbench`; the next harness PR
+//! drops it.
 //!
-//! Single-node detection and repair run on the caller's thread: fanned
-//! out over chunks or candidates, they lost to serial end to end on two
-//! cores. The one fan-out left is the cluster scatter, which spreads its
-//! shards over `min(shards, resolve_threads(None))` scoped workers.
+//! Detection, repair and the cluster scatter all run on the caller's
+//! thread: fanned out over chunks, candidates or shards, each lost to
+//! serial end to end on two cores. No library code calls this.
 
 /// Resolve a worker count: `configured` if given (clamped to ≥ 1), else
-/// the machine's available parallelism. Never returns 0.
+/// the machine's available parallelism. Never returns 0. Kept for
+/// `sdqbench`; the next harness PR drops it.
 pub fn resolve_threads(configured: Option<usize>) -> usize {
     configured.map_or_else(
         || std::thread::available_parallelism().map_or(1, |p| p.get()),

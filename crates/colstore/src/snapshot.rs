@@ -20,6 +20,10 @@ use minidb::{RowId, Schema, Table, Value};
 
 use crate::column::{default_chunk_rows, Column, ColumnAppender, ColumnBuilder};
 
+/// Below this row count the per-column encode stays on the caller's
+/// thread: the spawn overhead outweighs the win.
+const PARALLEL_ROWS: usize = 8_192;
+
 /// A columnar, dictionary-encoded, immutable copy of a table's live rows.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -55,9 +59,6 @@ impl Snapshot {
     /// Columns encode independently, so large tables fan the per-column
     /// interning passes across scoped threads.
     pub fn projected_with_chunk(table: &Table, cols: &[usize], chunk_rows: usize) -> Snapshot {
-        /// Below this row count the spawn overhead outweighs the win.
-        const PARALLEL_ROWS: usize = 8_192;
-
         // Every full encode in the workspace funnels through here — the
         // cache's rebuild path, but also the "hidden" ones that bypass any
         // `SnapshotCache` (one-shot `detect_columnar`, detector seeding,
@@ -355,6 +356,50 @@ mod tests {
             assert_eq!(s.column(c).n_chunks(), 2);
             assert_eq!(s.column(c).chunk(0).len(), 2);
             assert_eq!(s.column(c).chunk(1).len(), 1);
+        }
+    }
+
+    #[test]
+    fn per_column_encode_matches_the_serial_walk() {
+        // Large enough, and with more than one projected column, to take
+        // the per-column threads on a multicore machine.
+        let rows = PARALLEL_ROWS + 1_000;
+        let mut t = Table::new("big", Schema::of_strings(&["A", "B", "C"]));
+        for i in 0..rows {
+            let b = if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::str(format!("b{}", i % 131))
+            };
+            t.insert(vec![
+                Value::str(format!("a{}", i % 17)),
+                b,
+                Value::str(format!("c{i}")),
+            ])
+            .unwrap();
+        }
+        let victim = t.row_ids()[3];
+        t.delete(victim).unwrap();
+        let chunk_rows = 1_024;
+        let s = Snapshot::projected_with_chunk(&t, &[0, 1], chunk_rows);
+        assert!(!s.has_column(2));
+        for c in [0, 1] {
+            let mut b = ColumnBuilder::chunked(s.n_rows(), chunk_rows);
+            for &id in s.row_ids() {
+                b.push(&t.get(id).unwrap()[c]);
+            }
+            let serial = b.finish();
+            let got = s.column(c);
+            assert_eq!(got.contiguous(), serial.contiguous(), "column {c} codes");
+            let (d, want) = (got.dictionary(), serial.dictionary());
+            assert_eq!(d.len(), want.len(), "column {c} dictionary size");
+            for code in 0..d.len() as u32 {
+                assert_eq!(
+                    d.value_of(code),
+                    want.value_of(code),
+                    "column {c} code {code}"
+                );
+            }
         }
     }
 

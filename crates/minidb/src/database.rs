@@ -4,7 +4,6 @@ use std::collections::HashMap;
 
 use crate::error::{DbError, DbResult};
 use crate::exec::{eval, execute_plan, QueryResult, TableSource};
-use crate::index::HashIndex;
 use crate::plan::{plan_select, CatalogView, PhysExpr, PlannedQuery};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{InsertSource, SelectStmt, Statement};
@@ -31,11 +30,10 @@ impl ExecOutcome {
     }
 }
 
-/// An in-memory relational database: named tables plus secondary indexes.
+/// An in-memory relational database: named tables.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    tables: HashMap<String, Table>,      // keyed by lower-cased name
-    indexes: HashMap<String, HashIndex>, // keyed by index name (lower-cased)
+    tables: HashMap<String, Table>, // keyed by lower-cased name
 }
 
 fn key(name: &str) -> String {
@@ -64,20 +62,14 @@ impl Database {
     /// Register an already-built table (used for tableau encodings and
     /// materialized query results). Replaces any existing table of the name.
     pub fn register_table(&mut self, table: Table) {
-        let k = key(table.name());
-        self.indexes
-            .retain(|_, ix| !ix.table().eq_ignore_ascii_case(table.name()));
-        self.tables.insert(k, table);
+        self.tables.insert(key(table.name()), table);
     }
 
-    /// Drop a table (and its indexes).
+    /// Drop a table.
     pub fn drop_table(&mut self, name: &str) -> DbResult<()> {
-        let k = key(name);
-        if self.tables.remove(&k).is_none() {
+        if self.tables.remove(&key(name)).is_none() {
             return Err(DbError::UnknownTable(name.to_string()));
         }
-        self.indexes
-            .retain(|_, ix| !ix.table().eq_ignore_ascii_case(name));
         Ok(())
     }
 
@@ -88,9 +80,7 @@ impl Database {
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
-    /// Get a table mutably. Note: bulk edits through this handle bypass
-    /// index maintenance; prefer the `insert_row`/`update_cell`/`delete_row`
-    /// methods when indexes exist.
+    /// Get a table mutably.
     pub fn table_mut(&mut self, name: &str) -> DbResult<&mut Table> {
         self.tables
             .get_mut(&key(name))
@@ -117,32 +107,17 @@ impl Database {
 
     // ----------------------------------------------------------- writes
 
-    /// Insert a row, maintaining indexes; returns the new row id.
+    /// Insert a row; returns the new row id.
     pub fn insert_row(&mut self, table: &str, row: Vec<Value>) -> DbResult<RowId> {
-        let t = self.table_mut(table)?;
-        let id = t.insert(row)?;
-        let row_ref: Vec<Value> = t.get(id)?.to_vec();
-        for ix in self.indexes.values_mut() {
-            if ix.table().eq_ignore_ascii_case(table) {
-                ix.insert(&row_ref, id);
-            }
-        }
-        Ok(id)
+        self.table_mut(table)?.insert(row)
     }
 
-    /// Delete a row, maintaining indexes; returns the old values.
+    /// Delete a row; returns the old values.
     pub fn delete_row(&mut self, table: &str, id: RowId) -> DbResult<Vec<Value>> {
-        let t = self.table_mut(table)?;
-        let old = t.delete(id)?;
-        for ix in self.indexes.values_mut() {
-            if ix.table().eq_ignore_ascii_case(table) {
-                ix.remove(&old, id);
-            }
-        }
-        Ok(old)
+        self.table_mut(table)?.delete(id)
     }
 
-    /// Update a single cell, maintaining indexes; returns the old value.
+    /// Update a single cell; returns the old value.
     pub fn update_cell(
         &mut self,
         table: &str,
@@ -151,43 +126,9 @@ impl Database {
         value: Value,
     ) -> DbResult<Value> {
         let t = self.table_mut(table)?;
-        let before: Vec<Value> = t.get(id)?.to_vec();
-        let old = t.update_cell(id, col, value)?;
-        let after: Vec<Value> = t.get(id)?.to_vec();
-        for ix in self.indexes.values_mut() {
-            if ix.table().eq_ignore_ascii_case(table) {
-                ix.remove(&before, id);
-                ix.insert(&after, id);
-            }
-        }
-        Ok(old)
-    }
-
-    // ---------------------------------------------------------- indexes
-
-    /// Create a named hash index over `columns` of `table`.
-    pub fn create_index(
-        &mut self,
-        name: impl Into<String>,
-        table: &str,
-        columns: &[&str],
-    ) -> DbResult<()> {
-        let t = self.table(table)?;
-        let cols: Vec<usize> = columns
-            .iter()
-            .map(|c| t.schema().require(c))
-            .collect::<DbResult<_>>()?;
-        let mut ix = HashIndex::new(t.name().to_string(), cols);
-        for (id, row) in t.iter() {
-            ix.insert(row, id);
-        }
-        self.indexes.insert(key(&name.into()), ix);
-        Ok(())
-    }
-
-    /// Look up an index by name.
-    pub fn index(&self, name: &str) -> Option<&HashIndex> {
-        self.indexes.get(&key(name))
+        // A dead row id is reported before the value is checked.
+        t.get(id)?;
+        t.update_cell(id, col, value)
     }
 
     // --------------------------------------------------------------- SQL
@@ -257,15 +198,6 @@ impl Database {
                     return Ok(ExecOutcome::Affected(0));
                 }
                 self.drop_table(name)?;
-                Ok(ExecOutcome::Affected(0))
-            }
-            Statement::CreateIndex {
-                name,
-                table,
-                columns,
-            } => {
-                let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                self.create_index(name.clone(), table, &cols)?;
                 Ok(ExecOutcome::Affected(0))
             }
             Statement::Insert(ins) => {
@@ -650,21 +582,6 @@ mod tests {
             panic!()
         };
         assert_eq!(r.rows[0][0], Value::Int(2));
-    }
-
-    #[test]
-    fn create_index_and_lookup() {
-        let mut db = db();
-        db.execute("CREATE INDEX idx_zip ON customer (zip)")
-            .unwrap();
-        let ix = db.index("idx_zip").unwrap();
-        let hits = ix.lookup(&[Value::str("01202")]);
-        assert_eq!(hits.len(), 3);
-        // Index maintenance on delete.
-        db.execute("DELETE FROM customer WHERE name = 'ben'")
-            .unwrap();
-        let ix = db.index("idx_zip").unwrap();
-        assert_eq!(ix.lookup(&[Value::str("01202")]).len(), 2);
     }
 
     #[test]

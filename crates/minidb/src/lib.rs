@@ -12,7 +12,6 @@
 //! * NULL-aware three-valued logic and `IS NOT DISTINCT FROM` — NULL plays
 //!   the wildcard role in the relational encoding of CFD pattern tableaux;
 //! * the hidden `__rowid` pseudo-column on base scans;
-//! * secondary hash indexes maintained under mutation;
 //! * CSV import/export.
 //!
 //! ```
@@ -31,7 +30,6 @@ pub mod csv;
 pub mod database;
 pub mod error;
 pub mod exec;
-pub mod index;
 pub mod plan;
 pub mod schema;
 pub mod sql;

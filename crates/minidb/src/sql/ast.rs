@@ -18,12 +18,6 @@ pub enum Statement {
     CreateTable(CreateTableStmt),
     /// `DROP TABLE [IF EXISTS] t`
     DropTable { name: String, if_exists: bool },
-    /// `CREATE INDEX name ON t (cols)`
-    CreateIndex {
-        name: String,
-        table: String,
-        columns: Vec<String>,
-    },
 }
 
 /// A `SELECT` query.

@@ -476,25 +476,8 @@ impl Parser {
                 columns,
                 if_not_exists,
             }))
-        } else if self.eat_keyword("INDEX") {
-            let name = self.ident()?;
-            self.expect_keyword("ON")?;
-            let table = self.ident()?;
-            self.expect_symbol(Symbol::LParen)?;
-            let mut columns = vec![self.ident()?];
-            while self.eat_symbol(Symbol::Comma) {
-                columns.push(self.ident()?);
-            }
-            self.expect_symbol(Symbol::RParen)?;
-            Ok(Statement::CreateIndex {
-                name,
-                table,
-                columns,
-            })
         } else {
-            Err(DbError::Parse(
-                "expected TABLE or INDEX after CREATE".into(),
-            ))
+            Err(DbError::Parse("expected TABLE after CREATE".into()))
         }
     }
 

@@ -5,10 +5,8 @@
 //! aggregate*; this module answers *where did this request spend its
 //! time*. One traced request produces one [`TraceReport`]: a tree of
 //! [`SpanRecord`]s with hierarchical parent ids, microsecond timestamps
-//! on a single clock, per-span key/value attributes ("grouping path:
-//! dense", "cache: patch", "memo: hit"), and the thread each span ran
-//! on — even when the cluster's scatter fanned the request out over its
-//! worker threads.
+//! on a single clock, and per-span key/value attributes ("grouping path:
+//! dense", "cache: patch", "memo: hit").
 //!
 //! ## Design
 //!
@@ -16,18 +14,14 @@
 //!   span site is one relaxed atomic load. Enable with `SDQ_TRACE=1`
 //!   (read once), programmatically via [`set_enabled`], or implicitly by
 //!   setting `SDQ_SLOW_MS` (outlier capture needs tracing on).
-//! - **Span collection is thread-local and lock-free.** [`span()`] pushes
-//!   an open frame onto the current thread's stack; dropping the guard
-//!   moves the completed record into the same thread's buffer — no
-//!   atomics, no locks, no allocation beyond the record itself. Each
-//!   participating thread drains its buffer into the trace's shared sink
-//!   exactly once, when its install guard drops (one mutex touch per
-//!   thread per request, not per span).
-//! - **Explicit propagation.** Crossing a thread boundary is two calls:
-//!   [`current()`] captures a cheap [`TraceHandle`] (trace Arc + the
-//!   spawner's open span id) on the parent thread, [`install`] adopts it
-//!   on the worker. The cluster scatter, the one fan-out, does this for
-//!   every worker it spawns.
+//! - **One thread per trace.** A request is served on the thread that
+//!   opened its [`root`], and so is every span under it: the trace's
+//!   clock, id counter, open-span stack and buffer of completed spans all
+//!   live in that thread's local state. [`span()`] pushes an open frame
+//!   onto the stack; dropping the guard moves the completed record into
+//!   the buffer — no atomics, no locks, no allocation beyond the record
+//!   itself. Spans opened on any other thread find no trace and are
+//!   no-ops.
 //! - **Flight recorder.** A completed root span assembles the trace and
 //!   pushes it into a bounded global ring ([`ring_capacity`] entries,
 //!   oldest evicted), readable via [`last_trace`] / [`recent_traces`]
@@ -35,7 +29,7 @@
 //!   slower than `SDQ_SLOW_MS` are additionally logged to stderr with
 //!   their rendered tree — the slow-request log.
 //!
-//! Spans created while no trace is installed on the thread are no-ops,
+//! Spans created while no request is traced on the thread are no-ops,
 //! so backends driven directly (not through `api::dispatch`, which opens
 //! the root span) stay untraced and unbuffered even when tracing is on.
 
@@ -43,7 +37,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Flight-recorder depth: completed request traces retained.
@@ -97,8 +91,7 @@ pub fn set_slow_ms(ms: Option<u64>) {
 // ------------------------------------------------------------- span records
 
 /// One completed span. Timestamps are microseconds since the root span's
-/// start, measured on the trace's single `Instant` clock — comparable
-/// across threads.
+/// start, measured on the trace's single `Instant` clock.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SpanRecord {
     /// Trace-unique id (1-based; the root is the span whose `parent` is 0).
@@ -111,7 +104,9 @@ pub struct SpanRecord {
     pub start_us: u64,
     /// End offset in microseconds from the trace start.
     pub end_us: u64,
-    /// Ordinal of the thread that ran the span (0 = the request thread).
+    /// Ordinal of the thread that ran the span. Every span runs on the
+    /// request thread, so this reads 0; it stays in the wire format and
+    /// the Chrome export's `tid`.
     pub thread: u64,
     /// Key/value attributes attached while the span was open.
     pub attrs: Vec<(String, String)>,
@@ -140,7 +135,7 @@ pub struct TraceReport {
     pub name: String,
     /// Root span wall time in microseconds.
     pub duration_us: u64,
-    /// All spans of the request, across every participating thread.
+    /// All spans of the request.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -175,9 +170,6 @@ impl TraceReport {
         use std::fmt::Write;
         let name_col = format!("{:indent$}{}", "", s.name, indent = depth * 2);
         let _ = write!(out, "{name_col:<34} {:>9}µs", s.duration_us());
-        if s.thread != 0 {
-            let _ = write!(out, "  t{}", s.thread);
-        }
         for (k, v) in &s.attrs {
             let _ = write!(out, "  {k}={v}");
         }
@@ -235,15 +227,6 @@ fn json_escape(s: &str) -> String {
 
 // -------------------------------------------------------- trace machinery
 
-/// State shared by every thread participating in one trace. Ids come off
-/// one atomic; completed per-thread buffers drain into `sink`.
-struct TraceShared {
-    t0: Instant,
-    next_id: AtomicU64,
-    next_thread: AtomicU64,
-    sink: Mutex<Vec<SpanRecord>>,
-}
-
 /// An open (not yet completed) span on some thread's stack.
 struct OpenSpan {
     id: u64,
@@ -253,12 +236,13 @@ struct OpenSpan {
     attrs: Vec<(String, String)>,
 }
 
-/// Per-thread trace state: the installed trace (if any), the open-span
-/// stack, and the lock-free buffer of completed spans.
+/// Per-thread trace state: the start of the request traced on this
+/// thread (if any), the last span id handed out, the open-span stack, and
+/// the buffer of completed spans.
 #[derive(Default)]
 struct Tls {
-    trace: Option<Arc<TraceShared>>,
-    thread: u64,
+    t0: Option<Instant>,
+    last_id: u64,
     parent: u64,
     open: Vec<OpenSpan>,
     done: Vec<SpanRecord>,
@@ -268,8 +252,8 @@ thread_local! {
     static TLS: RefCell<Tls> = RefCell::new(Tls::default());
 }
 
-/// RAII span guard. Inactive (`id == 0`) when tracing is off or no trace
-/// is installed on this thread; then every method is a no-op.
+/// RAII span guard. Inactive (`id == 0`) when tracing is off or no
+/// request is traced on this thread; then every method is a no-op.
 #[must_use = "a span measures until dropped"]
 pub struct Span {
     id: u64,
@@ -290,11 +274,12 @@ pub fn span(name: &'static str) -> Span {
 fn span_slow(name: &'static str) -> Span {
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        let Some(tr) = &t.trace else {
+        let Some(t0) = t.t0 else {
             return Span { id: 0 };
         };
-        let id = tr.next_id.fetch_add(1, Ordering::Relaxed);
-        let start_us = tr.t0.elapsed().as_micros() as u64;
+        t.last_id += 1;
+        let id = t.last_id;
+        let start_us = t0.elapsed().as_micros() as u64;
         let parent = t.parent;
         t.open.push(OpenSpan {
             id,
@@ -335,16 +320,15 @@ impl Drop for Span {
         }
         TLS.with(|t| {
             let mut t = t.borrow_mut();
-            let Some(tr) = t.trace.as_ref().map(Arc::clone) else {
+            let Some(t0) = t.t0 else {
                 return;
             };
             let Some(pos) = t.open.iter().rposition(|o| o.id == self.id) else {
                 return;
             };
-            let end_us = tr.t0.elapsed().as_micros() as u64;
+            let end_us = t0.elapsed().as_micros() as u64;
             // Spans are guard-scoped, so closes are LIFO; any deeper
             // frames still open (a leaked guard) close with this one.
-            let thread = t.thread;
             let closed: Vec<OpenSpan> = t.open.drain(pos..).collect();
             t.parent = closed[0].parent;
             for o in closed {
@@ -354,7 +338,7 @@ impl Drop for Span {
                     name: o.name.to_string(),
                     start_us: o.start_us,
                     end_us,
-                    thread,
+                    thread: 0,
                     attrs: o.attrs,
                 });
             }
@@ -378,81 +362,6 @@ pub fn note(key: &str, value: impl Display) {
     });
 }
 
-// ----------------------------------------------------------- propagation
-
-/// A capture of the current trace position, cheap to clone and `Send` —
-/// hand it to a worker thread and [`install`] it there.
-#[derive(Clone)]
-pub struct TraceHandle {
-    shared: Arc<TraceShared>,
-    parent: u64,
-}
-
-/// Capture the current thread's trace position for propagation, or `None`
-/// when tracing is off / no trace is installed.
-pub fn current() -> Option<TraceHandle> {
-    if !enabled() {
-        return None;
-    }
-    TLS.with(|t| {
-        let t = t.borrow();
-        t.trace.as_ref().map(|tr| TraceHandle {
-            shared: Arc::clone(tr),
-            parent: t.parent,
-        })
-    })
-}
-
-/// Guard returned by [`install`]: on drop, drains the worker's span
-/// buffer into the trace's shared sink and clears the thread's state.
-#[must_use = "dropping the guard publishes the worker's spans"]
-pub struct InstallGuard {
-    active: bool,
-}
-
-/// Adopt a captured trace position on this thread: spans opened here
-/// parent under the capturing thread's open span. A `None` handle — or a
-/// thread that already has a trace installed (the inline serial path) —
-/// yields an inert guard.
-pub fn install(handle: Option<&TraceHandle>) -> InstallGuard {
-    let Some(h) = handle else {
-        return InstallGuard { active: false };
-    };
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.trace.is_some() {
-            return InstallGuard { active: false };
-        }
-        t.thread = h.shared.next_thread.fetch_add(1, Ordering::Relaxed);
-        t.parent = h.parent;
-        t.trace = Some(Arc::clone(&h.shared));
-        InstallGuard { active: true }
-    })
-}
-
-impl Drop for InstallGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        TLS.with(|t| {
-            let mut t = t.borrow_mut();
-            if let Some(tr) = t.trace.take() {
-                let done = std::mem::take(&mut t.done);
-                if !done.is_empty() {
-                    tr.sink
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .extend(done);
-                }
-            }
-            t.open.clear();
-            t.parent = 0;
-            t.thread = 0;
-        });
-    }
-}
-
 // ------------------------------------------------------------- root spans
 
 /// Guard for one traced request: opens the trace and its root span; on
@@ -460,7 +369,8 @@ impl Drop for InstallGuard {
 /// recorder (and the slow-request log if over threshold).
 #[must_use = "the request trace completes when dropped"]
 pub struct RequestTrace {
-    shared: Option<Arc<TraceShared>>,
+    /// Did this guard open the trace (rather than nest under one)?
+    owner: bool,
     root: Option<Span>,
 }
 
@@ -470,31 +380,22 @@ pub struct RequestTrace {
 pub fn root(name: &'static str) -> RequestTrace {
     if !enabled() {
         return RequestTrace {
-            shared: None,
+            owner: false,
             root: None,
         };
     }
-    let nested = TLS.with(|t| t.borrow().trace.is_some());
-    if nested {
-        return RequestTrace {
-            shared: None,
-            root: Some(span(name)),
-        };
-    }
-    let shared = Arc::new(TraceShared {
-        t0: Instant::now(),
-        next_id: AtomicU64::new(1),
-        next_thread: AtomicU64::new(1),
-        sink: Mutex::new(Vec::new()),
-    });
-    TLS.with(|t| {
+    let owner = TLS.with(|t| {
         let mut t = t.borrow_mut();
-        t.trace = Some(Arc::clone(&shared));
-        t.thread = 0;
+        if t.t0.is_some() {
+            return false;
+        }
+        t.t0 = Some(Instant::now());
+        t.last_id = 0;
         t.parent = 0;
+        true
     });
     RequestTrace {
-        shared: Some(shared),
+        owner,
         root: Some(span(name)),
     }
 }
@@ -503,23 +404,16 @@ impl Drop for RequestTrace {
     fn drop(&mut self) {
         // Close the root span first so it lands in this thread's buffer.
         drop(self.root.take());
-        let Some(shared) = self.shared.take() else {
+        if !self.owner {
             return;
-        };
+        }
         let mut spans = TLS.with(|t| {
             let mut t = t.borrow_mut();
-            t.trace = None;
+            t.t0 = None;
             t.open.clear();
             t.parent = 0;
             std::mem::take(&mut t.done)
         });
-        spans.extend(
-            shared
-                .sink
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .drain(..),
-        );
         // Root first, then start order; ids break ties deterministically.
         spans.sort_by_key(|s| (s.parent != 0, s.start_us, s.id));
         let (name, duration_us) = spans
@@ -643,40 +537,6 @@ mod tests {
         assert_eq!(kids[1].attr("deep"), Some("7"));
         for s in &t.spans {
             assert!(s.end_us >= s.start_us, "span is balanced");
-        }
-    }
-
-    #[test]
-    fn propagation_parents_worker_spans_under_the_capture_point() {
-        let _g = lock();
-        set_enabled(true);
-        {
-            let _r = root("api.fanout");
-            let outer = span("pool.run");
-            let handle = current().expect("capturable");
-            let threads: Vec<_> = (0..3)
-                .map(|i| {
-                    let h = handle.clone();
-                    std::thread::spawn(move || {
-                        let _t = install(Some(&h));
-                        let s = span("worker.step");
-                        s.attr("w", i);
-                    })
-                })
-                .collect();
-            for t in threads {
-                t.join().unwrap();
-            }
-            drop(outer);
-        }
-        let t = last_trace().unwrap();
-        let pool = t.spans.iter().find(|s| s.name == "pool.run").unwrap();
-        let workers: Vec<_> = t.spans.iter().filter(|s| s.name == "worker.step").collect();
-        assert_eq!(workers.len(), 3);
-        for w in workers {
-            assert_eq!(w.parent, pool.id, "worker spans parent at the capture");
-            assert_ne!(w.thread, 0, "worker thread ordinals are distinct from root");
-            assert!(w.start_us >= pool.start_us && w.end_us <= pool.end_us);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Tracing invariants: one traced request must come back as one coherent
 //! span tree — balanced guards, parents that exist, child intervals inside
-//! the root's — even when the cluster's scatter fanned the work out across
-//! shard workers. The trace layer (enable flag, flight recorder) is
+//! the root's — across the cluster's scatter over every shard too. The
+//! trace layer (enable flag, flight recorder) is
 //! process-global, so every test serializes on one mutex and restores the
 //! disabled default before releasing it.
 
@@ -61,9 +61,8 @@ fn assert_coherent_tree(report: &TraceReport, label: &str) {
                 s.name,
                 s.parent
             );
-            // Wall-clock containment in the root: child spans — including
-            // ones recorded on worker threads — cannot start before the
-            // request or outlive it.
+            // Wall-clock containment in the root: child spans cannot
+            // start before the request or outlive it.
             assert!(
                 s.start_us >= root.start_us && s.end_us <= root.end_us,
                 "{label}: '{}' [{}, {}] escapes root [{}, {}]",
@@ -79,11 +78,10 @@ fn assert_coherent_tree(report: &TraceReport, label: &str) {
 
 /// The acceptance scenario: one Detect on a 4-shard cluster produces a
 /// single span tree rooted at `api.detect`, with the scatter, one export
-/// span per shard (on scatter worker threads), and per-CFD detect spans
-/// carrying memo attributes — all correctly parented across the thread
-/// boundary.
+/// span per shard, and per-CFD detect spans carrying memo attributes —
+/// all on the request's thread.
 #[test]
-fn cluster_detect_is_one_tree_across_shard_threads() {
+fn cluster_detect_is_one_tree_on_the_request_thread() {
     let _g = lock();
     let _t = trace_on();
     let d = dirty_customers(ROWS, 0.05, SEED);
@@ -129,15 +127,13 @@ fn cluster_detect_is_one_tree_across_shard_threads() {
     for e in &exports {
         assert_eq!(
             e.parent, scatter.id,
-            "export spans parent under the scatter across the thread boundary"
+            "export spans parent under the scatter"
         );
     }
-    // The dispatcher only joins: every export ran on a scoped worker, so
-    // none carries the dispatcher's thread ordinal (thread 0), even on a
-    // single core.
+    // The scatter is serial: every export ran on the dispatcher's thread.
     assert!(
-        exports.iter().all(|s| s.thread != root.thread),
-        "exports ran on scatter worker threads"
+        exports.iter().all(|s| s.thread == root.thread),
+        "every shard.export sits on the root's thread"
     );
 
     let cfd_spans: Vec<_> = report
