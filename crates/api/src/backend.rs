@@ -34,10 +34,10 @@ pub enum Mutation {
     },
 }
 
-/// An ordered batch of mutations, applied atomically with respect to
-/// derived state: backends route and apply the whole batch in one pass and
-/// patch each touched snapshot once, instead of paying per-row epoch and
-/// copy-on-write bookkeeping (see `SnapshotCache::note_batch`).
+/// An ordered batch of mutations, applied in order (see
+/// [`QualityBackend::apply_batch`]). The single-node server patches its
+/// snapshot once per batch instead of once per row (see
+/// `SnapshotCache::note_batch`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MutationBatch {
     /// The mutations, in application order. Later entries may reference
@@ -156,14 +156,12 @@ pub trait QualityBackend {
     /// Apply a whole batch in one pass — the high-throughput ingest path.
     ///
     /// On success this is equivalent to applying the mutations one by one
-    /// (the property tests pin this), but backends amortize routing and
-    /// snapshot patching across the batch. On a failed mutation the
-    /// already-applied mutations stay applied, derived state stays
-    /// coherent, and the error is returned — single-node backends apply a
-    /// batch-order prefix, while a partitioned backend applies a
-    /// *per-partition* prefix (mutations after the failed one may have
-    /// landed on sibling partitions; see the implementation's docs). A
-    /// failed batch is not safely retryable by suffix on every backend.
+    /// (the property tests pin this); a backend may amortize snapshot
+    /// patching across the batch. On a failed mutation every backend
+    /// keeps the batch-order prefix before it applied, applies nothing
+    /// after it, keeps derived state coherent and returns the error. Row
+    /// ids go only to inserts that applied, so the prefix leaves the id
+    /// allocator where the one-by-one loop would.
     ///
     /// The default implementation is the one-by-one loop.
     fn apply_batch(&mut self, batch: MutationBatch) -> CfdResult<BatchOutcome> {

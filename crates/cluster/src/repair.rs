@@ -25,11 +25,9 @@
 //!    single-node.
 //!
 //! The resulting [`CellChange`]s route back to their owning shards
-//! immediately (point writes keep the loop's reads coherent), while the
-//! snapshot bookkeeping is **batched per shard per round**: each shard
-//! accumulates its round's cell deltas and replays them in one
-//! [`SnapshotCache::note_batch`] call before the next detect — every
-//! shard's cached snapshot stays patched in lock-step, and no round
+//! immediately, and each write patches its shard's cached snapshot
+//! ([`SnapshotCache::note_set_cell`]), as the single node's repair store
+//! does: every shard's snapshot stays in lock-step, and no round
 //! re-encodes. Active-domain statistics are merged across the shards'
 //! snapshot dictionaries ([`colstore::Column::value_counts`]), decoding
 //! each distinct value once per shard.
@@ -42,17 +40,16 @@
 //! property).
 //!
 //! [`CellChange`]: repair::CellChange
-//! [`SnapshotCache::note_batch`]: colstore::SnapshotCache::note_batch
+//! [`SnapshotCache::note_set_cell`]: colstore::SnapshotCache::note_set_cell
 
 use cfd::{BoundCfd, Cfd, CfdResult};
 use colstore::detect::needed_columns;
-use colstore::TableDelta;
 use detect::fxhash::FxHashMap;
 use detect::ViolationReport;
 use minidb::{RowId, Schema, Value};
 use repair::{repair_rounds, ColumnCounts, RepairConfig, RepairResult, RepairStore};
 
-use crate::server::{db_err, ShardedQualityServer};
+use crate::server::ShardedQualityServer;
 
 impl ShardedQualityServer {
     /// Cross-shard BatchRepair under the default [`RepairConfig`] — see
@@ -74,14 +71,11 @@ impl ShardedQualityServer {
         // round's detect just used, never fresh encodes.
         let needed = needed_columns(&bound);
 
-        let pending = vec![Vec::new(); self.shards.len()];
         let mut store = ClusterStore {
             cluster: self,
             needed,
-            pending,
         };
         let result = repair_rounds(&mut store, &cfds, cfg)?;
-        store.flush(); // the final residual detect already flushed; defensive
 
         // Parity with the single-node server: repair invalidates the
         // cached report, the next detect/audit recomputes (riding the
@@ -91,36 +85,14 @@ impl ShardedQualityServer {
     }
 }
 
-/// The cluster's [`RepairStore`]: point reads and writes route to the
-/// owning shard (global row ids make this one dense-map lookup), detection
-/// is the scatter/gather exchange, and each shard's snapshot bookkeeping
-/// is replayed as one per-round batch.
+/// The cluster's [`RepairStore`]: point reads and writes go to the
+/// owning shard, each write patches that shard's snapshot, and detection
+/// is the scatter/gather exchange.
 struct ClusterStore<'a> {
     cluster: &'a mut ShardedQualityServer,
     /// Columns of the registered CFD set — the shard snapshots'
     /// projection.
     needed: Vec<usize>,
-    /// Per-shard cell edits applied to the shard *tables* but not yet
-    /// replayed into the shard snapshots — the round's per-shard mutation
-    /// batch, flushed before anything reads derived state.
-    pending: Vec<Vec<TableDelta>>,
-}
-
-impl ClusterStore<'_> {
-    /// Replay every shard's accumulated cell batch into its snapshot
-    /// cache: one epoch-gap check and one patch pass per touched shard
-    /// ([`colstore::SnapshotCache::note_batch`]), the same replay
-    /// `apply_batch` uses.
-    fn flush(&mut self) {
-        for (sid, cells) in self.pending.iter_mut().enumerate() {
-            if cells.is_empty() {
-                continue;
-            }
-            let shard = &mut self.cluster.shards[sid];
-            shard.cache.note_batch(&shard.table, cells);
-            cells.clear();
-        }
-    }
 }
 
 impl RepairStore for ClusterStore<'_> {
@@ -133,28 +105,23 @@ impl RepairStore for ClusterStore<'_> {
     }
 
     fn row(&self, id: RowId) -> Option<&[Value]> {
-        let sid = self.cluster.shard_of(id)?;
-        self.cluster.shards[sid].table.get(id).ok()
+        self.cluster
+            .shards
+            .iter()
+            .find_map(|s| s.table.get(id).ok())
     }
 
     fn set_cell(&mut self, id: RowId, col: usize, value: Value) -> CfdResult<Value> {
-        let sid = self.cluster.owning_shard(id)?;
-        let shard = &mut self.cluster.shards[sid];
-        let old = shard.table.update_cell(id, col, value).map_err(db_err)?;
-        self.pending[sid].push(TableDelta::CellSet(id, col));
-        self.cluster.drop_report();
-        Ok(old)
+        self.cluster.update_cell(id, col, value)
     }
 
     fn detect(&mut self, _cfds: &[Cfd]) -> CfdResult<ViolationReport> {
         // The loop always detects the registered set (`repair_with_config`
-        // passes it through); sync the shard snapshots, then scatter.
-        self.flush();
+        // passes it through).
         self.cluster.detect()
     }
 
     fn value_counts(&mut self, cols: &[usize]) -> CfdResult<Vec<(usize, ColumnCounts)>> {
-        self.flush();
         // Merge per-column tallies across shards, decoding each distinct
         // value once through its shard's snapshot dictionary. Counts are
         // additive, so the merged pool equals the single-node pool over

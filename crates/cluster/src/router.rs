@@ -1,11 +1,11 @@
 //! Shard routing: which shard owns a row.
 //!
 //! A [`ShardRouter`] decides placement **at insert time** from the row's
-//! values; from then on the cluster remembers the placement (row ids are
-//! global, the id → shard map is the cluster's), so routing never has to
-//! be re-derivable from data. That makes round-robin — which balances
-//! perfectly but is value-blind — a first-class citizen next to
-//! hash-by-key.
+//! values; from then on the shard tables remember the placement (row ids
+//! are global, and exactly one shard table holds each live row), so
+//! routing never has to be re-derivable from data. That makes
+//! round-robin — which balances perfectly but is value-blind — a
+//! first-class citizen next to hash-by-key.
 //!
 //! Placement affects *performance*, never *results*: detection is exact
 //! under any router (the scatter/gather exchange reconciles split groups).

@@ -45,12 +45,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use api::wire::ReportSummary;
-use api::{BatchOutcome, Capabilities, Mutation, MutationBatch, QualityBackend, RepairSummary};
+use api::{Capabilities, QualityBackend, RepairSummary};
 use audit::{QualityReport, ReportBuilder};
 use cfd::parse::parse_cfds;
 use cfd::{BoundCfd, Cfd, CfdError, CfdResult};
 use colstore::detect::needed_columns;
-use colstore::{cfd_partial_one, grade_snapshot, SnapshotCache, TableDelta};
+use colstore::{cfd_partial_one, grade_snapshot, SnapshotCache};
 use detect::exchange::{CfdPartial, MergedCfd};
 use detect::ViolationReport;
 use minidb::{DbError, RowId, Schema, Table, Value};
@@ -190,9 +190,6 @@ pub struct DetectStats {
     pub groups_remerged: u64,
 }
 
-/// Sentinel in the dense owner map: this arena slot holds no live row.
-const NO_SHARD: u32 = u32::MAX;
-
 /// A quality server whose relation is partitioned across N shards.
 pub struct ShardedQualityServer {
     relation: String,
@@ -200,11 +197,6 @@ pub struct ShardedQualityServer {
     pub(crate) cfds: Vec<Cfd>,
     router: Box<dyn ShardRouter>,
     pub(crate) shards: Vec<Shard>,
-    /// Global row id → owning shard, dense by arena slot ([`NO_SHARD`] =
-    /// not live). Row ids are small sequential integers, so a flat vector
-    /// replaces the hash map that used to sit on every routed mutation —
-    /// the same idiom as detect's dense `VioTally`.
-    shard_of: Vec<u32>,
     /// Next global row id — the same sequence a single-node table would
     /// have assigned, which is what makes sharded reports id-compatible.
     next_row: u64,
@@ -233,7 +225,6 @@ impl ShardedQualityServer {
             shards: (0..n)
                 .map(|_| Shard::new(relation, schema.clone(), 0))
                 .collect(),
-            shard_of: Vec::new(),
             next_row: 0,
             stats: DetectStats::default(),
             merged: Vec::new(),
@@ -275,14 +266,12 @@ impl ShardedQualityServer {
         let mut me =
             ShardedQualityServer::new(table.name(), table.schema().clone(), n_shards, router);
         let n = me.shards.len();
-        me.shard_of = vec![NO_SHARD; table.arena_size()];
         for (id, row) in table.iter() {
             let sid = me.router.route(row, n);
             me.shards[sid]
                 .table
                 .insert_at(id, row.to_vec())
                 .map_err(db_err)?;
-            me.shard_of[id.index()] = sid as u32;
         }
         me.next_row = table.arena_size() as u64;
         Ok(me)
@@ -342,28 +331,10 @@ impl ShardedQualityServer {
         &self.shards[shard].table
     }
 
-    /// The shard owning a row, if the row is live.
+    /// The shard owning a row, if the row is live: the one shard table
+    /// that holds it (ids are global, so at most one does).
     pub fn shard_of(&self, id: RowId) -> Option<usize> {
-        self.shard_of
-            .get(id.index())
-            .filter(|&&s| s != NO_SHARD)
-            .map(|&s| s as usize)
-    }
-
-    /// Record `id` as owned by `sid`, growing the dense map as ids move
-    /// forward.
-    fn set_shard(&mut self, id: RowId, sid: usize) {
-        if id.index() >= self.shard_of.len() {
-            self.shard_of.resize(id.index() + 1, NO_SHARD);
-        }
-        self.shard_of[id.index()] = sid as u32;
-    }
-
-    /// Record `id` as no longer live.
-    fn clear_shard(&mut self, id: RowId) {
-        if let Some(slot) = self.shard_of.get_mut(id.index()) {
-            *slot = NO_SHARD;
-        }
+        self.shards.iter().position(|s| s.table.contains(id))
     }
 
     /// Total full snapshot encodes across shards (the steady-state probe:
@@ -379,17 +350,14 @@ impl ShardedQualityServer {
 
     // ---------------------------------------------------------- mutations
 
-    /// Insert a row: the router picks the shard, the cluster assigns the
-    /// next global id, and the shard's snapshot cache patches in lock-step.
+    /// Insert a row: the row is checked against the schema, the router
+    /// picks the shard, the cluster assigns the next global id, and the
+    /// shard's snapshot cache patches in lock-step. A rejected row uses
+    /// up no id.
     pub fn insert(&mut self, row: Vec<Value>) -> CfdResult<RowId> {
-        let sid = self.router.route(&row, self.shards.len());
         let id = RowId(self.next_row);
-        let shard = &mut self.shards[sid];
-        shard.table.insert_at(id, row).map_err(db_err)?;
-        shard.cache.note_insert(&shard.table, id);
-        self.set_shard(id, sid);
+        self.place(id, row)?;
         self.next_row += 1;
-        self.drop_report();
         Ok(id)
     }
 
@@ -399,7 +367,6 @@ impl ShardedQualityServer {
         let shard = &mut self.shards[sid];
         let old = shard.table.delete(id).map_err(db_err)?;
         shard.cache.note_delete(&shard.table, id);
-        self.clear_shard(id);
         self.drop_report();
         Ok(old)
     }
@@ -414,158 +381,17 @@ impl ShardedQualityServer {
         Ok(old)
     }
 
-    /// Apply a whole mutation batch — the cluster's high-throughput
-    /// ingest path:
-    ///
-    /// 1. **One routing pass** assigns global ids, resolves owners, and
-    ///    groups the mutations into per-shard op lists.
-    /// 2. **Per-shard application** replays each shard's list against its
-    ///    table in one tight loop — runs of inserts go through the bulk
-    ///    [`Table::insert_at_many`] (validate-then-write, one arena
-    ///    extension) — and then patches that shard's snapshot exactly
-    ///    once ([`SnapshotCache::note_batch`]).
-    ///
-    /// Per-shard order is exactly batch order (later entries may
-    /// reference earlier inserts); cross-shard order is immaterial, since
-    /// every mutation touches exactly one shard. The per-shard phase runs
-    /// serially on the writer's thread. Failure granularity is
-    /// per shard: a bad mutation stops *its shard's* remaining work (a
-    /// routing failure additionally stops planning of later mutations),
-    /// sibling shards complete, every applied op is patched, and the
-    /// first error is returned.
-    pub fn apply_batch(&mut self, batch: MutationBatch) -> CfdResult<BatchOutcome> {
-        enum ShardOp {
-            Insert(RowId, Vec<Value>),
-            Delete(RowId),
-            Set(RowId, usize, Value),
-        }
-
-        let n = self.shards.len();
-        let mut outcome = BatchOutcome::default();
-        // Route: one pass, no table work. The id map is updated
-        // optimistically and reconciled below for ops a shard rejects.
-        let inserts = batch
-            .mutations
-            .iter()
-            .filter(|m| matches!(m, Mutation::Insert(_)))
-            .count();
-        outcome.inserted.reserve(inserts);
-        self.shard_of
-            .resize(self.next_row as usize + inserts, NO_SHARD);
-        let mut plans: Vec<Vec<ShardOp>> = (0..n)
-            .map(|_| Vec::with_capacity(batch.len() / n + 1))
-            .collect();
-        let mut failed: Option<CfdError> = None;
-        for m in batch.mutations {
-            match m {
-                Mutation::Insert(row) => {
-                    let sid = self.router.route(&row, n);
-                    let id = RowId(self.next_row);
-                    self.next_row += 1;
-                    self.shard_of[id.index()] = sid as u32;
-                    outcome.inserted.push(id);
-                    plans[sid].push(ShardOp::Insert(id, row));
-                }
-                Mutation::Delete(id) => match self.owning_shard(id) {
-                    Ok(sid) => {
-                        self.shard_of[id.index()] = NO_SHARD;
-                        plans[sid].push(ShardOp::Delete(id));
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                },
-                Mutation::SetCell { row, col, value } => match self.owning_shard(row) {
-                    Ok(sid) => plans[sid].push(ShardOp::Set(row, col, value)),
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                },
-            }
-        }
-
-        // Apply per shard: table ops in plan order, then one snapshot
-        // patch per touched shard.
-        for (sid, (shard, plan)) in self.shards.iter_mut().zip(plans).enumerate() {
-            let mut deltas: Vec<TableDelta> = Vec::with_capacity(plan.len());
-            let mut err: Option<DbError> = None;
-            let mut ops = plan.into_iter().peekable();
-            'shard: while let Some(op) = ops.next() {
-                match op {
-                    ShardOp::Insert(id, row) => {
-                        // Collect the maximal insert run for the bulk path.
-                        let mut run = vec![(id, row)];
-                        while let Some(ShardOp::Insert(..)) = ops.peek() {
-                            let Some(ShardOp::Insert(id, row)) = ops.next() else {
-                                unreachable!("peeked an insert");
-                            };
-                            run.push((id, row));
-                        }
-                        let ids: Vec<RowId> = run.iter().map(|(id, _)| *id).collect();
-                        match shard.table.insert_at_many(run) {
-                            Ok(()) => deltas.extend(ids.into_iter().map(TableDelta::Inserted)),
-                            Err(e) => {
-                                // The run is rejected as a unit (validate-
-                                // then-write); un-map its ids.
-                                for id in ids {
-                                    self.shard_of[id.index()] = NO_SHARD;
-                                }
-                                err = Some(e);
-                                break 'shard;
-                            }
-                        }
-                    }
-                    ShardOp::Delete(id) => match shard.table.delete(id) {
-                        Ok(_) => deltas.push(TableDelta::Deleted(id)),
-                        Err(e) => {
-                            err = Some(e);
-                            break 'shard;
-                        }
-                    },
-                    ShardOp::Set(id, col, value) => match shard.table.update_cell(id, col, value) {
-                        Ok(_) => deltas.push(TableDelta::CellSet(id, col)),
-                        Err(e) => {
-                            err = Some(e);
-                            break 'shard;
-                        }
-                    },
-                }
-            }
-            if err.is_some() {
-                // Reconcile the optimistic id map for this shard's
-                // unapplied suffix: planned inserts never landed, planned
-                // deletes never removed their row.
-                for op in ops {
-                    match op {
-                        ShardOp::Insert(id, _) => {
-                            self.shard_of[id.index()] = NO_SHARD;
-                        }
-                        ShardOp::Delete(id) => {
-                            // Restore only rows that actually exist — a
-                            // delete of a row whose own insert was in the
-                            // rejected part of this batch must not
-                            // resurrect a ghost owner mapping.
-                            if shard.table.contains(id) {
-                                self.shard_of[id.index()] = sid as u32;
-                            }
-                        }
-                        ShardOp::Set(..) => {}
-                    }
-                }
-            }
-            outcome.applied += deltas.len();
-            shard.cache.note_batch(&shard.table, &deltas);
-            if let (Some(e), None) = (err, &failed) {
-                failed = Some(db_err(e));
-            }
-        }
+    /// Check `row` against the schema (a router may index any column), route
+    /// it and store it under `id` on its shard, patching that shard's
+    /// snapshot.
+    fn place(&mut self, id: RowId, row: Vec<Value>) -> CfdResult<()> {
+        let row = self.schema.check_row(row).map_err(db_err)?;
+        let sid = self.router.route(&row, self.shards.len());
+        let shard = &mut self.shards[sid];
+        shard.table.insert_at(id, row).map_err(db_err)?;
+        shard.cache.note_insert(&shard.table, id);
         self.drop_report();
-        match failed {
-            None => Ok(outcome),
-            Some(e) => Err(e),
-        }
+        Ok(())
     }
 
     /// Forget the cached report: the data changed.
@@ -573,7 +399,7 @@ impl ShardedQualityServer {
         self.last_report = None;
     }
 
-    pub(crate) fn owning_shard(&self, id: RowId) -> CfdResult<usize> {
+    fn owning_shard(&self, id: RowId) -> CfdResult<usize> {
         self.shard_of(id)
             .ok_or_else(|| db_err(DbError::BadRowId(id.0)))
     }
@@ -744,10 +570,6 @@ impl QualityBackend for ShardedQualityServer {
         ShardedQualityServer::update_cell(self, row, col, value)
     }
 
-    fn apply_batch(&mut self, batch: MutationBatch) -> CfdResult<BatchOutcome> {
-        ShardedQualityServer::apply_batch(self, batch)
-    }
-
     fn detect(&mut self) -> CfdResult<ViolationReport> {
         ShardedQualityServer::detect(self)
     }
@@ -795,13 +617,8 @@ impl QualityBackend for ShardedQualityServer {
         // the router sees the same values, so the row lands on the shard
         // it lived on (for the same shard count; a different count is a
         // legitimate re-partition).
-        let sid = self.router.route(&row, self.shards.len());
-        let shard = &mut self.shards[sid];
-        shard.table.insert_at(id, row).map_err(db_err)?;
-        shard.cache.note_insert(&shard.table, id);
-        self.set_shard(id, sid);
+        self.place(id, row)?;
         self.next_row = self.next_row.max(id.0 + 1);
-        self.drop_report();
         Ok(())
     }
 
@@ -819,6 +636,7 @@ impl QualityBackend for ShardedQualityServer {
 mod tests {
     use super::*;
     use crate::router::{HashRouter, RoundRobinRouter};
+    use api::{Mutation, MutationBatch};
     use colstore::detect_columnar;
     use datagen::dirty_customers;
 

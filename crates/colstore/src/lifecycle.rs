@@ -694,12 +694,11 @@ impl SnapshotCache {
     }
 
     /// Replay a whole mutation batch against the cached snapshot — the
-    /// entry point behind `QualityBackend::apply_batch` and the repair
-    /// loops' per-round replays. The table must be exactly `deltas.len()`
-    /// epochs ahead of the snapshot (one epoch per delta); the batch pays
-    /// one epoch-gap check, and each run of inserts is appended with one
-    /// copy-on-write unsharing and one reservation per column
-    /// (`Snapshot::append_rows`).
+    /// entry point behind the single-node server's `apply_batch`. The
+    /// table must be exactly `deltas.len()` epochs ahead of the snapshot
+    /// (one epoch per delta); the batch pays one epoch-gap check, and
+    /// each run of inserts is appended with one copy-on-write unsharing
+    /// and one reservation per column (`Snapshot::append_rows`).
     ///
     /// The replay reads the table's *current* values. A row the batch
     /// inserts or overwrites and then deletes leaves no value to read, so

@@ -188,15 +188,18 @@ impl Table {
 
     /// Overwrite one cell of a live row; returns the previous value.
     pub fn update_cell(&mut self, id: RowId, col: usize, value: Value) -> DbResult<Value> {
-        let dtype = self.schema.column(col).dtype;
-        let nullable = self.schema.column(col).nullable;
-        if value.is_null() && !nullable {
+        let column = self
+            .schema
+            .columns()
+            .get(col)
+            .ok_or_else(|| DbError::UnknownColumn(format!("column index {col}")))?;
+        if value.is_null() && !column.nullable {
             return Err(DbError::Constraint(format!(
                 "NULL in NOT NULL column {}",
-                self.schema.column(col).name
+                column.name
             )));
         }
-        let value = value.coerce(dtype)?;
+        let value = value.coerce(column.dtype)?;
         let slot = self
             .rows
             .get_mut(id.index())
@@ -321,6 +324,18 @@ mod tests {
         let old = t.update_cell(a, 1, Value::str("z")).unwrap();
         assert_eq!(old, Value::str("a"));
         assert_eq!(t.get(a).unwrap()[1], Value::str("z"));
+    }
+
+    #[test]
+    fn update_cell_rejects_an_out_of_range_column() {
+        let mut t = t();
+        let a = t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
+        let epoch = t.epoch();
+        assert_eq!(
+            t.update_cell(a, 9, Value::str("z")),
+            Err(DbError::UnknownColumn("column index 9".into()))
+        );
+        assert_eq!(t.epoch(), epoch, "a rejected write moves no epoch");
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!
 //! - **Gating.** Tracing is disabled by default; the cost of a disabled
 //!   span site is one relaxed atomic load. Enable with `SDQ_TRACE=1`
-//!   (read once), programmatically via [`set_enabled`], or implicitly by
-//!   setting `SDQ_SLOW_MS` (outlier capture needs tracing on).
+//!   (read once) or programmatically via [`set_enabled`].
 //! - **One thread per trace.** A request is served on the thread that
 //!   opened its [`root`], and so is every span under it: the trace's
 //!   clock, id counter, open-span stack and buffer of completed spans all
@@ -25,9 +24,7 @@
 //! - **Flight recorder.** A completed root span assembles the trace and
 //!   pushes it into a bounded global ring ([`ring_capacity`] entries,
 //!   oldest evicted), readable via [`last_trace`] / [`recent_traces`]
-//!   and served over the wire by the `Request::Trace` op. Requests
-//!   slower than `SDQ_SLOW_MS` are additionally logged to stderr with
-//!   their rendered tree — the slow-request log.
+//!   and served over the wire by the `Request::Trace` op.
 //!
 //! Spans created while no request is traced on the thread are no-ops,
 //! so backends driven directly (not through `api::dispatch`, which opens
@@ -36,7 +33,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Display;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -45,19 +42,9 @@ const RING: usize = 16;
 
 // ------------------------------------------------------------------ gating
 
-fn env_truthy(name: &'static str) -> bool {
-    crate::env::flag(name).unwrap_or(false)
-}
-
-fn env_slow_us() -> Option<u64> {
-    crate::env::parse::<u64>("SDQ_SLOW_MS").map(|ms| ms.saturating_mul(1_000))
-}
-
 fn flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    // SDQ_SLOW_MS implies tracing: outlier capture cannot work without
-    // spans being recorded.
-    FLAG.get_or_init(|| AtomicBool::new(env_truthy("SDQ_TRACE") || env_slow_us().is_some()))
+    FLAG.get_or_init(|| AtomicBool::new(crate::env::flag("SDQ_TRACE").unwrap_or(false)))
 }
 
 /// Is tracing on? One relaxed load — this is the whole cost of a span
@@ -70,22 +57,6 @@ pub fn enabled() -> bool {
 /// Turn tracing on or off process-wide (overrides `SDQ_TRACE`).
 pub fn set_enabled(on: bool) {
     flag().store(on, Ordering::Relaxed);
-}
-
-fn slow_us() -> &'static AtomicU64 {
-    static T: OnceLock<AtomicU64> = OnceLock::new();
-    T.get_or_init(|| AtomicU64::new(env_slow_us().unwrap_or(u64::MAX)))
-}
-
-/// Set (or clear) the slow-request threshold, overriding `SDQ_SLOW_MS`.
-pub fn set_slow_ms(ms: Option<u64>) {
-    slow_us().store(
-        ms.map(|m| m.saturating_mul(1_000)).unwrap_or(u64::MAX),
-        Ordering::Relaxed,
-    );
-    if ms.is_some() {
-        set_enabled(true);
-    }
 }
 
 // ------------------------------------------------------------- span records
@@ -366,7 +337,7 @@ pub fn note(key: &str, value: impl Display) {
 
 /// Guard for one traced request: opens the trace and its root span; on
 /// drop, assembles the [`TraceReport`] and records it in the flight
-/// recorder (and the slow-request log if over threshold).
+/// recorder.
 #[must_use = "the request trace completes when dropped"]
 pub struct RequestTrace {
     /// Did this guard open the trace (rather than nest under one)?
@@ -420,21 +391,11 @@ impl Drop for RequestTrace {
             .first()
             .map(|r| (r.name.clone(), r.duration_us()))
             .unwrap_or_default();
-        let report = TraceReport {
+        record(TraceReport {
             name,
             duration_us,
             spans,
-        };
-        if duration_us >= slow_us().load(Ordering::Relaxed) {
-            eprintln!(
-                "[sdq-trace] slow request: {} took {:.3} ms ({} spans)\n{}",
-                report.name,
-                duration_us as f64 / 1e3,
-                report.spans.len(),
-                report.render_tree()
-            );
-        }
-        record(report);
+        });
     }
 }
 

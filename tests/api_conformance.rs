@@ -359,6 +359,36 @@ fn metrics_round_trip_through_dispatch_line_on_every_backend() {
 }
 
 #[test]
+fn malformed_mutation_frames_answer_an_error_on_every_backend() {
+    // A column index past the schema, and a row shorter than the schema:
+    // a keyed router would index the missing column, the table the
+    // missing schema slot.
+    let frames = [
+        (
+            r#"{"op":"update_cell","row":0,"col":9,"value":"z"}"#,
+            "unknown column",
+        ),
+        (r#"{"op":"insert","row":["only"]}"#, "arity"),
+    ];
+    for (label, mut b) in backends() {
+        b.as_dyn().register_cfds(CANONICAL_CFDS).unwrap();
+        let before = b.as_dyn().detect().unwrap().normalized();
+        for (frame, needle) in frames {
+            let out = dispatch_line(b.as_dyn(), frame);
+            let resp = Response::decode(&out).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(
+                matches!(&resp, Response::Error { message } if message.contains(needle)),
+                "{label}: {frame} must answer an encoded error, got {resp:?}"
+            );
+            // The backend still serves the next request, over unchanged data.
+            let next = Response::decode(&dispatch_line(b.as_dyn(), &Request::Len.encode()));
+            assert_eq!(next.unwrap(), Response::Len { rows: ROWS }, "{label}");
+        }
+        assert_eq!(b.as_dyn().detect().unwrap().normalized(), before, "{label}");
+    }
+}
+
+#[test]
 fn dispatched_wire_script_matches_direct_calls() {
     // Drive every backend through encoded Requests; the wire summaries
     // must agree across backends exactly like the direct reports do.

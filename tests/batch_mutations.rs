@@ -3,6 +3,12 @@
 //! identical tables, identical detection reports, and snapshot contents
 //! that detect identically to a fresh columnar encode — on both the
 //! single-node server and the sharded cluster.
+//!
+//! A batch with one failing mutation (a dead row id, a wrong-arity row or
+//! an out-of-range column) at a random position is an error on the
+//! single-node server, the monitor and the cluster alike, and each of
+//! them ends where a one-by-one application that stops at the failure
+//! ends: the same live rows, the same report and the same next row id.
 
 mod common;
 
@@ -12,7 +18,7 @@ use semandaq::api::{apply_mutation, Mutation, MutationBatch, QualityBackend};
 use semandaq::cluster::{HashRouter, RoundRobinRouter, ShardRouter, ShardedQualityServer};
 use semandaq::colstore::detect_columnar;
 use semandaq::minidb::{Database, RowId, Table, Value};
-use semandaq::system::{DetectorKind, QualityServer, ServerConfig};
+use semandaq::system::{DataMonitor, DetectorKind, MonitorMode, QualityServer, ServerConfig};
 
 fn router(kind: usize) -> Box<dyn ShardRouter> {
     match kind % 3 {
@@ -105,6 +111,78 @@ fn rows_of(t: &Table) -> Vec<(RowId, Vec<Value>)> {
     t.iter().map(|(id, r)| (id, r.to_vec())).collect()
 }
 
+/// A mutation that fails after `prefix` has been applied to `table`:
+/// `kind` picks a dead row id (deleted earlier, or past the allocator), a
+/// row of the wrong arity, or a column past the schema on a live row.
+fn failing_mutation(table: &Table, prefix: &[Mutation], kind: usize, pick: usize) -> Mutation {
+    let mut live = table.row_ids();
+    let mut dead: Vec<RowId> = Vec::new();
+    let mut next = table.arena_size() as u64;
+    for m in prefix {
+        match m {
+            Mutation::Insert(_) => {
+                live.push(RowId(next));
+                next += 1;
+            }
+            Mutation::Delete(id) => {
+                live.retain(|l| l != id);
+                dead.push(*id);
+            }
+            Mutation::SetCell { .. } => {}
+        }
+    }
+    match kind % 3 {
+        0 => {
+            let id = dead.get(pick % (dead.len() + 1)).copied();
+            let id = id.unwrap_or(RowId(next + pick as u64));
+            if pick.is_multiple_of(2) {
+                Mutation::Delete(id)
+            } else {
+                Mutation::SetCell {
+                    row: id,
+                    col: pick % COLS.len(),
+                    value: cell(0, 0),
+                }
+            }
+        }
+        1 => {
+            let arity = [0, 1, 3, 5][pick % 4];
+            Mutation::Insert((0..arity).map(|c| cell(c % COLS.len(), 0)).collect())
+        }
+        _ => Mutation::SetCell {
+            row: live.get(pick % live.len().max(1)).copied().unwrap_or(RowId(0)),
+            col: COLS.len() + pick % 3,
+            value: cell(0, 1),
+        },
+    }
+}
+
+/// A backend under the failed-batch property, kept concrete so its live
+/// rows can be read back.
+enum Subject {
+    Server(QualityServer),
+    Monitor(DataMonitor),
+    Cluster(ShardedQualityServer),
+}
+
+impl Subject {
+    fn backend(&mut self) -> &mut dyn QualityBackend {
+        match self {
+            Subject::Server(s) => s,
+            Subject::Monitor(m) => m,
+            Subject::Cluster(c) => c,
+        }
+    }
+
+    fn rows(&self) -> Vec<(RowId, Vec<Value>)> {
+        match self {
+            Subject::Server(s) => rows_of(s.table().unwrap()),
+            Subject::Monitor(m) => rows_of(m.database().table("r").unwrap()),
+            Subject::Cluster(c) => rows_of(&c.merged_table().unwrap()),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -175,6 +253,72 @@ proptest! {
         let s = stepped.detect().unwrap().normalized();
         prop_assert_eq!(&b, &s);
         prop_assert_eq!(&b, &fresh);
+    }
+
+    #[test]
+    fn failed_batch_leaves_the_one_by_one_prefix_on_every_backend(
+        table in arb_table(30),
+        cfds in arb_cfds(),
+        shards in 1usize..=5,
+        router_kind in 0usize..3,
+        raw in arb_raw_ops(20),
+        at in 0usize..1024,
+        kind in 0usize..3,
+        pick in 0usize..64,
+    ) {
+        let muts = resolve(&table, &raw);
+        let at = at % (muts.len() + 1);
+        let bad = failing_mutation(&table, &muts[..at], kind, pick);
+        let mut batch = muts[..at].to_vec();
+        batch.push(bad.clone());
+        batch.extend_from_slice(&muts[at..]);
+
+        let db = common::db_with(table.clone());
+        let server = || {
+            let mut s = QualityServer::new(db.clone(), "r").unwrap();
+            s.engine_mut().register(cfds.clone()).unwrap();
+            s
+        };
+        // The reference: one by one, stopping at the failure.
+        let mut stepped = server();
+        stepped.detect().unwrap();
+        apply_one_by_one(&mut stepped, &muts[..at]);
+        prop_assert!(apply_mutation(&mut stepped, bad).is_err());
+        let want_rows = rows_of(stepped.table().unwrap());
+        let want_report = stepped.detect().unwrap().normalized();
+        let want_next = stepped.next_row_id().unwrap();
+
+        let mut cluster =
+            ShardedQualityServer::partition(&table, shards, router(router_kind)).unwrap();
+        cluster.register_cfds(cfds.clone()).unwrap();
+        let subjects = vec![
+            ("server", Subject::Server(server())),
+            (
+                "monitor",
+                Subject::Monitor(
+                    DataMonitor::new(db.clone(), "r", cfds.clone(), MonitorMode::DetectOnly)
+                        .unwrap(),
+                ),
+            ),
+            ("cluster", Subject::Cluster(cluster)),
+        ];
+        for (label, mut subject) in subjects {
+            let b = subject.backend();
+            b.detect().unwrap(); // warm the snapshot caches
+            prop_assert!(
+                b.apply_batch(MutationBatch { mutations: batch.clone() }).is_err(),
+                "{}: the batch holds a failing mutation", label
+            );
+            prop_assert_eq!(b.detect().unwrap().normalized(), want_report.clone(), "{}", label);
+            if let Ok(next) = b.next_row_id() {
+                prop_assert_eq!(next, want_next, "{}", label);
+            }
+            prop_assert_eq!(subject.rows(), want_rows.clone(), "{}", label);
+            // The id allocator stands where the reference's does, also on a
+            // backend that does not answer `next_row_id`.
+            let probe = subject.backend().insert((0..COLS.len()).map(|c| cell(c, 0)).collect());
+            prop_assert_eq!(probe.unwrap(), RowId(want_next), "{}", label);
+        }
     }
 }
 

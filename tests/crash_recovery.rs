@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::sync::Once;
 
-use semandaq::api::{dispatch, Mutation, QualityBackend, Request, Response};
+use semandaq::api::{dispatch, dispatch_line, Mutation, QualityBackend, Request, Response};
 use semandaq::cluster::{HashRouter, ShardedQualityServer};
 use semandaq::datagen::{customer::CANONICAL_CFDS, dirty_customers};
 use semandaq::durable::{Durable, PagedStore, WAL_FILE};
@@ -204,6 +204,41 @@ fn single_node_recovers_every_byte_truncation() {
 #[test]
 fn three_shard_cluster_recovers_every_byte_truncation() {
     every_cut_recovers_a_serial_prefix(cluster, "cluster");
+}
+
+/// A frame the backend rejects is logged before it is applied, so a
+/// reopen replays it: it must re-fail, not panic, and leave the relation
+/// as the live run left it.
+fn rejected_frames_refail_on_replay(mk: fn() -> Box<dyn QualityBackend + Send>, tag: &str) {
+    small_chunks();
+    let frames = [
+        r#"{"op":"update_cell","row":0,"col":9,"value":"z"}"#,
+        r#"{"op":"insert","row":["only"]}"#,
+    ];
+    let dir = tmp(tag);
+    let mut d = Durable::open(&dir, mk()).unwrap();
+    for frame in frames {
+        let resp = Response::decode(&dispatch_line(&mut d, frame)).unwrap();
+        assert!(matches!(resp, Response::Error { .. }), "{frame}: {resp:?}");
+    }
+    let want = fingerprint(&mut d);
+    drop(d);
+
+    let mut d = Durable::open(&dir, mk()).expect("a log of rejected frames reopens");
+    assert_eq!(d.recovery().records_replayed, frames.len());
+    assert_eq!(d.recovery().records_refailed, frames.len());
+    assert_eq!(fingerprint(&mut d), want);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn single_node_refails_rejected_frames_on_replay() {
+    rejected_frames_refail_on_replay(single, "single_rejected");
+}
+
+#[test]
+fn three_shard_cluster_refails_rejected_frames_on_replay() {
+    rejected_frames_refail_on_replay(cluster, "cluster_rejected");
 }
 
 /// Acceptance: detection completes — and agrees byte-for-byte — with a
